@@ -365,22 +365,36 @@ FaultInjector::injectSnapshotFault()
         !sink.empty())
         return false;
 
-    // Fault 1: a restore that silently lost a pipeline field.
-    echo.cpu.curCycle += 1;
-    if (auditSnapshotRoundTrip(snap, echo, sink, source.now()))
-        return false;
-    if (!sink.firedFrom("snapshot"))
-        return false;
-
-    // Fault 2: a controller-side divergence (stat drift).
-    sink.clear();
-    restored.snapshot(echo);
-    if (!echo.controller)
-        return false;
-    echo.controller->dstats.tracesConsidered += 1;
-    if (auditSnapshotRoundTrip(snap, echo, sink, source.now()))
-        return false;
-    return sink.firedFrom("snapshot");
+    // Faults: a restore that silently lost a pipeline field, one nested
+    // inside a component's state, controller-side stat drift, and one
+    // inside a container element. Each must be reported at its exact
+    // field path.
+    struct Fault
+    {
+        const char *path;
+        void (*corrupt)(sim::Snapshot &);
+    };
+    const Fault faults[] = {
+        {"cpu.curCycle", [](sim::Snapshot &s) { s.cpu.curCycle += 1; }},
+        {"cpu.bpred.rasTop",
+         [](sim::Snapshot &s) { s.cpu.bpred.rasTop += 1; }},
+        {"controller.dstats.tracesConsidered",
+         [](sim::Snapshot &s) { s.controller->dstats.tracesConsidered += 1; }},
+        {"controller.fabrics[0].live.lastUse",
+         [](sim::Snapshot &s) { s.controller->fabrics[0].live.lastUse += 1; }},
+    };
+    for (const Fault &fault : faults) {
+        restored.snapshot(echo);
+        if (!echo.controller)
+            return false;
+        fault.corrupt(echo);
+        sink.clear();
+        if (auditSnapshotRoundTrip(snap, echo, sink, source.now()) ||
+            !sink.firedFrom("snapshot") ||
+            firstSnapshotDiff(snap, echo) != fault.path)
+            return false;
+    }
+    return true;
 }
 
 bool

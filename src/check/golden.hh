@@ -31,6 +31,7 @@
 #include <iosfwd>
 
 #include "check/check.hh"
+#include "common/fields.hh"
 #include "common/types.hh"
 #include "isa/program.hh"
 #include "isa/trace.hh"
@@ -78,6 +79,8 @@ class GoldenModel
         std::array<std::uint64_t, isa::NUM_ARCH_REGS> regs{};
         InstAddr curPc = 0;
         bool isHalted = false;
+
+        DYNASPAM_FIELDS(SavedState, mem, regs, curPc, isHalted)
 
         bool operator==(const SavedState &) const = default;
     };
@@ -149,6 +152,8 @@ class LockstepChecker
         bool viaFabric = false;
         Cycle cycle = 0;
 
+        DYNASPAM_FIELDS(CommitEvent, idx, pc, viaFabric, cycle)
+
         bool operator==(const CommitEvent &) const = default;
     };
 
@@ -163,8 +168,19 @@ class LockstepChecker
         bool dead = false;
         std::deque<CommitEvent> window;
 
+        DYNASPAM_FIELDS(SavedState, golden, nextIdx, checked, dead, window)
+
         bool operator==(const SavedState &) const = default;
     };
+
+    /** @return true when @p in's commit cursor lies within the trace
+     *  and the golden model's PC within the program. */
+    bool
+    fits(const SavedState &in) const
+    {
+        return in.nextIdx <= trace.size() &&
+               in.golden.curPc < trace.program().size();
+    }
 
     void
     save(SavedState &out) const

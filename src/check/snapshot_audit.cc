@@ -1,8 +1,12 @@
 #include "check/snapshot_audit.hh"
 
-#include <sstream>
+#include <algorithm>
+#include <concepts>
+#include <memory>
 #include <string>
+#include <type_traits>
 
+#include "common/fields.hh"
 #include "sim/snapshot.hh"
 
 namespace dynaspam::check
@@ -11,153 +15,109 @@ namespace dynaspam::check
 namespace
 {
 
-/**
- * Diff one component by probing a list of named member comparisons and
- * reporting the first mismatch. The component-level operator== is the
- * source of truth; the member list only localizes the difference.
- */
-template <typename State, typename... Probe>
+template <typename T>
+bool firstDiff(const T &a, const T &b, std::string &path);
+
+/** firstDiff of one child, with @p label appended to the path while it
+ *  is examined and kept when it differs. */
+template <typename T>
 bool
-diffComponent(const char *component, const State &expect, const State &got,
-              ViolationSink &sink, Cycle now, const Probe &...probes)
+childDiff(const T &a, const T &b, std::string &path, const std::string &label)
 {
-    if (expect == got)
+    const std::size_t len = path.size();
+    path += label;
+    if (firstDiff(a, b, path))
         return true;
-
-    std::string field = "<unlisted member>";
-    bool found = false;
-    auto check = [&](const auto &probe) {
-        if (found)
-            return;
-        if (!(expect.*(probe.member) == got.*(probe.member))) {
-            field = probe.name;
-            found = true;
-        }
-    };
-    (check(probes), ...);
-
-    std::ostringstream os;
-    os << "restored state diverges from its source snapshot in "
-       << component << "." << field;
-    sink.report("snapshot", now, os.str());
+    path.resize(len);
     return false;
 }
 
-/** A named pointer-to-member probe for diffComponent. */
-template <typename State, typename Member>
-struct Probe
+/**
+ * @return true when @p a and @p b differ, with @p path extended to the
+ * first differing leaf: `.name` per field, `[i]` per sequence index,
+ * `[key]` per keyed entry. A container whose common prefix agrees but
+ * whose sizes differ is itself the leaf.
+ */
+template <typename T>
+bool
+firstDiff(const T &a, const T &b, std::string &path)
 {
-    const char *name;
-    Member State::*member;
-};
-
-template <typename State, typename Member>
-Probe<State, Member>
-probe(const char *name, Member State::*member)
-{
-    return {name, member};
+    if constexpr (std::equality_comparable<T> && !std::is_array_v<T>) {
+        if (a == b)
+            return false;
+    }
+    if constexpr (fields::isSequence<T> || fields::isFixedArray<T>) {
+        const std::size_t n = std::min(std::size(a), std::size(b));
+        for (std::size_t i = 0; i < n; i++)
+            if (childDiff(a[i], b[i], path, "[" + std::to_string(i) + "]"))
+                return true;
+        return std::size(a) != std::size(b);
+    } else if constexpr (fields::isKeyed<T>) {
+        const auto ea = fields::sortedEntries(a);
+        const auto eb = fields::sortedEntries(b);
+        for (std::size_t i = 0; i < std::min(ea.size(), eb.size()); i++) {
+            const auto &ka = fields::entryKey(*ea[i]);
+            const auto &kb = fields::entryKey(*eb[i]);
+            if (ka != kb) {
+                path += "[" + std::to_string(std::min(ka, kb)) + "]";
+                return true;
+            }
+            if constexpr (fields::isPair<typename T::value_type>) {
+                if (childDiff(ea[i]->second, eb[i]->second, path,
+                              "[" + std::to_string(ka) + "]"))
+                    return true;
+            }
+        }
+        return ea.size() != eb.size();
+    } else if constexpr (fields::isOptional<T>) {
+        return a.has_value() != b.has_value() ||
+               (a && firstDiff(*a, *b, path));
+    } else if constexpr (fields::isPair<T>) {
+        return childDiff(a.first, b.first, path, ".first") ||
+               childDiff(a.second, b.second, path, ".second");
+    } else if constexpr (std::is_scalar_v<T> ||
+                         fields::isSpecialization<T, std::shared_ptr>) {
+        // A leaf compared by value (pointers by identity: both sides of
+        // a round trip share the immutable inputs and configs).
+        return !(a == b);
+    } else {
+        // Derived members are compared too: both sides of a round trip
+        // bind them to the same inputs.
+        bool found = false;
+        auto entry = [&](const char *name, auto member, auto...) {
+            found = found || childDiff(a.*member, b.*member, path,
+                                       (path.empty() ? "" : ".") +
+                                           std::string(name));
+        };
+        T::fields(entry);
+        if (found || !std::equality_comparable<T>)
+            return found;
+        // operator== saw a difference no listed member explains.
+        path += ".<unlisted member>";
+        return true;
+    }
 }
 
 } // namespace
+
+std::string
+firstSnapshotDiff(const sim::Snapshot &expect, const sim::Snapshot &got)
+{
+    std::string path;
+    return firstDiff(expect, got, path) ? path : std::string();
+}
 
 bool
 auditSnapshotRoundTrip(const sim::Snapshot &expect, const sim::Snapshot &got,
                        ViolationSink &sink, Cycle now)
 {
-    bool ok = true;
-
-    if (expect.input.get() != got.input.get()) {
-        sink.report("snapshot", now,
-                    "snapshots were taken over different SimInputs");
-        ok = false;
-    }
-
-    using Cpu = ooo::OooCpu::SavedState;
-    ok &= diffComponent(
-        "cpu", expect.cpu, got.cpu, sink, now,
-        probe("bpred", &Cpu::bpred),
-        probe("storeSets", &Cpu::storeSets),
-        probe("activeIsDefault", &Cpu::activeIsDefault),
-        probe("pendingIsNull", &Cpu::pendingIsNull),
-        probe("curCycle", &Cpu::curCycle),
-        probe("nextSeq", &Cpu::nextSeq),
-        probe("fetchIdx", &Cpu::fetchIdx),
-        probe("commitIdx", &Cpu::commitIdx),
-        probe("fetchResumeCycle", &Cpu::fetchResumeCycle),
-        probe("fetchBlockedOnBranch", &Cpu::fetchBlockedOnBranch),
-        probe("lastFetchBlock", &Cpu::lastFetchBlock),
-        probe("frontEnd", &Cpu::frontEnd),
-        probe("rat", &Cpu::rat),
-        probe("freeList", &Cpu::freeList),
-        probe("physReadyCycle", &Cpu::physReadyCycle),
-        probe("rob", &Cpu::rob),
-        probe("iq", &Cpu::iq),
-        probe("loadQueue", &Cpu::loadQueue),
-        probe("storeQueue", &Cpu::storeQueue),
-        probe("invocations", &Cpu::invocations),
-        probe("readyByType", &Cpu::readyByType),
-        probe("pendingByType", &Cpu::pendingByType),
-        probe("regConsumers", &Cpu::regConsumers),
-        probe("readyCount", &Cpu::readyCount),
-        probe("pendingCount", &Cpu::pendingCount),
-        probe("storesByLine", &Cpu::storesByLine),
-        probe("loadsByLine", &Cpu::loadsByLine),
-        probe("sqBoundCycle", &Cpu::sqBoundCycle),
-        probe("sqBound", &Cpu::sqBound),
-        probe("storeBuffer", &Cpu::storeBuffer),
-        probe("retiredByLine", &Cpu::retiredByLine),
-        probe("fuBusyUntil", &Cpu::fuBusyUntil),
-        probe("mappingActive", &Cpu::mappingActive),
-        probe("mappingTraceIdx", &Cpu::mappingTraceIdx),
-        probe("mappingFetchRemaining", &Cpu::mappingFetchRemaining),
-        probe("mappingDispatchRemaining", &Cpu::mappingDispatchRemaining),
-        probe("mappingIssueRemaining", &Cpu::mappingIssueRemaining),
-        probe("mappingCommitRemaining", &Cpu::mappingCommitRemaining),
-        probe("pstats", &Cpu::pstats));
-
-    using Mem = mem::MemoryHierarchy::SavedState;
-    ok &= diffComponent("memory", expect.memory, got.memory, sink, now,
-                        probe("l2", &Mem::l2), probe("l1i", &Mem::l1i),
-                        probe("l1d", &Mem::l1d));
-
-    if (expect.controller.has_value() != got.controller.has_value()) {
-        sink.report("snapshot", now,
-                    "controller state present in only one snapshot");
-        ok = false;
-    } else if (expect.controller) {
-        using Ctl = core::DynaSpamController::SavedState;
-        ok &= diffComponent(
-            "controller", *expect.controller, *got.controller, sink, now,
-            probe("tcache", &Ctl::tcache),
-            probe("configCache", &Ctl::configCache),
-            probe("fabrics", &Ctl::fabrics),
-            probe("session", &Ctl::session),
-            probe("policy", &Ctl::policy),
-            probe("mappingInProgress", &Ctl::mappingInProgress),
-            probe("mappingKey", &Ctl::mappingKey),
-            probe("lastMappingStart", &Ctl::lastMappingStart),
-            probe("pending", &Ctl::pending),
-            probe("suppressed", &Ctl::suppressed),
-            probe("mappedKeys", &Ctl::mappedKeys),
-            probe("offloadedKeys", &Ctl::offloadedKeys),
-            probe("failedKeys", &Ctl::failedKeys),
-            probe("dstats", &Ctl::dstats));
-    }
-
-    if (expect.verifier.has_value() != got.verifier.has_value()) {
-        sink.report("snapshot", now,
-                    "verifier state present in only one snapshot");
-        ok = false;
-    } else if (expect.verifier) {
-        using Ver = Verifier::SavedState;
-        ok &= diffComponent(
-            "verifier", *expect.verifier, *got.verifier, sink, now,
-            probe("lockstep", &Ver::lockstep),
-            probe("auditPasses", &Ver::auditPasses),
-            probe("structurePasses", &Ver::structurePasses));
-    }
-
-    return ok;
+    const std::string path = firstSnapshotDiff(expect, got);
+    if (path.empty())
+        return true;
+    sink.report("snapshot", now,
+                "restored state diverges from its source snapshot at " +
+                    path);
+    return false;
 }
 
 } // namespace dynaspam::check

@@ -5,11 +5,13 @@
  * The forked-sweep machinery relies on sim::Snapshot capturing the
  * COMPLETE mutable simulator state: a restore followed by a re-save
  * must reproduce the source snapshot exactly, or the fork will quietly
- * drift from the straight-through run. This auditor diffs two
- * snapshots field-by-field and reports the first mismatching member
- * through a ViolationSink, so a missed field shows up as a named
- * violation ("cpu.rob", "controller", ...) instead of a mystery
- * byte-diff three layers up.
+ * drift from the straight-through run. This auditor walks the same
+ * field lists the snapshot codec does (common/fields.hh) over both
+ * snapshots and reports the full path to the first differing leaf
+ * through a ViolationSink ("cpu.bpred.rasTop",
+ * "controller.fabrics[0].live.lastUse", ...), so a restore that drops a
+ * field shows up as a named violation instead of a mystery byte-diff
+ * three layers up.
  *
  * Wired in two places: the runner's fork path re-saves every restored
  * fork and audits it against the warmup snapshot when checks are
@@ -19,6 +21,8 @@
 
 #ifndef DYNASPAM_CHECK_SNAPSHOT_AUDIT_HH
 #define DYNASPAM_CHECK_SNAPSHOT_AUDIT_HH
+
+#include <string>
 
 #include "check/check.hh"
 #include "common/types.hh"
@@ -32,9 +36,16 @@ namespace dynaspam::check
 {
 
 /**
- * Compare @p got against @p expect member-by-member. Reports one
- * violation (auditor tag "snapshot") naming the first differing field
- * for each top-level component that mismatches.
+ * @return the path to the first leaf where @p got differs from
+ * @p expect, in field-list order ("cpu.curCycle",
+ * "controller.pending[42].startedOnIdx", ...); empty when identical.
+ */
+std::string firstSnapshotDiff(const sim::Snapshot &expect,
+                              const sim::Snapshot &got);
+
+/**
+ * Compare @p got against @p expect field by field. Reports one
+ * violation (auditor tag "snapshot") naming firstSnapshotDiff().
  * @param now cycle recorded in the violation
  * @return true when the snapshots are identical
  */

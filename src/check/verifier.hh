@@ -20,6 +20,7 @@
 #include "check/auditors.hh"
 #include "check/check.hh"
 #include "check/golden.hh"
+#include "common/fields.hh"
 #include "ooo/cpu.hh"
 
 namespace dynaspam::core
@@ -72,8 +73,16 @@ class Verifier : public ooo::CommitObserver
         std::uint64_t auditPasses = 0;
         std::uint64_t structurePasses = 0;
 
+        DYNASPAM_FIELDS(SavedState, lockstep, auditPasses, structurePasses)
+
         bool operator==(const SavedState &) const = default;
     };
+
+    bool
+    fits(const SavedState &in) const
+    {
+        return lockstep.fits(in.lockstep);
+    }
 
     void
     save(SavedState &out) const

@@ -18,6 +18,7 @@
 #include <memory>
 #include <vector>
 
+#include "common/fields.hh"
 #include "common/types.hh"
 #include "fabric/config.hh"
 
@@ -93,6 +94,8 @@ class ConfigCache
         unsigned counter = 0;
         std::shared_ptr<const fabric::FabricConfig> config;
 
+        DYNASPAM_FIELDS(Entry, valid, key, counter, config)
+
         /** Configs are immutable once inserted, so sharing the pointer
          *  is value equality for snapshot purposes. */
         bool operator==(const Entry &) const = default;
@@ -110,8 +113,17 @@ class ConfigCache
         std::uint64_t insertions = 0;
         std::uint64_t evictions = 0;
 
+        DYNASPAM_FIELDS(SavedState, entries, lookups, insertions, evictions)
+
         bool operator==(const SavedState &) const = default;
     };
+
+    /** @return true when @p in has this cache's geometry. */
+    bool
+    fits(const SavedState &in) const
+    {
+        return in.entries.size() == entries.size();
+    }
 
     void
     save(SavedState &out) const

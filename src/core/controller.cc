@@ -415,6 +415,25 @@ DynaSpamController::save(SavedState &out) const
     out.dstats = dstats;
 }
 
+bool
+DynaSpamController::fits(const SavedState &in) const
+{
+    if (!tCache.fits(in.tcache) || !cfgCache.fits(in.configCache))
+        return false;
+    for (const fabric::Fabric::SavedState &fab : in.fabrics)
+        if (!fabric::Fabric::fits(fab))
+            return false;
+    if (in.session && !in.session->fits(trace))
+        return false;
+    for (const auto &[seq, sp] : in.pending) {
+        if (!sp.config || sp.startedOnIdx < -1 ||
+            sp.startedOnIdx >= int(fabricPool.size()) || seq > trace.size() ||
+            sp.numRecords > trace.size() - seq)
+            return false;
+    }
+    return true;
+}
+
 void
 DynaSpamController::restore(const SavedState &in)
 {

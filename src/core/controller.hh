@@ -25,6 +25,7 @@
 #include <unordered_set>
 #include <vector>
 
+#include "common/fields.hh"
 #include "common/stats.hh"
 #include "common/types.hh"
 #include "core/configcache.hh"
@@ -106,6 +107,14 @@ struct DynaSpamStats
     /** Sum/count of invocations-per-configuration (Table 5 lifetime). */
     std::uint64_t lifetimeSum = 0;
     std::uint64_t lifetimeCount = 0;
+
+    DYNASPAM_FIELDS(DynaSpamStats, tracesConsidered, mappingsStarted,
+                    mappingsCompleted, mappingsAborted, mappingsDiscarded,
+                    offloadsIssued, invocationsCommitted, invocationsSquashed,
+                    invocationsCollateral, hotNotMapped, offloadBelowThreshold,
+                    offloadSuppressed, instsOffloaded, reconfigurations,
+                    distinctMappedTraces, distinctOffloadedTraces, lifetimeSum,
+                    lifetimeCount)
 
     double
     avgConfigLifetime() const
@@ -241,6 +250,9 @@ class DynaSpamController : public ooo::TraceHooks
             std::uint32_t numRecords = 0;
             int startedOnIdx = -1;      ///< -1 = not started yet
 
+            DYNASPAM_FIELDS(SavedPending, config, key, numRecords,
+                            startedOnIdx)
+
             bool operator==(const SavedPending &) const = default;
         };
         std::unordered_map<SeqNum, SavedPending> pending;
@@ -252,11 +264,21 @@ class DynaSpamController : public ooo::TraceHooks
 
         DynaSpamStats dstats;
 
+        DYNASPAM_FIELDS(SavedState, tcache, configCache, fabrics, session,
+                        policy, mappingInProgress, mappingKey,
+                        lastMappingStart, pending, suppressed, mappedKeys,
+                        offloadedKeys, failedKeys, dstats)
+
         bool operator==(const SavedState &) const = default;
     };
 
     /** Capture the full controller state into @p out. */
     void save(SavedState &out) const;
+
+    /** @return true when @p in has this controller's cache geometry,
+     *  fabric states that fit their configs, a session that fits the
+     *  trace, and pending invocations on live fabrics and trace spans. */
+    bool fits(const SavedState &in) const;
 
     /** Restore a previously saved state (see SavedState for the
      *  geometry requirements). */

@@ -17,6 +17,7 @@
 
 #include <memory>
 
+#include "common/fields.hh"
 #include "common/types.hh"
 #include "core/session.hh"
 #include "isa/opcodes.hh"
@@ -63,6 +64,9 @@ class MappingPolicyBase : public ooo::SelectPolicy
         bool advancePending = false;
         bool selectedThisCycle = false;
         bool vetoedReadyInst = false;
+
+        DYNASPAM_FIELDS(SavedState, armed, baseIdx, drainUntil, lastNow,
+                        advancePending, selectedThisCycle, vetoedReadyInst)
 
         bool operator==(const SavedState &) const = default;
     };

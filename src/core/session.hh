@@ -21,17 +21,12 @@
 #include <unordered_set>
 #include <vector>
 
+#include "common/fields.hh"
 #include "common/types.hh"
 #include "fabric/config.hh"
 #include "fabric/params.hh"
 #include "isa/trace.hh"
 #include "ooo/dyninst.hh"
-
-namespace dynaspam::binio
-{
-class Writer;
-class Reader;
-} // namespace dynaspam::binio
 
 namespace dynaspam::core
 {
@@ -43,6 +38,8 @@ struct Placement
     fabric::PeId pe;
     fabric::OperandRoute src1;
     fabric::OperandRoute src2;
+
+    DYNASPAM_FIELDS(Placement, traceOffset, pe, src1, src2)
 
     bool operator==(const Placement &) const = default;
 };
@@ -124,13 +121,20 @@ class MappingSession
      *  member-wise equality is the snapshot-diff criterion. */
     bool operator==(const MappingSession &) const = default;
 
-    /** Append the full session state (fabric geometry included, so the
-     *  encoding is standalone) to @p out; deterministic byte order. */
-    void serialize(binio::Writer &out) const;
+    /**
+     * The geometry comes first, so a snapshot load can validate it and
+     * construct the session before decoding the tables it sizes.
+     */
+    DYNASPAM_FIELDS(MappingSession, params, startIdx, traceLen, traceKey,
+                    frontierStripe, scheduleFailed, peAllocated, prodTable,
+                    reuseSet, boundaryUsage, producedThisStripe, deadPhys,
+                    archLatestPhys, liveInSlot, liveInArch, order, destArchOf,
+                    opOf, pcOf, statHops, statReuse)
 
-    /** Rebuild a session from @p in. On corrupt input the reader's
-     *  failure flag latches; callers must check `in.ok()` afterwards. */
-    static MappingSession deserialize(binio::Reader &in);
+    /** @return true when the status tables match the session's own
+     *  geometry and every index they hold (producer, live-in slot, trace
+     *  offset into @p trace) is in range. */
+    bool fits(const isa::DynamicTrace &trace) const;
 
   private:
     /** Number of live-in ports a PE at @p stripe offers. */
@@ -140,6 +144,8 @@ class MappingSession
     {
         std::uint16_t instIdx = 0xffff;     ///< index into `order`
         std::uint8_t stripe = 0;
+
+        DYNASPAM_FIELDS(ProdEntry, instIdx, stripe)
 
         bool operator==(const ProdEntry &) const = default;
     };

@@ -17,6 +17,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "common/fields.hh"
 #include "common/types.hh"
 
 namespace dynaspam::check
@@ -70,6 +71,8 @@ class TCache
         bool hot = false;
         bool valid = false;
 
+        DYNASPAM_FIELDS(Entry, key, counter, hot, valid)
+
         bool operator==(const Entry &) const = default;
     };
 
@@ -78,6 +81,8 @@ class TCache
     {
         InstAddr pc = 0;
         bool taken = false;
+
+        DYNASPAM_FIELDS(BranchRec, pc, taken)
 
         bool operator==(const BranchRec &) const = default;
     };
@@ -92,8 +97,20 @@ class TCache
         std::uint64_t trainings = 0;
         std::uint64_t clears = 0;
 
+        DYNASPAM_FIELDS(SavedState, entries, history, historyCount,
+                        commitCount, trainings, clears)
+
         bool operator==(const SavedState &) const = default;
     };
+
+    /** @return true when @p in has this cache's geometry and a valid
+     *  history fill level (checked before restore()). */
+    bool
+    fits(const SavedState &in) const
+    {
+        return in.entries.size() == entries.size() &&
+               in.historyCount <= in.history.size();
+    }
 
     void
     save(SavedState &out) const

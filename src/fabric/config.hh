@@ -16,6 +16,7 @@
 #include <string>
 #include <vector>
 
+#include "common/fields.hh"
 #include "common/types.hh"
 #include "fabric/params.hh"
 #include "isa/inst.hh"
@@ -35,6 +36,9 @@ struct OperandRoute
                     ///< allocated pass-register datapaths (costs hops)
     };
 
+    /** Number of Kind values (snapshot decode range check). */
+    friend constexpr unsigned enumCount(Kind) { return 4; }
+
     Kind kind = Kind::None;
     /** Producing instruction's index within the config (PassReg/Routed). */
     std::uint16_t producerIdx = 0xffff;
@@ -42,6 +46,8 @@ struct OperandRoute
     std::uint16_t liveInIdx = 0;
     /** Extra stripe boundaries the value crosses beyond one. */
     std::uint16_t hops = 0;
+
+    DYNASPAM_FIELDS(OperandRoute, kind, producerIdx, liveInIdx, hops)
 
     bool operator==(const OperandRoute &) const = default;
 };
@@ -63,6 +69,9 @@ struct MappedInst
     bool expectedTaken = false;
 
     isa::OpClass opClass() const { return isa::opClass(op); }
+
+    DYNASPAM_FIELDS(MappedInst, pc, op, pe, src1, src2, destArch, isLoad,
+                    isStore, isBranch, expectedTaken)
 };
 
 /** A live-out: which mapped instruction produces which architectural reg. */
@@ -70,6 +79,8 @@ struct LiveOut
 {
     RegIndex arch = REG_INVALID;
     std::uint16_t producerIdx = 0xffff;
+
+    DYNASPAM_FIELDS(LiveOut, arch, producerIdx)
 };
 
 /** Complete configuration for one trace. */
@@ -93,6 +104,31 @@ struct FabricConfig
     std::uint8_t stripesUsed = 0;
 
     bool valid() const { return numRecords > 0 && !insts.empty(); }
+
+    /** @return true when every operand route and live-out names an
+     *  instruction or live-in FIFO slot of this config (checked when a
+     *  config is decoded from a snapshot). */
+    bool
+    consistent() const
+    {
+        auto routeOk = [this](const OperandRoute &r) {
+            if (r.kind == OperandRoute::Kind::LiveIn)
+                return r.liveInIdx < liveIns.size();
+            if (r.kind == OperandRoute::Kind::None)
+                return true;
+            return r.producerIdx < insts.size();
+        };
+        for (const MappedInst &mi : insts)
+            if (!routeOk(mi.src1) || !routeOk(mi.src2))
+                return false;
+        for (const LiveOut &lo : liveOuts)
+            if (lo.producerIdx >= insts.size())
+                return false;
+        return true;
+    }
+
+    DYNASPAM_FIELDS(FabricConfig, key, mappedFromIdx, numRecords, insts,
+                    liveIns, liveOuts, hasStores, stripesUsed)
 
     /** Human-readable dump of placements and routes. */
     std::string toString() const;

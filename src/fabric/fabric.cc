@@ -401,18 +401,10 @@ Fabric::execute(const isa::DynamicTrace &trace, SeqNum trace_idx,
 void
 Fabric::exportStats(StatRegistry &reg, const std::string &prefix) const
 {
-    reg.counter(prefix + ".invocations").inc(fstats.invocations);
-    reg.counter(prefix + ".squashedInvocations")
-        .inc(fstats.squashedInvocations);
-    reg.counter(prefix + ".peOps").inc(fstats.peOps);
-    reg.counter(prefix + ".datapathHops").inc(fstats.datapathHops);
-    reg.counter(prefix + ".fifoPushes").inc(fstats.fifoPushes);
-    reg.counter(prefix + ".busTransfers").inc(fstats.busTransfers);
-    reg.counter(prefix + ".dcacheAccesses").inc(fstats.dcacheAccesses);
-    reg.counter(prefix + ".reconfigurations").inc(fstats.reconfigurations);
-    reg.counter(prefix + ".memViolations").inc(fstats.memViolations);
-    reg.counter(prefix + ".activeStripeInvocations")
-        .inc(fstats.activeStripeInvocations);
+    auto entry = [&](const char *name, auto member) {
+        reg.counter(prefix + "." + name).inc(fstats.*member);
+    };
+    FabricStats::fields(entry);
 }
 
 } // namespace dynaspam::fabric

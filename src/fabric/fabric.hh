@@ -20,6 +20,7 @@
 #include <memory>
 #include <vector>
 
+#include "common/fields.hh"
 #include "common/stats.hh"
 #include "common/types.hh"
 #include "fabric/config.hh"
@@ -83,6 +84,10 @@ struct FabricStats
     std::uint64_t memViolations = 0;
     /** Sum over invocations of stripesUsed (for gated leakage). */
     std::uint64_t activeStripeInvocations = 0;
+
+    DYNASPAM_FIELDS(FabricStats, invocations, squashedInvocations, peOps,
+                    datapathHops, fifoPushes, busTransfers, dcacheAccesses,
+                    reconfigurations, memViolations, activeStripeInvocations)
 
     bool operator==(const FabricStats &) const = default;
 };
@@ -179,6 +184,8 @@ class Fabric
         InstAddr pc = 0;
         SeqNum seq = 0;
 
+        DYNASPAM_FIELDS(RecentStore, addr, completeCycle, pc, seq)
+
         bool operator==(const RecentStore &) const = default;
     };
 
@@ -198,7 +205,22 @@ class Fabric
         Cycle lastMemCompletePersist = 0;
         std::uint64_t invocationsOnConfig = 0;
 
+        DYNASPAM_FIELDS(Snapshot, config, configReadyCycle, lastUse,
+                        prevInstComplete, prevLiveOutInternal, prevTraceEndIdx,
+                        inflightWindow, recentStores, lastMemCompletePersist,
+                        invocationsOnConfig)
+
         bool operator==(const Snapshot &) const = default;
+
+        /** @return true when the per-instruction and per-live-out
+         *  tables match the loaded config. */
+        bool
+        fits() const
+        {
+            return !config ||
+                   (prevInstComplete.size() == config->insts.size() &&
+                    prevLiveOutInternal.size() == config->liveOuts.size());
+        }
     };
 
     /**
@@ -212,8 +234,21 @@ class Fabric
         std::map<SeqNum, Snapshot> snapshots;
         FabricStats stats;
 
+        DYNASPAM_FIELDS(SavedState, live, snapshots, stats)
+
         bool operator==(const SavedState &) const = default;
     };
+
+    /** @return true when the live state and every rollback snapshot in
+     *  @p in fit their configs (checked before restore()). */
+    static bool
+    fits(const SavedState &in)
+    {
+        for (const auto &entry : in.snapshots)
+            if (!entry.second.fits())
+                return false;
+        return in.live.fits();
+    }
 
     void
     save(SavedState &out) const

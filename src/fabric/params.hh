@@ -11,6 +11,7 @@
 
 #include <cstdint>
 
+#include "common/fields.hh"
 #include "common/types.hh"
 #include "isa/opcodes.hh"
 #include "ooo/params.hh"
@@ -23,6 +24,8 @@ struct PeId
 {
     std::uint8_t stripe = 0;
     std::uint8_t index = 0;     ///< PE index within the stripe
+
+    DYNASPAM_FIELDS(PeId, stripe, index)
 
     bool
     operator==(const PeId &other) const
@@ -58,6 +61,10 @@ struct FabricParams
 
     /** When false, fabric memory ops execute in strict program order. */
     bool memorySpeculation = true;
+
+    DYNASPAM_FIELDS(FabricParams, numStripes, stripeUnits, passRegsPerFu,
+                    liveInFifos, liveOutFifos, fifoDepth, globalBusLatency,
+                    hopLatency, configureCyclesPerStripe, memorySpeculation)
 
     /** @return total PEs per stripe. */
     unsigned pesPerStripe() const { return stripeUnits.total(); }

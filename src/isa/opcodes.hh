@@ -57,6 +57,13 @@ enum class Opcode : std::uint8_t
     NUM_OPCODES
 };
 
+/** Number of Opcode values (snapshot decode range check). */
+constexpr unsigned
+enumCount(Opcode)
+{
+    return unsigned(Opcode::NUM_OPCODES);
+}
+
 /**
  * Scheduling class of an operation: selects the functional-unit type and
  * base execution latency.

@@ -13,6 +13,7 @@
 #include <string>
 #include <vector>
 
+#include "common/fields.hh"
 #include "common/stats.hh"
 #include "common/types.hh"
 
@@ -91,6 +92,8 @@ class Cache
         bool dirty = false;
         std::uint64_t lastUse = 0;  ///< LRU timestamp
 
+        DYNASPAM_FIELDS(Line, tag, valid, dirty, lastUse)
+
         bool operator==(const Line &) const = default;
     };
 
@@ -109,8 +112,18 @@ class Cache
         std::uint64_t writebacks = 0;
         std::uint64_t prefetchFills = 0;
 
+        DYNASPAM_FIELDS(SavedState, lines, useClock, hits, misses, writebacks,
+                        prefetchFills)
+
         bool operator==(const SavedState &) const = default;
     };
+
+    /** @return true when @p in has this cache's line count. */
+    bool
+    fits(const SavedState &in) const
+    {
+        return in.lines.size() == lines.size();
+    }
 
     /** Copy the mutable state into @p out (reuses its capacity). */
     void
@@ -215,8 +228,17 @@ class MemoryHierarchy
         Cache::SavedState l1i;
         Cache::SavedState l1d;
 
+        DYNASPAM_FIELDS(SavedState, l2, l1i, l1d)
+
         bool operator==(const SavedState &) const = default;
     };
+
+    bool
+    fits(const SavedState &in) const
+    {
+        return l2Cache.fits(in.l2) && l1iCache.fits(in.l1i) &&
+               l1dCache.fits(in.l1d);
+    }
 
     void
     save(SavedState &out) const

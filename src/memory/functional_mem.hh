@@ -11,15 +11,14 @@
 #ifndef DYNASPAM_MEMORY_FUNCTIONAL_MEM_HH
 #define DYNASPAM_MEMORY_FUNCTIONAL_MEM_HH
 
-#include <algorithm>
+#include <array>
 #include <bit>
 #include <cstdint>
 #include <cstring>
 #include <memory>
 #include <unordered_map>
-#include <vector>
 
-#include "common/binio.hh"
+#include "common/fields.hh"
 #include "common/logging.hh"
 #include "common/types.hh"
 
@@ -78,63 +77,25 @@ class FunctionalMemory
      *  produces a false mismatch there. */
     bool operator==(const FunctionalMemory &) const = default;
 
-    /** Append the page map to @p out, sorted by page number so the
-     *  encoding is independent of hash-map iteration order. */
-    void
-    serialize(binio::Writer &out) const
-    {
-        std::vector<Addr> keys;
-        keys.reserve(pages.size());
-        for (const auto &[page_no, page] : pages)
-            keys.push_back(page_no);
-        std::sort(keys.begin(), keys.end());
-        out.u64(keys.size());
-        for (Addr page_no : keys) {
-            const Page &page = pages.at(page_no);
-            out.u64(page_no);
-            out.raw(page.data(), page.size());
-        }
-    }
-
-    /** Rebuild the page map from @p in (fail-soft, see binio::Reader). */
-    void
-    deserialize(binio::Reader &in)
-    {
-        pages.clear();
-        std::uint64_t count = in.u64();
-        if (!in.checkCount(count, 8 + pageBytes))
-            return;
-        for (std::uint64_t i = 0; i < count && in.ok(); i++) {
-            Addr page_no = in.u64();
-            Page page(pageBytes, 0);
-            in.raw(page.data(), page.size());
-            pages.emplace(page_no, std::move(page));
-        }
-    }
+    DYNASPAM_FIELDS(FunctionalMemory, pages)
 
     /** Content hash over the sorted page map (FNV-1a), for identity
      *  checks of on-disk snapshots. */
     std::uint64_t
     contentHash(std::uint64_t hash = bits::FNV1A_OFFSET) const
     {
-        std::vector<Addr> keys;
-        keys.reserve(pages.size());
-        for (const auto &[page_no, page] : pages)
-            keys.push_back(page_no);
-        std::sort(keys.begin(), keys.end());
-        for (Addr page_no : keys) {
+        for (const auto *entry : fields::sortedEntries(pages)) {
             for (unsigned shift = 0; shift < 64; shift += 8)
                 hash = bits::fnv1aStep(
-                    hash, std::uint8_t((page_no >> shift) & 0xff));
-            const Page &page = pages.at(page_no);
-            for (std::uint8_t byte : page)
+                    hash, std::uint8_t((entry->first >> shift) & 0xff));
+            for (std::uint8_t byte : entry->second)
                 hash = bits::fnv1aStep(hash, byte);
         }
         return hash;
     }
 
   private:
-    using Page = std::vector<std::uint8_t>;
+    using Page = std::array<std::uint8_t, pageBytes>;
 
     static Addr pageOf(Addr addr) { return addr / pageBytes; }
     static std::size_t offsetOf(Addr addr)
@@ -158,7 +119,7 @@ class FunctionalMemory
     {
         auto it = pages.find(pageOf(addr));
         if (it == pages.end())
-            it = pages.emplace(pageOf(addr), Page(pageBytes, 0)).first;
+            it = pages.emplace(pageOf(addr), Page{}).first;
         return it->second;
     }
 

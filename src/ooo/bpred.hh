@@ -15,6 +15,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "common/fields.hh"
 #include "common/types.hh"
 #include "isa/inst.hh"
 
@@ -44,6 +45,8 @@ struct RasCheckpoint
 {
     std::size_t top = 0;    ///< valid-entry count at checkpoint time
     InstAddr tos = 0;       ///< value on top (0 when the stack was empty)
+
+    DYNASPAM_FIELDS(RasCheckpoint, top, tos)
 
     bool operator==(const RasCheckpoint &) const = default;
 };
@@ -146,6 +149,8 @@ class BranchPredictor
         InstAddr pc = INST_ADDR_INVALID;
         InstAddr target = 0;
 
+        DYNASPAM_FIELDS(BtbEntry, pc, target)
+
         bool operator==(const BtbEntry &) const = default;
     };
 
@@ -168,8 +173,24 @@ class BranchPredictor
         std::uint64_t lookups = 0;
         std::uint64_t mispredicts = 0;
 
+        DYNASPAM_FIELDS(SavedState, localTable, globalTable, chooserTable, btb,
+                        ras, rasTop, specHistory, archHistory, lookups,
+                        mispredicts)
+
         bool operator==(const SavedState &) const = default;
     };
+
+    /** @return true when @p in has this predictor's table geometry and
+     *  its RAS depth indexes the stack (checked before restore()). */
+    bool
+    fits(const SavedState &in) const
+    {
+        return in.localTable.size() == localTable.size() &&
+               in.globalTable.size() == globalTable.size() &&
+               in.chooserTable.size() == chooserTable.size() &&
+               in.btb.size() == btb.size() && in.ras.size() == ras.size() &&
+               in.rasTop <= in.ras.size();
+    }
 
     void
     save(SavedState &out) const

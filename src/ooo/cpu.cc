@@ -10,6 +10,8 @@
 #include "ooo/cpu.hh"
 
 #include <algorithm>
+#include <string>
+#include <type_traits>
 
 #include "check/check.hh"
 #include "common/logging.hh"
@@ -1314,28 +1316,13 @@ OooCpu::dumpState(std::ostream &os) const
 void
 OooCpu::exportStats(StatRegistry &reg) const
 {
-    reg.counter("ooo.cycles").inc(pstats.cycles);
-    reg.counter("ooo.fetchedInsts").inc(pstats.fetchedInsts);
-    reg.counter("ooo.renamedInsts").inc(pstats.renamedInsts);
-    reg.counter("ooo.dispatchedInsts").inc(pstats.dispatchedInsts);
-    reg.counter("ooo.issuedInsts").inc(pstats.issuedInsts);
-    reg.counter("ooo.committedInsts").inc(pstats.committedInsts);
-    reg.counter("ooo.committedOnHost").inc(pstats.committedOnHost);
-    reg.counter("ooo.squashedInsts").inc(pstats.squashedInsts);
-    reg.counter("ooo.branchMispredicts").inc(pstats.branchMispredicts);
-    reg.counter("ooo.memOrderViolations").inc(pstats.memOrderViolations);
-    reg.counter("ooo.regReads").inc(pstats.regReads);
-    reg.counter("ooo.regWrites").inc(pstats.regWrites);
-    reg.counter("ooo.bypasses").inc(pstats.bypasses);
-    reg.counter("ooo.iqWakeups").inc(pstats.iqWakeups);
-    reg.counter("ooo.loadForwards").inc(pstats.loadForwards);
-    reg.counter("ooo.icacheAccesses").inc(pstats.icacheAccesses);
-    reg.counter("ooo.dcacheAccesses").inc(pstats.dcacheAccesses);
-    reg.counter("ooo.robWrites").inc(pstats.robWrites);
-    reg.counter("ooo.robReads").inc(pstats.robReads);
-    reg.counter("ooo.invocationsCommitted").inc(pstats.invocationsCommitted);
-    reg.counter("ooo.invocationsSquashed").inc(pstats.invocationsSquashed);
-    reg.counter("ooo.mappingInstsExecuted").inc(pstats.mappingInstsExecuted);
+    // Every scalar counter; the per-FU-type array reaches reports
+    // through the result's pipeline block instead.
+    auto entry = [&](const char *name, auto member) {
+        if constexpr (!std::is_array_v<fields::MemberType<decltype(member)>>)
+            reg.counter(std::string("ooo.") + name).inc(pstats.*member);
+    };
+    PipelineStats::fields(entry);
     reg.counter("ooo.bpredLookups").inc(bpred.lookups());
     reg.counter("ooo.bpredMispredicts").inc(bpred.mispredicts());
     reg.counter("ooo.storeSetViolations").inc(storeSets.violations());
@@ -1395,6 +1382,99 @@ OooCpu::save(SavedState &out) const
     out.mappingCommitRemaining = mappingCommitRemaining;
 
     out.pstats = pstats;
+}
+
+bool
+OooCpu::fits(const SavedState &in) const
+{
+    if (!bpred.fits(in.bpred) || !storeSets.fits(in.storeSets))
+        return false;
+
+    // Construction-time table geometry.
+    if (in.rat.size() != rat.size() ||
+        in.physReadyCycle.size() != physReadyCycle.size() ||
+        in.regConsumers.size() != regConsumers.size() ||
+        in.readyByType.size() != readyByType.size() ||
+        in.pendingByType.size() != pendingByType.size() ||
+        in.fuBusyUntil.size() != fuBusyUntil.size())
+        return false;
+    for (std::size_t fu = 0; fu < fuBusyUntil.size(); fu++)
+        if (in.fuBusyUntil[fu].size() != fuBusyUntil[fu].size())
+            return false;
+    if (in.frontEnd.size() > frontEndCap || in.rob.size() > params.robEntries ||
+        in.iq.size() > params.iqEntries ||
+        in.loadQueue.size() > params.lqEntries ||
+        in.storeQueue.size() > params.sqEntries ||
+        in.freeList.size() > params.numPhysRegs)
+        return false;
+
+    // Trace cursors.
+    if (in.commitIdx > in.fetchIdx || in.fetchIdx > trace.size())
+        return false;
+    // Register indices.
+    auto arch = [](RegIndex r) { return r < isa::NUM_ARCH_REGS; };
+    auto phys = [this](RegIndex r) { return r < params.numPhysRegs; };
+    auto physOrNone = [&](RegIndex r) { return r == REG_INVALID || phys(r); };
+    for (const auto &fe : in.frontEnd)
+        if (fe.traceIdx >= trace.size() ||
+            !std::ranges::all_of(fe.liveIns, arch) ||
+            !std::ranges::all_of(fe.liveOuts, arch))
+            return false;
+    if (!std::ranges::all_of(in.rat, phys) ||
+        !std::ranges::all_of(in.freeList, phys))
+        return false;
+
+    // The ROB holds contiguous sequence numbers up to nextSeq, and every
+    // side structure names a ROB entry (robAt() indexes by seq).
+    SeqNum expect = in.rob.empty() ? in.nextSeq : in.rob.front().seq;
+    for (const DynInst &d : in.rob) {
+        if (d.seq != expect++ || !physOrNone(d.destPhys) ||
+            !physOrNone(d.prevPhys) || !physOrNone(d.src1Phys) ||
+            !physOrNone(d.src2Phys))
+            return false;
+    }
+    if (expect != in.nextSeq)
+        return false;
+    auto inRob = [&](SeqNum seq) {
+        return !in.rob.empty() && seq >= in.rob.front().seq &&
+               seq < in.nextSeq;
+    };
+    auto allInRob = [&](const auto &seqs) {
+        return std::ranges::all_of(seqs, inRob);
+    };
+    if (!allInRob(in.iq) || !allInRob(in.loadQueue) ||
+        !allInRob(in.storeQueue))
+        return false;
+    std::size_t ready = 0, pending = 0;
+    for (const auto &seqs : in.readyByType) {
+        if (!allInRob(seqs))
+            return false;
+        ready += seqs.size();
+    }
+    for (const auto &wakeups : in.pendingByType) {
+        for (const PendingWakeup &w : wakeups)
+            if (!inRob(w.seq))
+                return false;
+        pending += wakeups.size();
+    }
+    if (ready != in.readyCount || pending != in.pendingCount)
+        return false;
+    for (const auto &seqs : in.regConsumers)
+        if (!allInRob(seqs))
+            return false;
+    for (const LsqIndex *index : {&in.storesByLine, &in.loadsByLine})
+        for (const auto &[line, seqs] : *index)
+            if (!allInRob(seqs))
+                return false;
+    for (const auto &[seq, inv] : in.invocations) {
+        if (!inRob(seq) || !std::ranges::all_of(inv.liveOutArch, arch))
+            return false;
+        for (const auto *regs : {&inv.liveInPhys, &inv.liveOutPhys,
+                                 &inv.liveOutPrevPhys})
+            if (!std::ranges::all_of(*regs, physOrNone))
+                return false;
+    }
+    return true;
 }
 
 void

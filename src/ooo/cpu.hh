@@ -27,6 +27,7 @@
 #include <utility>
 #include <vector>
 
+#include "common/fields.hh"
 #include "common/stats.hh"
 #include "common/types.hh"
 #include "isa/trace.hh"
@@ -97,6 +98,14 @@ struct PipelineStats
     std::uint64_t invocationsCommitted = 0;
     std::uint64_t invocationsSquashed = 0;
     std::uint64_t mappingInstsExecuted = 0;
+
+    DYNASPAM_FIELDS(PipelineStats, cycles, fetchedInsts, renamedInsts,
+                    dispatchedInsts, issuedInsts, committedInsts,
+                    committedOnHost, squashedInsts, branchMispredicts,
+                    memOrderViolations, regReads, regWrites, bypasses,
+                    iqWakeups, fuOps, loadForwards, icacheAccesses,
+                    dcacheAccesses, robWrites, robReads, invocationsCommitted,
+                    invocationsSquashed, mappingInstsExecuted)
 
     bool operator==(const PipelineStats &) const = default;
 };
@@ -188,6 +197,11 @@ class OooCpu
         std::vector<RegIndex> liveOuts;
         bool hasStores = false;
 
+        DYNASPAM_FIELDS(FrontEndInst, traceIdx, readyAtRename, mispredicted,
+                        predictedTaken, rasCp, mappingInst, firstMappingInst,
+                        lastMappingInst, isInvocation, numRecords, liveIns,
+                        liveOuts, hasStores)
+
         bool operator==(const FrontEndInst &) const = default;
     };
 
@@ -201,6 +215,9 @@ class OooCpu
         bool hasStores = false;
         bool resolved = false;
         InvocationResult result;
+
+        DYNASPAM_FIELDS(InvocationState, liveInPhys, liveOutArch, liveOutPhys,
+                        liveOutPrevPhys, hasStores, resolved, result)
 
         bool operator==(const InvocationState &) const = default;
     };
@@ -272,6 +289,8 @@ class OooCpu
         }
 
         bool operator==(const InvocationTable &) const = default;
+
+        DYNASPAM_FIELDS(InvocationTable, slots)
 
       private:
         std::deque<Entry> slots;
@@ -364,6 +383,8 @@ class OooCpu
         Cycle readyCycle = 0;   ///< max source-ready cycle, may be future
         SeqNum seq = 0;
 
+        DYNASPAM_FIELDS(PendingWakeup, readyCycle, seq)
+
         bool operator==(const PendingWakeup &) const = default;
     };
     std::vector<std::vector<SeqNum>> readyByType;       ///< per FU type
@@ -391,6 +412,8 @@ class OooCpu
         Addr addr = 0;
         Cycle dataReady = 0;
         SeqNum seq = 0;
+
+        DYNASPAM_FIELDS(RetiredStore, addr, dataReady, seq)
 
         bool operator==(const RetiredStore &) const = default;
     };
@@ -479,11 +502,28 @@ class OooCpu
 
         PipelineStats pstats;
 
+        DYNASPAM_FIELDS(SavedState, bpred, storeSets, activeIsDefault,
+                        pendingIsNull, curCycle, nextSeq, fetchIdx, commitIdx,
+                        fetchResumeCycle, fetchBlockedOnBranch, lastFetchBlock,
+                        frontEnd, rat, freeList, physReadyCycle, rob, iq,
+                        loadQueue, storeQueue, invocations, readyByType,
+                        pendingByType, regConsumers, readyCount, pendingCount,
+                        storesByLine, loadsByLine, sqBoundCycle, sqBound,
+                        storeBuffer, retiredByLine, fuBusyUntil, mappingActive,
+                        mappingTraceIdx, mappingFetchRemaining,
+                        mappingDispatchRemaining, mappingIssueRemaining,
+                        mappingCommitRemaining, pstats)
+
         bool operator==(const SavedState &) const = default;
     };
 
     /** Capture the full pipeline state into @p out (reuses capacity). */
     void save(SavedState &out) const;
+
+    /** @return true when @p in has this pipeline's table geometry and
+     *  every scalar indexing those tables, the ROB or the trace is in
+     *  range — the precondition restore() relies on. */
+    bool fits(const SavedState &in) const;
 
     /**
      * Restore a previously saved state. @p mapping_policy is the

@@ -8,6 +8,7 @@
 
 #include <cstdint>
 
+#include "common/fields.hh"
 #include "common/types.hh"
 #include "isa/inst.hh"
 #include "isa/trace.hh"
@@ -22,6 +23,9 @@ enum class RobKind : std::uint8_t
     Inst,           ///< ordinary dynamic instruction
     TraceInvoke,    ///< DynaSpAM fat atomic trace invocation (uses ROB')
 };
+
+/** Number of RobKind values (snapshot decode range check). */
+constexpr unsigned enumCount(RobKind) { return 2; }
 
 /**
  * One in-flight dynamic instruction (a ROB entry). Identified by a unique
@@ -81,6 +85,42 @@ struct DynInst
     bool isLoad() const { return inst && inst->isLoad(); }
     bool isStore() const { return inst && inst->isStore(); }
     bool isControl() const { return inst && inst->isControl(); }
+
+    /** The inst/record pointers are derived: a snapshot load rebinds
+     *  them from traceIdx and kind against its SimInput. */
+    template <typename V>
+    static constexpr void
+    fields(V &v)
+    {
+        v("seq", &DynInst::seq);
+        v("traceIdx", &DynInst::traceIdx);
+        v("pc", &DynInst::pc);
+        v("inst", &DynInst::inst, fields::derived);
+        v("record", &DynInst::record, fields::derived);
+        v("kind", &DynInst::kind);
+        v("traceLen", &DynInst::traceLen);
+        v("invocationId", &DynInst::invocationId);
+        v("destPhys", &DynInst::destPhys);
+        v("prevPhys", &DynInst::prevPhys);
+        v("src1Phys", &DynInst::src1Phys);
+        v("src2Phys", &DynInst::src2Phys);
+        v("fetchCycle", &DynInst::fetchCycle);
+        v("dispatchCycle", &DynInst::dispatchCycle);
+        v("issueCycle", &DynInst::issueCycle);
+        v("completeCycle", &DynInst::completeCycle);
+        v("inIq", &DynInst::inIq);
+        v("waitCount", &DynInst::waitCount);
+        v("issued", &DynInst::issued);
+        v("completed", &DynInst::completed);
+        v("mispredicted", &DynInst::mispredicted);
+        v("predictedTaken", &DynInst::predictedTaken);
+        v("rasCp", &DynInst::rasCp);
+        v("addrReady", &DynInst::addrReady);
+        v("dependsOnStore", &DynInst::dependsOnStore);
+        v("forwardedFromSeq", &DynInst::forwardedFromSeq);
+        v("mappingInst", &DynInst::mappingInst);
+        v("lastMappingInst", &DynInst::lastMappingInst);
+    }
 
     /** Pointer members compare by identity, which is value equality for
      *  snapshot purposes: both sides of a snapshot diff reference the

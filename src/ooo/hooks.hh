@@ -14,6 +14,7 @@
 #include <utility>
 #include <vector>
 
+#include "common/fields.hh"
 #include "common/types.hh"
 #include "isa/inst.hh"
 
@@ -73,6 +74,9 @@ struct InvocationResult
      *  these to catch younger host loads that speculatively read the
      *  locations before the invocation wrote them. */
     std::vector<std::pair<Addr, InstAddr>> storeEvents;
+
+    DYNASPAM_FIELDS(InvocationResult, squashed, completeCycle, liveOutReady,
+                    storeEvents)
 
     bool operator==(const InvocationResult &) const = default;
 };

@@ -9,6 +9,7 @@
 
 #include <cstdint>
 
+#include "common/fields.hh"
 #include "common/types.hh"
 #include "ooo/bpred.hh"
 #include "ooo/storesets.hh"
@@ -24,6 +25,8 @@ struct FuPoolParams
     unsigned fpAlu = 4;
     unsigned fpMulDiv = 1;
     unsigned ldst = 2;
+
+    DYNASPAM_FIELDS(FuPoolParams, intAlu, intMulDiv, fpAlu, fpMulDiv, ldst)
 
     unsigned count(isa::FuType type) const;
     unsigned total() const

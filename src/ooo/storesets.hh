@@ -15,6 +15,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "common/fields.hh"
 #include "common/types.hh"
 
 namespace dynaspam::ooo
@@ -88,6 +89,8 @@ class StoreSetPredictor
         SeqNum storeSeq = 0;    ///< 0 means "no in-flight store"
         InstAddr storePc = INST_ADDR_INVALID;
 
+        DYNASPAM_FIELDS(LfstEntry, storeSeq, storePc)
+
         bool operator==(const LfstEntry &) const = default;
     };
 
@@ -100,8 +103,19 @@ class StoreSetPredictor
         std::uint64_t allocations = 0;
         std::uint64_t violations = 0;
 
+        DYNASPAM_FIELDS(SavedState, ssit, lfst, nextId, allocations,
+                        violations)
+
         bool operator==(const SavedState &) const = default;
     };
+
+    /** @return true when @p in has this predictor's table sizes. */
+    bool
+    fits(const SavedState &in) const
+    {
+        return in.ssit.size() == ssit.size() &&
+               in.lfst.size() == lfst.size();
+    }
 
     void
     save(SavedState &out) const

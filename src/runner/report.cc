@@ -1,7 +1,11 @@
 #include "runner/report.hh"
 
+#include <cctype>
+#include <iterator>
+#include <string_view>
+#include <type_traits>
+
 #include "common/logging.hh"
-#include "isa/opcodes.hh"
 #include "workloads/workload.hh"
 
 namespace dynaspam::runner
@@ -10,125 +14,63 @@ namespace dynaspam::runner
 namespace
 {
 
-constexpr std::size_t kNumFuTypes =
-    std::size_t(isa::FuType::NUM_FU_TYPES);
+/** Report key of a counter: its field name in snake case
+ *  ("fetchedInsts" -> "fetched_insts"). */
+std::string
+reportKey(std::string_view name)
+{
+    std::string key;
+    for (char c : name) {
+        if (std::isupper(static_cast<unsigned char>(c)))
+            key += '_';
+        key += char(std::tolower(static_cast<unsigned char>(c)));
+    }
+    return key;
+}
 
+/** A counter block (PipelineStats, DynaSpamStats) as a JSON object, one
+ *  key per entry of its field list; fixed arrays become JSON arrays. */
+template <typename Stats>
 json::Value
-pipelineToJson(const ooo::PipelineStats &p)
+countersToJson(const Stats &stats)
 {
     json::Object o;
-    o.emplace("cycles", p.cycles);
-    o.emplace("fetched_insts", p.fetchedInsts);
-    o.emplace("renamed_insts", p.renamedInsts);
-    o.emplace("dispatched_insts", p.dispatchedInsts);
-    o.emplace("issued_insts", p.issuedInsts);
-    o.emplace("committed_insts", p.committedInsts);
-    o.emplace("committed_on_host", p.committedOnHost);
-    o.emplace("squashed_insts", p.squashedInsts);
-    o.emplace("branch_mispredicts", p.branchMispredicts);
-    o.emplace("mem_order_violations", p.memOrderViolations);
-    o.emplace("reg_reads", p.regReads);
-    o.emplace("reg_writes", p.regWrites);
-    o.emplace("bypasses", p.bypasses);
-    o.emplace("iq_wakeups", p.iqWakeups);
-    json::Array fu_ops;
-    for (std::size_t i = 0; i < kNumFuTypes; i++)
-        fu_ops.emplace_back(p.fuOps[i]);
-    o.emplace("fu_ops", std::move(fu_ops));
-    o.emplace("load_forwards", p.loadForwards);
-    o.emplace("icache_accesses", p.icacheAccesses);
-    o.emplace("dcache_accesses", p.dcacheAccesses);
-    o.emplace("rob_writes", p.robWrites);
-    o.emplace("rob_reads", p.robReads);
-    o.emplace("invocations_committed", p.invocationsCommitted);
-    o.emplace("invocations_squashed", p.invocationsSquashed);
-    o.emplace("mapping_insts_executed", p.mappingInstsExecuted);
+    auto put = [&](const char *name, auto member) {
+        const auto &value = stats.*member;
+        if constexpr (std::is_array_v<std::remove_cvref_t<decltype(value)>>) {
+            json::Array values;
+            for (std::uint64_t v : value)
+                values.emplace_back(v);
+            o.emplace(reportKey(name), std::move(values));
+        } else {
+            o.emplace(reportKey(name), value);
+        }
+    };
+    Stats::fields(put);
     return json::Value(std::move(o));
 }
 
-ooo::PipelineStats
-pipelineFromJson(const json::Value &v)
+template <typename Stats>
+Stats
+countersFromJson(const json::Value &v)
 {
-    ooo::PipelineStats p;
-    p.cycles = v.at("cycles").asUint();
-    p.fetchedInsts = v.at("fetched_insts").asUint();
-    p.renamedInsts = v.at("renamed_insts").asUint();
-    p.dispatchedInsts = v.at("dispatched_insts").asUint();
-    p.issuedInsts = v.at("issued_insts").asUint();
-    p.committedInsts = v.at("committed_insts").asUint();
-    p.committedOnHost = v.at("committed_on_host").asUint();
-    p.squashedInsts = v.at("squashed_insts").asUint();
-    p.branchMispredicts = v.at("branch_mispredicts").asUint();
-    p.memOrderViolations = v.at("mem_order_violations").asUint();
-    p.regReads = v.at("reg_reads").asUint();
-    p.regWrites = v.at("reg_writes").asUint();
-    p.bypasses = v.at("bypasses").asUint();
-    p.iqWakeups = v.at("iq_wakeups").asUint();
-    const json::Array &fu_ops = v.at("fu_ops").asArray();
-    if (fu_ops.size() != kNumFuTypes)
-        fatal("result json: fu_ops has ", fu_ops.size(), " entries, "
-              "expected ", kNumFuTypes);
-    for (std::size_t i = 0; i < kNumFuTypes; i++)
-        p.fuOps[i] = fu_ops[i].asUint();
-    p.loadForwards = v.at("load_forwards").asUint();
-    p.icacheAccesses = v.at("icache_accesses").asUint();
-    p.dcacheAccesses = v.at("dcache_accesses").asUint();
-    p.robWrites = v.at("rob_writes").asUint();
-    p.robReads = v.at("rob_reads").asUint();
-    p.invocationsCommitted = v.at("invocations_committed").asUint();
-    p.invocationsSquashed = v.at("invocations_squashed").asUint();
-    p.mappingInstsExecuted = v.at("mapping_insts_executed").asUint();
-    return p;
-}
-
-json::Value
-dynaspamToJson(const core::DynaSpamStats &d)
-{
-    json::Object o;
-    o.emplace("traces_considered", d.tracesConsidered);
-    o.emplace("mappings_started", d.mappingsStarted);
-    o.emplace("mappings_completed", d.mappingsCompleted);
-    o.emplace("mappings_aborted", d.mappingsAborted);
-    o.emplace("mappings_discarded", d.mappingsDiscarded);
-    o.emplace("offloads_issued", d.offloadsIssued);
-    o.emplace("invocations_committed", d.invocationsCommitted);
-    o.emplace("invocations_squashed", d.invocationsSquashed);
-    o.emplace("invocations_collateral", d.invocationsCollateral);
-    o.emplace("hot_not_mapped", d.hotNotMapped);
-    o.emplace("offload_below_threshold", d.offloadBelowThreshold);
-    o.emplace("offload_suppressed", d.offloadSuppressed);
-    o.emplace("insts_offloaded", d.instsOffloaded);
-    o.emplace("reconfigurations", d.reconfigurations);
-    o.emplace("distinct_mapped_traces", d.distinctMappedTraces);
-    o.emplace("distinct_offloaded_traces", d.distinctOffloadedTraces);
-    o.emplace("lifetime_sum", d.lifetimeSum);
-    o.emplace("lifetime_count", d.lifetimeCount);
-    return json::Value(std::move(o));
-}
-
-core::DynaSpamStats
-dynaspamFromJson(const json::Value &v)
-{
-    core::DynaSpamStats d;
-    d.tracesConsidered = v.at("traces_considered").asUint();
-    d.mappingsStarted = v.at("mappings_started").asUint();
-    d.mappingsCompleted = v.at("mappings_completed").asUint();
-    d.mappingsAborted = v.at("mappings_aborted").asUint();
-    d.mappingsDiscarded = v.at("mappings_discarded").asUint();
-    d.offloadsIssued = v.at("offloads_issued").asUint();
-    d.invocationsCommitted = v.at("invocations_committed").asUint();
-    d.invocationsSquashed = v.at("invocations_squashed").asUint();
-    d.invocationsCollateral = v.at("invocations_collateral").asUint();
-    d.hotNotMapped = v.at("hot_not_mapped").asUint();
-    d.offloadBelowThreshold = v.at("offload_below_threshold").asUint();
-    d.offloadSuppressed = v.at("offload_suppressed").asUint();
-    d.instsOffloaded = v.at("insts_offloaded").asUint();
-    d.reconfigurations = v.at("reconfigurations").asUint();
-    d.distinctMappedTraces = v.at("distinct_mapped_traces").asUint();
-    d.distinctOffloadedTraces = v.at("distinct_offloaded_traces").asUint();
-    d.lifetimeSum = v.at("lifetime_sum").asUint();
-    d.lifetimeCount = v.at("lifetime_count").asUint();
-    return d;
+    Stats stats;
+    auto get = [&](const char *name, auto member) {
+        auto &value = stats.*member;
+        const json::Value &field = v.at(reportKey(name));
+        if constexpr (std::is_array_v<std::remove_cvref_t<decltype(value)>>) {
+            const json::Array &values = field.asArray();
+            if (values.size() != std::size(value))
+                fatal("result json: ", reportKey(name), " has ",
+                      values.size(), " entries, expected ", std::size(value));
+            for (std::size_t i = 0; i < values.size(); i++)
+                value[i] = values[i].asUint();
+        } else {
+            value = field.asUint();
+        }
+    };
+    Stats::fields(get);
+    return stats;
 }
 
 json::Value
@@ -191,8 +133,8 @@ resultToJson(const sim::RunResult &result)
     o.emplace("ipc", result.ipc());
     o.emplace("insts", std::move(insts));
     o.emplace("functionally_correct", result.functionallyCorrect);
-    o.emplace("pipeline", pipelineToJson(result.pipeline));
-    o.emplace("dynaspam", dynaspamToJson(result.dynaspam));
+    o.emplace("pipeline", countersToJson(result.pipeline));
+    o.emplace("dynaspam", countersToJson(result.dynaspam));
     o.emplace("energy", energyToJson(result.energy));
     o.emplace("stats", result.stats.toJson());
     // Emitted only for sampled-fidelity results, so the serialized form
@@ -217,8 +159,8 @@ resultFromJson(const json::Value &v)
     r.instsFabric = insts.at("fabric").asUint();
     r.instsHost = insts.at("host").asUint();
     r.functionallyCorrect = v.at("functionally_correct").asBool();
-    r.pipeline = pipelineFromJson(v.at("pipeline"));
-    r.dynaspam = dynaspamFromJson(v.at("dynaspam"));
+    r.pipeline = countersFromJson<ooo::PipelineStats>(v.at("pipeline"));
+    r.dynaspam = countersFromJson<core::DynaSpamStats>(v.at("dynaspam"));
     r.energy = energyFromJson(v.at("energy"));
     r.stats = registryFromJson(v.at("stats"));
     if (const json::Value *sampled = v.find("sampled")) {

@@ -99,13 +99,12 @@ runForkGroup(const std::vector<Job> &jobs,
         if (std::optional<std::string> body =
                 snap_cache->load(snapKey, inputHash, &rejected)) {
             // Deserialization re-binds the snapshot to our freshly
-            // built input; the restore below additionally requires the
-            // component presence (controller, verifier) to match what
-            // repCfg would construct, so validate before trusting it.
+            // built input and checks its structure; the restore below
+            // also needs the geometry of what repCfg constructs (a
+            // checksum-valid file from an older parameter default
+            // decodes fine), so validate before trusting it.
             if (sim::deserializeSnapshot(*body, input, safe) &&
-                safe.controller.has_value() ==
-                    (repCfg.mode != sim::SystemMode::BaselineOoo) &&
-                safe.verifier.has_value() == check::enabled()) {
+                sim::Simulation(repCfg, input).fits(safe)) {
                 haveSnapshot = true;
                 if (stats)
                     stats->snapshotHits++;

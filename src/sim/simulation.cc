@@ -63,6 +63,18 @@ Simulation::snapshot(Snapshot &out) const
     }
 }
 
+bool
+Simulation::fits(const Snapshot &in) const
+{
+    if (in.input.get() != input.get() ||
+        in.controller.has_value() != (controller != nullptr) ||
+        in.verifier.has_value() != (verifier != nullptr))
+        return false;
+    return hierarchy.fits(in.memory) && cpu.fits(in.cpu) &&
+           (!controller || controller->fits(*in.controller)) &&
+           (!verifier || verifier->fits(*in.verifier));
+}
+
 void
 Simulation::restore(const Snapshot &in)
 {

@@ -78,6 +78,14 @@ class Simulation
      */
     void restore(const Snapshot &in);
 
+    /**
+     * @return true when @p in can be restored here: same SimInput
+     * object, same component presence, and every component's fits()
+     * (table geometry, index scalars). restore() assumes it; a decoded
+     * snapshot is checked with it before being trusted.
+     */
+    bool fits(const Snapshot &in) const;
+
     /** Drive the simulation until every record has committed. */
     void
     runToCompletion()

@@ -23,6 +23,7 @@
 #include <optional>
 
 #include "check/verifier.hh"
+#include "common/fields.hh"
 #include "core/controller.hh"
 #include "isa/program.hh"
 #include "isa/trace.hh"
@@ -100,6 +101,19 @@ struct Snapshot
     std::optional<core::DynaSpamController::SavedState> controller;
     /** Present when the saving simulation ran under DYNASPAM_CHECKS. */
     std::optional<check::Verifier::SavedState> verifier;
+
+    /** The input is bound by whoever restores or decodes a snapshot,
+     *  never stored with it. */
+    template <typename V>
+    static constexpr void
+    fields(V &v)
+    {
+        v("input", &Snapshot::input, fields::derived);
+        v("cpu", &Snapshot::cpu);
+        v("memory", &Snapshot::memory);
+        v("controller", &Snapshot::controller);
+        v("verifier", &Snapshot::verifier);
+    }
 };
 
 } // namespace dynaspam::sim

@@ -1,24 +1,23 @@
 /**
  * @file
- * Snapshot body (de)serialization. See snapshot_io.hh for the rules.
+ * Snapshot body (de)serialization, derived from the aggregates' field
+ * lists (common/fields.hh). See snapshot_io.hh for the leaf rules.
  *
  * Private nested pipeline types (OooCpu::FrontEndInst, InvocationState,
- * LockstepChecker::CommitEvent, ...) are handled through templates and
- * deduced references: access control applies to *names*, so external
- * code may freely construct and mutate them via emplace_back() and
- * `auto &` as long as it never spells the type. The few classes with no
- * public field access at all (MappingSession, FunctionalMemory) carry
- * their own member serializers.
+ * LockstepChecker::CommitEvent, ...) are reached through their field
+ * lists and deduced template parameters: access control applies to
+ * *names*, so the codec may walk them as long as it never spells them.
  */
 
 #include "sim/snapshot_io.hh"
 
-#include <algorithm>
 #include <map>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
 #include "common/binio.hh"
+#include "common/fields.hh"
 
 namespace dynaspam::sim
 {
@@ -28,1251 +27,321 @@ namespace
 
 using binio::Reader;
 using binio::Writer;
+using ConfigPtr = std::shared_ptr<const fabric::FabricConfig>;
+using SessionSlot = std::optional<core::MappingSession>;
 
-/** Sorted keys of an unordered map/set, for deterministic encoding. */
-template <typename Container>
-std::vector<typename Container::key_type>
-sortedKeys(const Container &c)
+/** Minimum encoded size of one T: the per-element bound a decoded
+ *  element count is checked against before anything is allocated. */
+template <typename T>
+constexpr std::size_t
+minBytes()
 {
-    std::vector<typename Container::key_type> keys;
-    keys.reserve(c.size());
-    for (const auto &entry : c) {
-        if constexpr (requires { entry.first; })
-            keys.push_back(entry.first);
-        else
-            keys.push_back(entry);
-    }
-    std::sort(keys.begin(), keys.end());
-    return keys;
-}
-
-// --- small vector helpers -------------------------------------------------
-
-void
-writeU8Vec(Writer &out, const std::vector<std::uint8_t> &v)
-{
-    out.u64(v.size());
-    out.raw(v.data(), v.size());
-}
-
-bool
-readU8Vec(Reader &in, std::vector<std::uint8_t> &v)
-{
-    std::uint64_t count = in.u64();
-    if (!in.checkCount(count, 1))
-        return false;
-    v.assign(count, 0);
-    in.raw(v.data(), v.size());
-    return in.ok();
-}
-
-void
-writeRegVec(Writer &out, const std::vector<RegIndex> &v)
-{
-    out.u64(v.size());
-    for (RegIndex r : v)
-        out.u32(r);
-}
-
-bool
-readRegVec(Reader &in, std::vector<RegIndex> &v)
-{
-    std::uint64_t count = in.u64();
-    if (!in.checkCount(count, 4))
-        return false;
-    v.clear();
-    v.reserve(count);
-    for (std::uint64_t i = 0; i < count && in.ok(); i++)
-        v.push_back(RegIndex(in.u32()));
-    return in.ok();
-}
-
-template <typename Vec>   // vector/deque of u64-convertible elements
-void
-writeU64Seq(Writer &out, const Vec &v)
-{
-    out.u64(v.size());
-    for (const auto &e : v)
-        out.u64(std::uint64_t(e));
-}
-
-template <typename Vec>
-bool
-readU64Seq(Reader &in, Vec &v)
-{
-    std::uint64_t count = in.u64();
-    if (!in.checkCount(count, 8))
-        return false;
-    v.clear();
-    for (std::uint64_t i = 0; i < count && in.ok(); i++)
-        v.push_back(typename Vec::value_type(in.u64()));
-    return in.ok();
-}
-
-// --- branch predictor / store sets ---------------------------------------
-
-void
-writeBpred(Writer &out, const ooo::BranchPredictor::SavedState &s)
-{
-    writeU8Vec(out, s.localTable);
-    writeU8Vec(out, s.globalTable);
-    writeU8Vec(out, s.chooserTable);
-    out.u64(s.btb.size());
-    for (const auto &e : s.btb) {
-        out.u32(e.pc);
-        out.u32(e.target);
-    }
-    writeU64Seq(out, s.ras);
-    out.u64(s.rasTop);
-    out.u64(s.specHistory);
-    out.u64(s.archHistory);
-    out.u64(s.lookups);
-    out.u64(s.mispredicts);
-}
-
-bool
-readBpred(Reader &in, ooo::BranchPredictor::SavedState &s)
-{
-    if (!readU8Vec(in, s.localTable) || !readU8Vec(in, s.globalTable) ||
-        !readU8Vec(in, s.chooserTable))
-        return false;
-    std::uint64_t count = in.u64();
-    if (!in.checkCount(count, 8))
-        return false;
-    s.btb.clear();
-    for (std::uint64_t i = 0; i < count && in.ok(); i++) {
-        auto &e = s.btb.emplace_back();
-        e.pc = in.u32();
-        e.target = in.u32();
-    }
-    if (!readU64Seq(in, s.ras))
-        return false;
-    s.rasTop = in.u64();
-    s.specHistory = in.u64();
-    s.archHistory = in.u64();
-    s.lookups = in.u64();
-    s.mispredicts = in.u64();
-    return in.ok();
-}
-
-void
-writeStoreSets(Writer &out, const ooo::StoreSetPredictor::SavedState &s)
-{
-    writeU64Seq(out, s.ssit);
-    out.u64(s.lfst.size());
-    for (const auto &e : s.lfst) {
-        out.u64(e.storeSeq);
-        out.u32(e.storePc);
-    }
-    out.u32(s.nextId);
-    out.u64(s.allocations);
-    out.u64(s.violations);
-}
-
-bool
-readStoreSets(Reader &in, ooo::StoreSetPredictor::SavedState &s)
-{
-    if (!readU64Seq(in, s.ssit))
-        return false;
-    std::uint64_t count = in.u64();
-    if (!in.checkCount(count, 12))
-        return false;
-    s.lfst.clear();
-    for (std::uint64_t i = 0; i < count && in.ok(); i++) {
-        auto &e = s.lfst.emplace_back();
-        e.storeSeq = in.u64();
-        e.storePc = in.u32();
-    }
-    s.nextId = in.u32();
-    s.allocations = in.u64();
-    s.violations = in.u64();
-    return in.ok();
-}
-
-// --- caches ---------------------------------------------------------------
-
-void
-writeCache(Writer &out, const mem::Cache::SavedState &s)
-{
-    out.u64(s.lines.size());
-    for (const auto &line : s.lines) {
-        out.u64(line.tag);
-        out.b(line.valid);
-        out.b(line.dirty);
-        out.u64(line.lastUse);
-    }
-    out.u64(s.useClock);
-    out.u64(s.hits);
-    out.u64(s.misses);
-    out.u64(s.writebacks);
-    out.u64(s.prefetchFills);
-}
-
-bool
-readCache(Reader &in, mem::Cache::SavedState &s)
-{
-    std::uint64_t count = in.u64();
-    if (!in.checkCount(count, 18))
-        return false;
-    s.lines.clear();
-    for (std::uint64_t i = 0; i < count && in.ok(); i++) {
-        auto &line = s.lines.emplace_back();
-        line.tag = in.u64();
-        line.valid = in.b();
-        line.dirty = in.b();
-        line.lastUse = in.u64();
-    }
-    s.useClock = in.u64();
-    s.hits = in.u64();
-    s.misses = in.u64();
-    s.writebacks = in.u64();
-    s.prefetchFills = in.u64();
-    return in.ok();
-}
-
-// --- pipeline -------------------------------------------------------------
-
-void
-writeRasCp(Writer &out, const ooo::RasCheckpoint &cp)
-{
-    out.u64(cp.top);
-    out.u32(cp.tos);
-}
-
-void
-readRasCp(Reader &in, ooo::RasCheckpoint &cp)
-{
-    cp.top = in.u64();
-    cp.tos = in.u32();
-}
-
-template <typename FE>   // OooCpu::FrontEndInst (private; deduced)
-void
-writeFrontEndInst(Writer &out, const FE &fe)
-{
-    out.u64(fe.traceIdx);
-    out.u64(fe.readyAtRename);
-    out.b(fe.mispredicted);
-    out.b(fe.predictedTaken);
-    writeRasCp(out, fe.rasCp);
-    out.b(fe.mappingInst);
-    out.b(fe.firstMappingInst);
-    out.b(fe.lastMappingInst);
-    out.b(fe.isInvocation);
-    out.u32(fe.numRecords);
-    writeRegVec(out, fe.liveIns);
-    writeRegVec(out, fe.liveOuts);
-    out.b(fe.hasStores);
-}
-
-template <typename FE>
-bool
-readFrontEndInst(Reader &in, FE &fe)
-{
-    fe.traceIdx = in.u64();
-    fe.readyAtRename = in.u64();
-    fe.mispredicted = in.b();
-    fe.predictedTaken = in.b();
-    readRasCp(in, fe.rasCp);
-    fe.mappingInst = in.b();
-    fe.firstMappingInst = in.b();
-    fe.lastMappingInst = in.b();
-    fe.isInvocation = in.b();
-    fe.numRecords = in.u32();
-    return readRegVec(in, fe.liveIns) && readRegVec(in, fe.liveOuts) &&
-           ((fe.hasStores = in.b()), in.ok());
-}
-
-void
-writeDynInst(Writer &out, const ooo::DynInst &di)
-{
-    // The inst/record pointers are derived state: re-bound on load from
-    // traceIdx + kind against the SimInput.
-    out.u64(di.seq);
-    out.u64(di.traceIdx);
-    out.u32(di.pc);
-    out.u8(std::uint8_t(di.kind));
-    out.u32(di.traceLen);
-    out.u32(di.invocationId);
-    out.u32(di.destPhys);
-    out.u32(di.prevPhys);
-    out.u32(di.src1Phys);
-    out.u32(di.src2Phys);
-    out.u64(di.fetchCycle);
-    out.u64(di.dispatchCycle);
-    out.u64(di.issueCycle);
-    out.u64(di.completeCycle);
-    out.b(di.inIq);
-    out.u8(di.waitCount);
-    out.b(di.issued);
-    out.b(di.completed);
-    out.b(di.mispredicted);
-    out.b(di.predictedTaken);
-    writeRasCp(out, di.rasCp);
-    out.b(di.addrReady);
-    out.u64(di.dependsOnStore);
-    out.u64(di.forwardedFromSeq);
-    out.b(di.mappingInst);
-    out.b(di.lastMappingInst);
-}
-
-bool
-readDynInst(Reader &in, const isa::DynamicTrace &trace, ooo::DynInst &di)
-{
-    di.seq = in.u64();
-    di.traceIdx = in.u64();
-    di.pc = in.u32();
-    std::uint8_t kind = in.u8();
-    if (kind > std::uint8_t(ooo::RobKind::TraceInvoke)) {
-        in.fail();
-        return false;
-    }
-    di.kind = ooo::RobKind(kind);
-    di.traceLen = in.u32();
-    di.invocationId = in.u32();
-    di.destPhys = RegIndex(in.u32());
-    di.prevPhys = RegIndex(in.u32());
-    di.src1Phys = RegIndex(in.u32());
-    di.src2Phys = RegIndex(in.u32());
-    di.fetchCycle = in.u64();
-    di.dispatchCycle = in.u64();
-    di.issueCycle = in.u64();
-    di.completeCycle = in.u64();
-    di.inIq = in.b();
-    di.waitCount = in.u8();
-    di.issued = in.b();
-    di.completed = in.b();
-    di.mispredicted = in.b();
-    di.predictedTaken = in.b();
-    readRasCp(in, di.rasCp);
-    di.addrReady = in.b();
-    di.dependsOnStore = in.u64();
-    di.forwardedFromSeq = in.u64();
-    di.mappingInst = in.b();
-    di.lastMappingInst = in.b();
-    if (!in.ok())
-        return false;
-
-    // Rebind the derived pointers: record always references the oracle
-    // trace slot; inst only for real instructions (TraceInvoke pseudo-ops
-    // carry no static instruction).
-    if (di.traceIdx >= trace.size()) {
-        in.fail();
-        return false;
-    }
-    di.record = &trace[di.traceIdx];
-    if (di.kind == ooo::RobKind::Inst) {
-        if (di.record->pc >= trace.program().size()) {
-            in.fail();
-            return false;
-        }
-        di.inst = &trace.program().inst(di.record->pc);
+    using U = std::remove_cv_t<T>;
+    if constexpr (std::is_same_v<U, bool> || std::is_enum_v<U> ||
+                  std::is_same_v<U, std::uint8_t>) {
+        return 1;
+    } else if constexpr (std::is_integral_v<U>) {
+        return std::is_signed_v<U> || sizeof(U) > 4 ? 8 : 4;
+    } else if constexpr (fields::isSequence<U> || fields::isKeyed<U>) {
+        return 8;
+    } else if constexpr (fields::isStdArray<U>) {
+        return std::tuple_size_v<U> * minBytes<typename U::value_type>();
+    } else if constexpr (std::is_array_v<U>) {
+        return std::extent_v<U> * minBytes<std::remove_extent_t<U>>();
+    } else if constexpr (fields::isOptional<U>) {
+        return 1;
+    } else if constexpr (fields::isPair<U>) {
+        return minBytes<typename U::first_type>() +
+               minBytes<typename U::second_type>();
+    } else if constexpr (std::is_same_v<U, ConfigPtr>) {
+        return 4;
     } else {
-        di.inst = nullptr;
-    }
-    return true;
-}
-
-template <typename Res>   // ooo::InvocationResult (public, but keep uniform)
-void
-writeInvocationResult(Writer &out, const Res &res)
-{
-    out.b(res.squashed);
-    out.u64(res.completeCycle);
-    writeU64Seq(out, res.liveOutReady);
-    out.u64(res.storeEvents.size());
-    for (const auto &[addr, pc] : res.storeEvents) {
-        out.u64(addr);
-        out.u32(pc);
+        std::size_t total = 0;
+        auto entry = [&](const char *, auto member, auto... derived) {
+            if constexpr (sizeof...(derived) == 0)
+                total += minBytes<fields::MemberType<decltype(member)>>();
+        };
+        U::fields(entry);
+        return total;
     }
 }
 
-template <typename Res>
-bool
-readInvocationResult(Reader &in, Res &res)
-{
-    res.squashed = in.b();
-    res.completeCycle = in.u64();
-    if (!readU64Seq(in, res.liveOutReady))
-        return false;
-    std::uint64_t count = in.u64();
-    if (!in.checkCount(count, 12))
-        return false;
-    res.storeEvents.clear();
-    for (std::uint64_t i = 0; i < count && in.ok(); i++) {
-        Addr addr = in.u64();
-        InstAddr pc = in.u32();
-        res.storeEvents.emplace_back(addr, pc);
-    }
-    return in.ok();
-}
-
-void
-writePipelineStats(Writer &out, const ooo::PipelineStats &s)
-{
-    out.u64(s.cycles);
-    out.u64(s.fetchedInsts);
-    out.u64(s.renamedInsts);
-    out.u64(s.dispatchedInsts);
-    out.u64(s.issuedInsts);
-    out.u64(s.committedInsts);
-    out.u64(s.committedOnHost);
-    out.u64(s.squashedInsts);
-    out.u64(s.branchMispredicts);
-    out.u64(s.memOrderViolations);
-    out.u64(s.regReads);
-    out.u64(s.regWrites);
-    out.u64(s.bypasses);
-    out.u64(s.iqWakeups);
-    for (unsigned i = 0; i < unsigned(isa::FuType::NUM_FU_TYPES); i++)
-        out.u64(s.fuOps[i]);
-    out.u64(s.loadForwards);
-    out.u64(s.icacheAccesses);
-    out.u64(s.dcacheAccesses);
-    out.u64(s.robWrites);
-    out.u64(s.robReads);
-    out.u64(s.invocationsCommitted);
-    out.u64(s.invocationsSquashed);
-    out.u64(s.mappingInstsExecuted);
-}
-
-void
-readPipelineStats(Reader &in, ooo::PipelineStats &s)
-{
-    s.cycles = in.u64();
-    s.fetchedInsts = in.u64();
-    s.renamedInsts = in.u64();
-    s.dispatchedInsts = in.u64();
-    s.issuedInsts = in.u64();
-    s.committedInsts = in.u64();
-    s.committedOnHost = in.u64();
-    s.squashedInsts = in.u64();
-    s.branchMispredicts = in.u64();
-    s.memOrderViolations = in.u64();
-    s.regReads = in.u64();
-    s.regWrites = in.u64();
-    s.bypasses = in.u64();
-    s.iqWakeups = in.u64();
-    for (unsigned i = 0; i < unsigned(isa::FuType::NUM_FU_TYPES); i++)
-        s.fuOps[i] = in.u64();
-    s.loadForwards = in.u64();
-    s.icacheAccesses = in.u64();
-    s.dcacheAccesses = in.u64();
-    s.robWrites = in.u64();
-    s.robReads = in.u64();
-    s.invocationsCommitted = in.u64();
-    s.invocationsSquashed = in.u64();
-    s.mappingInstsExecuted = in.u64();
-}
-
-/** LsqIndex (unordered_map<Addr, vector<SeqNum>>), sorted by line. */
-template <typename Map>
-void
-writeLineIndex(Writer &out, const Map &index)
-{
-    out.u64(index.size());
-    for (Addr line : sortedKeys(index)) {
-        out.u64(line);
-        writeU64Seq(out, index.at(line));
-    }
-}
-
-template <typename Map>
-bool
-readLineIndex(Reader &in, Map &index)
-{
-    std::uint64_t count = in.u64();
-    if (!in.checkCount(count, 16))
-        return false;
-    index.clear();
-    for (std::uint64_t i = 0; i < count && in.ok(); i++) {
-        Addr line = in.u64();
-        if (!readU64Seq(in, index[line]))
-            return false;
-    }
-    return in.ok();
-}
-
-void
-writeCpu(Writer &out, const ooo::OooCpu::SavedState &s)
-{
-    writeBpred(out, s.bpred);
-    writeStoreSets(out, s.storeSets);
-    out.b(s.activeIsDefault);
-    out.b(s.pendingIsNull);
-    out.u64(s.curCycle);
-    out.u64(s.nextSeq);
-    out.u64(s.fetchIdx);
-    out.u64(s.commitIdx);
-    out.u64(s.fetchResumeCycle);
-    out.b(s.fetchBlockedOnBranch);
-    out.u64(s.lastFetchBlock);
-
-    out.u64(s.frontEnd.size());
-    for (const auto &fe : s.frontEnd)
-        writeFrontEndInst(out, fe);
-
-    writeRegVec(out, s.rat);
-    writeRegVec(out, s.freeList);
-    writeU64Seq(out, s.physReadyCycle);
-
-    out.u64(s.rob.size());
-    for (const auto &di : s.rob)
-        writeDynInst(out, di);
-    writeU64Seq(out, s.iq);
-    writeU64Seq(out, s.loadQueue);
-    writeU64Seq(out, s.storeQueue);
-
-    out.u64(s.invocations.size());
-    for (const auto &[seq, inv] : s.invocations) {
-        out.u64(seq);
-        writeRegVec(out, inv.liveInPhys);
-        writeRegVec(out, inv.liveOutArch);
-        writeRegVec(out, inv.liveOutPhys);
-        writeRegVec(out, inv.liveOutPrevPhys);
-        out.b(inv.hasStores);
-        out.b(inv.resolved);
-        writeInvocationResult(out, inv.result);
-    }
-
-    out.u64(s.readyByType.size());
-    for (const auto &v : s.readyByType)
-        writeU64Seq(out, v);
-    out.u64(s.pendingByType.size());
-    for (const auto &v : s.pendingByType) {
-        out.u64(v.size());
-        for (const auto &w : v) {
-            out.u64(w.readyCycle);
-            out.u64(w.seq);
-        }
-    }
-    out.u64(s.regConsumers.size());
-    for (const auto &v : s.regConsumers)
-        writeU64Seq(out, v);
-    out.u64(s.readyCount);
-    out.u64(s.pendingCount);
-
-    writeLineIndex(out, s.storesByLine);
-    writeLineIndex(out, s.loadsByLine);
-    out.u64(s.sqBoundCycle);
-    out.u64(s.sqBound);
-    out.u64(s.storeBuffer.size());
-    for (const auto &rs : s.storeBuffer) {
-        out.u64(rs.addr);
-        out.u64(rs.dataReady);
-        out.u64(rs.seq);
-    }
-    out.u64(s.retiredByLine.size());
-    for (Addr line : sortedKeys(s.retiredByLine)) {
-        out.u64(line);
-        const auto &vec = s.retiredByLine.at(line);
-        out.u64(vec.size());
-        for (const auto &rs : vec) {
-            out.u64(rs.addr);
-            out.u64(rs.dataReady);
-            out.u64(rs.seq);
-        }
-    }
-
-    out.u64(s.fuBusyUntil.size());
-    for (const auto &v : s.fuBusyUntil)
-        writeU64Seq(out, v);
-
-    out.b(s.mappingActive);
-    out.u64(s.mappingTraceIdx);
-    out.u32(s.mappingFetchRemaining);
-    out.u32(s.mappingDispatchRemaining);
-    out.u32(s.mappingIssueRemaining);
-    out.u32(s.mappingCommitRemaining);
-    writePipelineStats(out, s.pstats);
-}
-
-bool
-readCpu(Reader &in, const isa::DynamicTrace &trace,
-        ooo::OooCpu::SavedState &s)
-{
-    if (!readBpred(in, s.bpred) || !readStoreSets(in, s.storeSets))
-        return false;
-    s.activeIsDefault = in.b();
-    s.pendingIsNull = in.b();
-    s.curCycle = in.u64();
-    s.nextSeq = in.u64();
-    s.fetchIdx = in.u64();
-    s.commitIdx = in.u64();
-    s.fetchResumeCycle = in.u64();
-    s.fetchBlockedOnBranch = in.b();
-    s.lastFetchBlock = in.u64();
-
-    std::uint64_t count = in.u64();
-    if (!in.checkCount(count, 32))
-        return false;
-    s.frontEnd.clear();
-    for (std::uint64_t i = 0; i < count && in.ok(); i++) {
-        auto &fe = s.frontEnd.emplace_back();
-        if (!readFrontEndInst(in, fe))
-            return false;
-    }
-
-    if (!readRegVec(in, s.rat) || !readRegVec(in, s.freeList) ||
-        !readU64Seq(in, s.physReadyCycle))
-        return false;
-
-    count = in.u64();
-    if (!in.checkCount(count, 64))
-        return false;
-    s.rob.clear();
-    for (std::uint64_t i = 0; i < count && in.ok(); i++) {
-        auto &di = s.rob.emplace_back();
-        if (!readDynInst(in, trace, di))
-            return false;
-    }
-    if (!readU64Seq(in, s.iq) || !readU64Seq(in, s.loadQueue) ||
-        !readU64Seq(in, s.storeQueue))
-        return false;
-
-    count = in.u64();
-    if (!in.checkCount(count, 16))
-        return false;
-    while (!s.invocations.empty())
-        s.invocations.erase(s.invocations.begin()->first);
-    for (std::uint64_t i = 0; i < count && in.ok(); i++) {
-        SeqNum seq = in.u64();
-        s.invocations.emplace(seq, {});
-        auto *inv = s.invocations.find(seq);
-        if (!readRegVec(in, inv->liveInPhys) ||
-            !readRegVec(in, inv->liveOutArch) ||
-            !readRegVec(in, inv->liveOutPhys) ||
-            !readRegVec(in, inv->liveOutPrevPhys))
-            return false;
-        inv->hasStores = in.b();
-        inv->resolved = in.b();
-        if (!readInvocationResult(in, inv->result))
-            return false;
-    }
-
-    count = in.u64();
-    if (!in.checkCount(count, 8))
-        return false;
-    s.readyByType.assign(count, {});
-    for (std::uint64_t i = 0; i < count && in.ok(); i++)
-        if (!readU64Seq(in, s.readyByType[i]))
-            return false;
-    count = in.u64();
-    if (!in.checkCount(count, 8))
-        return false;
-    s.pendingByType.assign(count, {});
-    for (std::uint64_t i = 0; i < count && in.ok(); i++) {
-        std::uint64_t inner = in.u64();
-        if (!in.checkCount(inner, 16))
-            return false;
-        for (std::uint64_t j = 0; j < inner && in.ok(); j++) {
-            auto &w = s.pendingByType[i].emplace_back();
-            w.readyCycle = in.u64();
-            w.seq = in.u64();
-        }
-    }
-    count = in.u64();
-    if (!in.checkCount(count, 8))
-        return false;
-    s.regConsumers.assign(count, {});
-    for (std::uint64_t i = 0; i < count && in.ok(); i++)
-        if (!readU64Seq(in, s.regConsumers[i]))
-            return false;
-    s.readyCount = in.u64();
-    s.pendingCount = in.u64();
-
-    if (!readLineIndex(in, s.storesByLine) ||
-        !readLineIndex(in, s.loadsByLine))
-        return false;
-    s.sqBoundCycle = in.u64();
-    s.sqBound = in.u64();
-    count = in.u64();
-    if (!in.checkCount(count, 24))
-        return false;
-    s.storeBuffer.clear();
-    for (std::uint64_t i = 0; i < count && in.ok(); i++) {
-        auto &rs = s.storeBuffer.emplace_back();
-        rs.addr = in.u64();
-        rs.dataReady = in.u64();
-        rs.seq = in.u64();
-    }
-    count = in.u64();
-    if (!in.checkCount(count, 16))
-        return false;
-    s.retiredByLine.clear();
-    for (std::uint64_t i = 0; i < count && in.ok(); i++) {
-        Addr line = in.u64();
-        std::uint64_t inner = in.u64();
-        if (!in.checkCount(inner, 24))
-            return false;
-        auto &vec = s.retiredByLine[line];
-        for (std::uint64_t j = 0; j < inner && in.ok(); j++) {
-            auto &rs = vec.emplace_back();
-            rs.addr = in.u64();
-            rs.dataReady = in.u64();
-            rs.seq = in.u64();
-        }
-    }
-
-    count = in.u64();
-    if (!in.checkCount(count, 8))
-        return false;
-    s.fuBusyUntil.assign(count, {});
-    for (std::uint64_t i = 0; i < count && in.ok(); i++)
-        if (!readU64Seq(in, s.fuBusyUntil[i]))
-            return false;
-
-    s.mappingActive = in.b();
-    s.mappingTraceIdx = in.u64();
-    s.mappingFetchRemaining = in.u32();
-    s.mappingDispatchRemaining = in.u32();
-    s.mappingIssueRemaining = in.u32();
-    s.mappingCommitRemaining = in.u32();
-    readPipelineStats(in, s.pstats);
-    return in.ok();
-}
-
-// --- fabric configs (deduplicated pool) -----------------------------------
-
-void
-writeRoute(Writer &out, const fabric::OperandRoute &route)
-{
-    out.u8(std::uint8_t(route.kind));
-    out.u32(route.producerIdx);
-    out.u32(route.liveInIdx);
-    out.u32(route.hops);
-}
-
-bool
-readRoute(Reader &in, fabric::OperandRoute &route)
-{
-    std::uint8_t kind = in.u8();
-    if (kind > std::uint8_t(fabric::OperandRoute::Kind::Routed)) {
-        in.fail();
-        return false;
-    }
-    route.kind = fabric::OperandRoute::Kind(kind);
-    route.producerIdx = std::uint16_t(in.u32());
-    route.liveInIdx = std::uint16_t(in.u32());
-    route.hops = std::uint16_t(in.u32());
-    return in.ok();
-}
-
-void
-writeConfigBody(Writer &out, const fabric::FabricConfig &config)
-{
-    out.u64(config.key);
-    out.u64(config.mappedFromIdx);
-    out.u32(config.numRecords);
-    out.u64(config.insts.size());
-    for (const auto &mi : config.insts) {
-        out.u32(mi.pc);
-        out.u8(std::uint8_t(mi.op));
-        out.u8(mi.pe.stripe);
-        out.u8(mi.pe.index);
-        writeRoute(out, mi.src1);
-        writeRoute(out, mi.src2);
-        out.u32(mi.destArch);
-        out.b(mi.isLoad);
-        out.b(mi.isStore);
-        out.b(mi.isBranch);
-        out.b(mi.expectedTaken);
-    }
-    writeRegVec(out, config.liveIns);
-    out.u64(config.liveOuts.size());
-    for (const auto &lo : config.liveOuts) {
-        out.u32(lo.arch);
-        out.u32(lo.producerIdx);
-    }
-    out.b(config.hasStores);
-    out.u8(config.stripesUsed);
-}
-
-bool
-readConfigBody(Reader &in, fabric::FabricConfig &config)
-{
-    config.key = in.u64();
-    config.mappedFromIdx = in.u64();
-    config.numRecords = in.u32();
-    std::uint64_t count = in.u64();
-    if (!in.checkCount(count, 37))
-        return false;
-    config.insts.clear();
-    for (std::uint64_t i = 0; i < count && in.ok(); i++) {
-        auto &mi = config.insts.emplace_back();
-        mi.pc = in.u32();
-        std::uint8_t op = in.u8();
-        if (op >= std::uint8_t(isa::Opcode::NUM_OPCODES)) {
-            in.fail();
-            return false;
-        }
-        mi.op = isa::Opcode(op);
-        mi.pe.stripe = in.u8();
-        mi.pe.index = in.u8();
-        if (!readRoute(in, mi.src1) || !readRoute(in, mi.src2))
-            return false;
-        mi.destArch = RegIndex(in.u32());
-        mi.isLoad = in.b();
-        mi.isStore = in.b();
-        mi.isBranch = in.b();
-        mi.expectedTaken = in.b();
-    }
-    if (!readRegVec(in, config.liveIns))
-        return false;
-    count = in.u64();
-    if (!in.checkCount(count, 8))
-        return false;
-    config.liveOuts.clear();
-    for (std::uint64_t i = 0; i < count && in.ok(); i++) {
-        auto &lo = config.liveOuts.emplace_back();
-        lo.arch = RegIndex(in.u32());
-        lo.producerIdx = std::uint16_t(in.u32());
-    }
-    config.hasStores = in.b();
-    config.stripesUsed = in.u8();
-    return in.ok();
-}
+template <typename T>
+inline constexpr std::size_t kMinBytes = minBytes<T>();
 
 /**
- * Deduplicating writer for shared FabricConfig pointers. A config
- * referenced from several places (ConfigCache entry, live fabric
- * snapshot, pending invocation) is written once; later references
- * carry only its pool id, and the reader reconstructs the sharing.
- * Id 0 is the null pointer.
+ * Writes any snapshot value. Shared FabricConfig pointers are pooled: a
+ * config referenced from several places (ConfigCache entry, live fabric
+ * state, pending invocation) is written once; later references carry
+ * only its pool id, and the reader reconstructs the sharing. Id 0 is
+ * the null pointer.
  */
-class ConfigPoolWriter
+class Encoder
 {
   public:
+    explicit Encoder(Writer &w) : out(w) {}
+
+    template <typename T>
     void
-    write(Writer &out,
-          const std::shared_ptr<const fabric::FabricConfig> &config)
+    put(const T &x)
+    {
+        using U = std::remove_cv_t<T>;
+        if constexpr (std::is_same_v<U, bool>) {
+            out.b(x);
+        } else if constexpr (std::is_enum_v<U>) {
+            static_assert(sizeof(U) == 1, "snapshot enums are one byte");
+            out.u8(std::uint8_t(x));
+        } else if constexpr (std::is_same_v<U, std::uint8_t>) {
+            out.u8(x);
+        } else if constexpr (std::is_integral_v<U>) {
+            if constexpr (std::is_signed_v<U>)
+                out.i64(x);
+            else if constexpr (sizeof(U) <= 4)
+                out.u32(x);
+            else
+                out.u64(x);
+        } else if constexpr (fields::isFixedArray<U>) {
+            for (const auto &e : x)
+                put(e);
+        } else if constexpr (fields::isSequence<U>) {
+            out.u64(x.size());
+            // value_type, not auto: vector<bool> iterates proxies.
+            for (const typename U::value_type &e : x)
+                put(e);
+        } else if constexpr (fields::isKeyed<U>) {
+            out.u64(x.size());
+            for (const auto *e : fields::sortedEntries(x))
+                put(*e);
+        } else if constexpr (fields::isOptional<U>) {
+            out.b(x.has_value());
+            if (x)
+                put(*x);
+        } else if constexpr (fields::isPair<U>) {
+            put(x.first);
+            put(x.second);
+        } else if constexpr (std::is_same_v<U, ConfigPtr>) {
+            putConfig(x);
+        } else {
+            auto entry = [&](const char *, auto member, auto... derived) {
+                if constexpr (sizeof...(derived) == 0)
+                    put(x.*member);
+            };
+            U::fields(entry);
+        }
+    }
+
+  private:
+    void
+    putConfig(const ConfigPtr &config)
     {
         if (!config) {
             out.u32(0);
             return;
         }
-        auto it = ids.find(config.get());
-        if (it != ids.end()) {
-            out.u32(it->second);
-            return;
-        }
-        std::uint32_t id = std::uint32_t(ids.size()) + 1;
-        ids.emplace(config.get(), id);
-        out.u32(id);
-        writeConfigBody(out, *config);
+        auto [it, fresh] = configIds.emplace(
+            config.get(), std::uint32_t(configIds.size()) + 1);
+        out.u32(it->second);
+        if (fresh)
+            put(*config);
     }
 
-  private:
-    std::map<const fabric::FabricConfig *, std::uint32_t> ids;
+    Writer &out;
+    std::map<const fabric::FabricConfig *, std::uint32_t> configIds;
 };
 
-/** Reader-side pool mirroring ConfigPoolWriter's id assignment. */
-class ConfigPoolReader
+/**
+ * Reads any snapshot value, fail-soft: every count is checked against
+ * the bytes left before allocating, every narrowed integer, bool and
+ * enum is range-checked, keyed entries must arrive in strictly
+ * ascending key order, and any violation latches the reader's failure
+ * flag (after which every further get() is a no-op).
+ */
+class Decoder
 {
   public:
-    bool
-    read(Reader &in,
-         std::shared_ptr<const fabric::FabricConfig> &config)
+    Decoder(Reader &r, const isa::DynamicTrace &t) : in(r), trace(t) {}
+
+    template <typename T>
+    void
+    get(T &x)
     {
-        std::uint32_t id = in.u32();
-        if (id == 0) {
-            config = nullptr;
-            return in.ok();
+        if (!in.ok())
+            return;
+        if constexpr (std::is_same_v<T, bool>) {
+            x = byteBelow(2) != 0;
+        } else if constexpr (std::is_enum_v<T>) {
+            x = T(byteBelow(enumCount(T{})));
+        } else if constexpr (std::is_same_v<T, std::uint8_t>) {
+            x = in.u8();
+        } else if constexpr (std::is_integral_v<T>) {
+            x = integer<T>();
+        } else if constexpr (fields::isFixedArray<T>) {
+            for (auto &e : x)
+                get(e);
+        } else if constexpr (fields::isSequence<T>) {
+            const std::uint64_t count = in.u64();
+            if (!in.checkCount(count, kMinBytes<typename T::value_type>))
+                return;
+            x.clear();
+            x.resize(count);
+            if constexpr (std::is_same_v<T, std::vector<bool>>) {
+                for (auto &&e : x) {
+                    bool b = false;
+                    get(b);
+                    e = b;
+                }
+            } else {
+                for (auto &e : x)
+                    get(e);
+            }
+        } else if constexpr (fields::isKeyed<T>) {
+            getKeyed(x);
+        } else if constexpr (std::is_same_v<T, SessionSlot>) {
+            getSession(x);
+        } else if constexpr (fields::isOptional<T>) {
+            if (byteBelow(2)) {
+                x.emplace();
+                get(*x);
+            } else {
+                x.reset();
+            }
+        } else if constexpr (fields::isPair<T>) {
+            get(x.first);
+            get(x.second);
+        } else if constexpr (std::is_same_v<T, ConfigPtr>) {
+            getConfig(x);
+        } else {
+            auto entry = [&](const char *, auto member, auto... derived) {
+                if constexpr (sizeof...(derived) == 0)
+                    get(x.*member);
+            };
+            T::fields(entry);
+            if constexpr (std::is_same_v<T, ooo::DynInst>)
+                rebind(x);
         }
-        if (std::size_t(id) <= pool.size()) {
-            config = pool[id - 1];
-            return true;
-        }
-        if (std::size_t(id) != pool.size() + 1) {
-            in.fail();  // ids are assigned densely in write order
-            return false;
-        }
-        auto fresh = std::make_shared<fabric::FabricConfig>();
-        if (!readConfigBody(in, *fresh))
-            return false;
-        pool.push_back(fresh);
-        config = std::move(fresh);
-        return true;
     }
 
   private:
-    std::vector<std::shared_ptr<const fabric::FabricConfig>> pool;
-};
-
-// --- controller -----------------------------------------------------------
-
-void
-writeFabricSnapshot(Writer &out, ConfigPoolWriter &pool,
-                    const fabric::Fabric::Snapshot &snap)
-{
-    pool.write(out, snap.config);
-    out.u64(snap.configReadyCycle);
-    out.u64(snap.lastUse);
-    writeU64Seq(out, snap.prevInstComplete);
-    writeU64Seq(out, snap.prevLiveOutInternal);
-    out.u64(snap.prevTraceEndIdx);
-    writeU64Seq(out, snap.inflightWindow);
-    out.u64(snap.recentStores.size());
-    for (const auto &rs : snap.recentStores) {
-        out.u64(rs.addr);
-        out.u64(rs.completeCycle);
-        out.u32(rs.pc);
-        out.u64(rs.seq);
-    }
-    out.u64(snap.lastMemCompletePersist);
-    out.u64(snap.invocationsOnConfig);
-}
-
-bool
-readFabricSnapshot(Reader &in, ConfigPoolReader &pool,
-                   fabric::Fabric::Snapshot &snap)
-{
-    if (!pool.read(in, snap.config))
-        return false;
-    snap.configReadyCycle = in.u64();
-    snap.lastUse = in.u64();
-    if (!readU64Seq(in, snap.prevInstComplete) ||
-        !readU64Seq(in, snap.prevLiveOutInternal))
-        return false;
-    snap.prevTraceEndIdx = in.u64();
-    if (!readU64Seq(in, snap.inflightWindow))
-        return false;
-    std::uint64_t count = in.u64();
-    if (!in.checkCount(count, 28))
-        return false;
-    snap.recentStores.clear();
-    for (std::uint64_t i = 0; i < count && in.ok(); i++) {
-        auto &rs = snap.recentStores.emplace_back();
-        rs.addr = in.u64();
-        rs.completeCycle = in.u64();
-        rs.pc = in.u32();
-        rs.seq = in.u64();
-    }
-    snap.lastMemCompletePersist = in.u64();
-    snap.invocationsOnConfig = in.u64();
-    return in.ok();
-}
-
-void
-writeFabricStats(Writer &out, const fabric::FabricStats &s)
-{
-    out.u64(s.invocations);
-    out.u64(s.squashedInvocations);
-    out.u64(s.peOps);
-    out.u64(s.datapathHops);
-    out.u64(s.fifoPushes);
-    out.u64(s.busTransfers);
-    out.u64(s.dcacheAccesses);
-    out.u64(s.reconfigurations);
-    out.u64(s.memViolations);
-    out.u64(s.activeStripeInvocations);
-}
-
-void
-readFabricStats(Reader &in, fabric::FabricStats &s)
-{
-    s.invocations = in.u64();
-    s.squashedInvocations = in.u64();
-    s.peOps = in.u64();
-    s.datapathHops = in.u64();
-    s.fifoPushes = in.u64();
-    s.busTransfers = in.u64();
-    s.dcacheAccesses = in.u64();
-    s.reconfigurations = in.u64();
-    s.memViolations = in.u64();
-    s.activeStripeInvocations = in.u64();
-}
-
-void
-writeDynaSpamStats(Writer &out, const core::DynaSpamStats &s)
-{
-    out.u64(s.tracesConsidered);
-    out.u64(s.mappingsStarted);
-    out.u64(s.mappingsCompleted);
-    out.u64(s.mappingsAborted);
-    out.u64(s.mappingsDiscarded);
-    out.u64(s.offloadsIssued);
-    out.u64(s.invocationsCommitted);
-    out.u64(s.invocationsSquashed);
-    out.u64(s.invocationsCollateral);
-    out.u64(s.hotNotMapped);
-    out.u64(s.offloadBelowThreshold);
-    out.u64(s.offloadSuppressed);
-    out.u64(s.instsOffloaded);
-    out.u64(s.reconfigurations);
-    out.u64(s.distinctMappedTraces);
-    out.u64(s.distinctOffloadedTraces);
-    out.u64(s.lifetimeSum);
-    out.u64(s.lifetimeCount);
-}
-
-void
-readDynaSpamStats(Reader &in, core::DynaSpamStats &s)
-{
-    s.tracesConsidered = in.u64();
-    s.mappingsStarted = in.u64();
-    s.mappingsCompleted = in.u64();
-    s.mappingsAborted = in.u64();
-    s.mappingsDiscarded = in.u64();
-    s.offloadsIssued = in.u64();
-    s.invocationsCommitted = in.u64();
-    s.invocationsSquashed = in.u64();
-    s.invocationsCollateral = in.u64();
-    s.hotNotMapped = in.u64();
-    s.offloadBelowThreshold = in.u64();
-    s.offloadSuppressed = in.u64();
-    s.instsOffloaded = in.u64();
-    s.reconfigurations = in.u64();
-    s.distinctMappedTraces = in.u64();
-    s.distinctOffloadedTraces = in.u64();
-    s.lifetimeSum = in.u64();
-    s.lifetimeCount = in.u64();
-}
-
-void
-writeController(Writer &out, ConfigPoolWriter &pool,
-                const core::DynaSpamController::SavedState &s)
-{
-    // T-Cache.
-    out.u64(s.tcache.entries.size());
-    for (const auto &e : s.tcache.entries) {
-        out.u64(e.key);
-        out.u32(e.counter);
-        out.b(e.hot);
-        out.b(e.valid);
-    }
-    for (const auto &rec : s.tcache.history) {
-        out.u32(rec.pc);
-        out.b(rec.taken);
-    }
-    out.u32(s.tcache.historyCount);
-    out.u64(s.tcache.commitCount);
-    out.u64(s.tcache.trainings);
-    out.u64(s.tcache.clears);
-
-    // Config cache.
-    out.u64(s.configCache.entries.size());
-    for (const auto &e : s.configCache.entries) {
-        out.b(e.valid);
-        out.u64(e.key);
-        out.u32(e.counter);
-        pool.write(out, e.config);
-    }
-    out.u64(s.configCache.lookups);
-    out.u64(s.configCache.insertions);
-    out.u64(s.configCache.evictions);
-
-    out.u64(s.fabrics.size());
-    for (const auto &f : s.fabrics) {
-        writeFabricSnapshot(out, pool, f.live);
-        out.u64(f.snapshots.size());
-        for (const auto &[seq, snap] : f.snapshots) {
-            out.u64(seq);
-            writeFabricSnapshot(out, pool, snap);
-        }
-        writeFabricStats(out, f.stats);
-    }
-
-    out.b(s.session.has_value());
-    if (s.session)
-        s.session->serialize(out);
-
-    out.b(s.policy.armed);
-    out.u64(s.policy.baseIdx);
-    out.u64(s.policy.drainUntil);
-    out.u64(s.policy.lastNow);
-    out.b(s.policy.advancePending);
-    out.b(s.policy.selectedThisCycle);
-    out.b(s.policy.vetoedReadyInst);
-
-    out.b(s.mappingInProgress);
-    out.u64(s.mappingKey);
-    out.u64(s.lastMappingStart);
-
-    out.u64(s.pending.size());
-    for (SeqNum seq : sortedKeys(s.pending)) {
-        const auto &p = s.pending.at(seq);
-        out.u64(seq);
-        pool.write(out, p.config);
-        out.u64(p.key);
-        out.u32(p.numRecords);
-        out.i64(p.startedOnIdx);
-    }
-
-    writeU64Seq(out, sortedKeys(s.suppressed));
-    writeU64Seq(out, sortedKeys(s.mappedKeys));
-    writeU64Seq(out, sortedKeys(s.offloadedKeys));
-    writeU64Seq(out, sortedKeys(s.failedKeys));
-
-    writeDynaSpamStats(out, s.dstats);
-}
-
-bool
-readController(Reader &in, ConfigPoolReader &pool,
-               core::DynaSpamController::SavedState &s)
-{
-    std::uint64_t count = in.u64();
-    if (!in.checkCount(count, 14))
-        return false;
-    s.tcache.entries.clear();
-    for (std::uint64_t i = 0; i < count && in.ok(); i++) {
-        auto &e = s.tcache.entries.emplace_back();
-        e.key = in.u64();
-        e.counter = in.u32();
-        e.hot = in.b();
-        e.valid = in.b();
-    }
-    for (auto &rec : s.tcache.history) {
-        rec.pc = in.u32();
-        rec.taken = in.b();
-    }
-    s.tcache.historyCount = in.u32();
-    s.tcache.commitCount = in.u64();
-    s.tcache.trainings = in.u64();
-    s.tcache.clears = in.u64();
-
-    count = in.u64();
-    if (!in.checkCount(count, 17))
-        return false;
-    s.configCache.entries.clear();
-    for (std::uint64_t i = 0; i < count && in.ok(); i++) {
-        auto &e = s.configCache.entries.emplace_back();
-        e.valid = in.b();
-        e.key = in.u64();
-        e.counter = in.u32();
-        if (!pool.read(in, e.config))
-            return false;
-    }
-    s.configCache.lookups = in.u64();
-    s.configCache.insertions = in.u64();
-    s.configCache.evictions = in.u64();
-
-    count = in.u64();
-    if (!in.checkCount(count, 64))
-        return false;
-    s.fabrics.clear();
-    for (std::uint64_t i = 0; i < count && in.ok(); i++) {
-        auto &f = s.fabrics.emplace_back();
-        if (!readFabricSnapshot(in, pool, f.live))
-            return false;
-        std::uint64_t snaps = in.u64();
-        if (!in.checkCount(snaps, 64))
-            return false;
-        for (std::uint64_t j = 0; j < snaps && in.ok(); j++) {
-            SeqNum seq = in.u64();
-            if (!readFabricSnapshot(in, pool, f.snapshots[seq]))
-                return false;
-        }
-        readFabricStats(in, f.stats);
-    }
-
-    if (in.b()) {
-        s.session.emplace(core::MappingSession::deserialize(in));
-        if (!in.ok())
-            return false;
-    } else {
-        s.session.reset();
-    }
-
-    s.policy.armed = in.b();
-    s.policy.baseIdx = in.u64();
-    s.policy.drainUntil = in.u64();
-    s.policy.lastNow = in.u64();
-    s.policy.advancePending = in.b();
-    s.policy.selectedThisCycle = in.b();
-    s.policy.vetoedReadyInst = in.b();
-
-    s.mappingInProgress = in.b();
-    s.mappingKey = in.u64();
-    s.lastMappingStart = in.u64();
-
-    count = in.u64();
-    if (!in.checkCount(count, 32))
-        return false;
-    s.pending.clear();
-    for (std::uint64_t i = 0; i < count && in.ok(); i++) {
-        SeqNum seq = in.u64();
-        auto &p = s.pending[seq];
-        if (!pool.read(in, p.config))
-            return false;
-        p.key = in.u64();
-        p.numRecords = in.u32();
-        std::int64_t started = in.i64();
-        if (started < -1 || started > (1 << 20)) {
+    std::uint8_t
+    byteBelow(unsigned limit)
+    {
+        const std::uint8_t value = in.u8();
+        if (value >= limit)
             in.fail();
-            return false;
+        return in.ok() ? value : 0;
+    }
+
+    template <typename T>
+    T
+    integer()
+    {
+        // Read at the wire width, narrow back with a range check.
+        const auto value = [&] {
+            if constexpr (std::is_signed_v<T>)
+                return in.i64();
+            else
+                return sizeof(T) <= 4 ? std::uint64_t(in.u32()) : in.u64();
+        }();
+        if (!std::in_range<T>(value))
+            in.fail();
+        return in.ok() ? T(value) : T(0);
+    }
+
+    template <typename Container>
+    void
+    getKeyed(Container &x)
+    {
+        using Entry = typename Container::value_type;
+        const std::uint64_t count = in.u64();
+        if (!in.checkCount(count, kMinBytes<Entry>))
+            return;
+        x.clear();
+        typename Container::key_type prev{};
+        for (std::uint64_t i = 0; i < count && in.ok(); i++) {
+            typename Container::key_type key{};
+            get(key);
+            if (i > 0 && !(prev < key)) {
+                in.fail();
+                return;
+            }
+            prev = key;
+            if constexpr (fields::isPair<Entry>)
+                get(x.try_emplace(key).first->second);
+            else
+                x.insert(key);
         }
-        p.startedOnIdx = int(started);
     }
 
-    std::vector<std::uint64_t> keys;
-    if (!readU64Seq(in, keys))
-        return false;
-    s.suppressed = {keys.begin(), keys.end()};
-    if (!readU64Seq(in, keys))
-        return false;
-    s.mappedKeys = {keys.begin(), keys.end()};
-    if (!readU64Seq(in, keys))
-        return false;
-    s.offloadedKeys = {keys.begin(), keys.end()};
-    if (!readU64Seq(in, keys))
-        return false;
-    s.failedKeys = {keys.begin(), keys.end()};
-
-    readDynaSpamStats(in, s.dstats);
-    return in.ok();
-}
-
-// --- verifier -------------------------------------------------------------
-
-void
-writeVerifier(Writer &out, const check::Verifier::SavedState &s)
-{
-    s.lockstep.golden.mem.serialize(out);
-    for (std::uint64_t reg : s.lockstep.golden.regs)
-        out.u64(reg);
-    out.u32(s.lockstep.golden.curPc);
-    out.b(s.lockstep.golden.isHalted);
-    out.u64(s.lockstep.nextIdx);
-    out.u64(s.lockstep.checked);
-    out.b(s.lockstep.dead);
-    out.u64(s.lockstep.window.size());
-    for (const auto &ev : s.lockstep.window) {
-        out.u64(ev.idx);
-        out.u32(ev.pc);
-        out.b(ev.viaFabric);
-        out.u64(ev.cycle);
+    /**
+     * A session's constructor sizes its tables from the fabric
+     * geometry, its first field: peek the geometry, refuse absurd
+     * shapes before constructing, then decode the whole list in place.
+     */
+    void
+    getSession(SessionSlot &x)
+    {
+        if (!byteBelow(2)) {
+            x.reset();
+            return;
+        }
+        Reader peek = in;
+        fabric::FabricParams params;
+        Decoder(peek, trace).get(params);
+        if (!peek.ok() || params.numStripes == 0 ||
+            params.numStripes > 4096 || params.pesPerStripe() == 0 ||
+            params.pesPerStripe() > 4096) {
+            in.fail();
+            return;
+        }
+        x.emplace(params, 0, 0, 0);
+        get(*x);
     }
-    out.u64(s.auditPasses);
-    out.u64(s.structurePasses);
-}
 
-bool
-readVerifier(Reader &in, check::Verifier::SavedState &s)
-{
-    s.lockstep.golden.mem.deserialize(in);
-    for (std::uint64_t &reg : s.lockstep.golden.regs)
-        reg = in.u64();
-    s.lockstep.golden.curPc = in.u32();
-    s.lockstep.golden.isHalted = in.b();
-    s.lockstep.nextIdx = in.u64();
-    s.lockstep.checked = in.u64();
-    s.lockstep.dead = in.b();
-    std::uint64_t count = in.u64();
-    if (!in.checkCount(count, 21))
-        return false;
-    s.lockstep.window.clear();
-    for (std::uint64_t i = 0; i < count && in.ok(); i++) {
-        auto &ev = s.lockstep.window.emplace_back();
-        ev.idx = in.u64();
-        ev.pc = in.u32();
-        ev.viaFabric = in.b();
-        ev.cycle = in.u64();
+    void
+    getConfig(ConfigPtr &config)
+    {
+        const std::uint32_t id = in.u32();
+        if (!in.ok() || id == 0) {
+            config = nullptr;
+        } else if (id <= configPool.size()) {
+            config = configPool[id - 1];
+        } else if (id == configPool.size() + 1) {
+            auto fresh = std::make_shared<fabric::FabricConfig>();
+            get(*fresh);
+            if (!fresh->consistent())
+                in.fail();
+            configPool.push_back(fresh);
+            config = std::move(fresh);
+        } else {
+            in.fail();      // ids are assigned densely in write order
+        }
     }
-    s.auditPasses = in.u64();
-    s.structurePasses = in.u64();
-    return in.ok();
-}
+
+    /** Rebind DynInst's derived pointers: record always references the
+     *  oracle trace slot; inst only for real instructions (TraceInvoke
+     *  pseudo-ops carry no static instruction). */
+    void
+    rebind(ooo::DynInst &di)
+    {
+        if (!in.ok() || di.traceIdx >= trace.size()) {
+            in.fail();
+            return;
+        }
+        di.record = &trace[di.traceIdx];
+        di.inst = nullptr;
+        if (di.kind == ooo::RobKind::Inst) {
+            if (di.record->pc >= trace.program().size()) {
+                in.fail();
+                return;
+            }
+            di.inst = &trace.program().inst(di.record->pc);
+        }
+    }
+
+    Reader &in;
+    const isa::DynamicTrace &trace;
+    std::vector<ConfigPtr> configPool;
+};
 
 } // namespace
 
@@ -1317,17 +386,7 @@ void
 serializeSnapshot(const Snapshot &snap, std::string &out)
 {
     Writer w;
-    ConfigPoolWriter pool;
-    writeCpu(w, snap.cpu);
-    writeCache(w, snap.memory.l2);
-    writeCache(w, snap.memory.l1i);
-    writeCache(w, snap.memory.l1d);
-    w.b(snap.controller.has_value());
-    if (snap.controller)
-        writeController(w, pool, *snap.controller);
-    w.b(snap.verifier.has_value());
-    if (snap.verifier)
-        writeVerifier(w, *snap.verifier);
+    Encoder(w).put(snap);
     out = w.take();
 }
 
@@ -1339,27 +398,8 @@ deserializeSnapshot(const std::string &bytes,
     if (!input)
         return false;
     Reader in(bytes.data(), bytes.size());
-    ConfigPoolReader pool;
     snap.input = std::move(input);
-    if (!readCpu(in, snap.input->trace(), snap.cpu))
-        return false;
-    if (!readCache(in, snap.memory.l2) || !readCache(in, snap.memory.l1i) ||
-        !readCache(in, snap.memory.l1d))
-        return false;
-    if (in.b()) {
-        snap.controller.emplace();
-        if (!readController(in, pool, *snap.controller))
-            return false;
-    } else {
-        snap.controller.reset();
-    }
-    if (in.b()) {
-        snap.verifier.emplace();
-        if (!readVerifier(in, *snap.verifier))
-            return false;
-    } else {
-        snap.verifier.reset();
-    }
+    Decoder(in, snap.input->trace()).get(snap);
     // The whole body must be consumed: trailing garbage means the file
     // was framed for a different encoding.
     return in.ok() && in.remaining() == 0;

@@ -4,22 +4,37 @@
  *
  * A Snapshot is an in-memory deep copy of a paused simulation; this
  * layer turns it into a platform-stable byte string so a warmed prefix
- * survives process restarts and can ship to cluster workers. Three
- * rules keep the encoding honest:
+ * survives process restarts and can ship to cluster workers.
  *
- *  - Every field is written explicitly little-endian (common/binio.hh);
- *    no struct is ever memcpy'd whole, so padding and ABI never leak in.
- *  - Unordered containers are sorted by key before writing, so the same
- *    state always produces the same bytes.
- *  - Raw pointers inside the saved pipeline state (StaticInst/DynRecord
- *    in DynInst) are not written at all: they are re-derived on load
- *    from the trace index against the SimInput the caller provides,
- *    bounds-checked. An identity hash of the SimInput travels with the
- *    snapshot so a loader never binds state to the wrong input.
+ * There is no per-type encoder. Every aggregate reachable from a
+ * Snapshot declares one field list (common/fields.hh), and one generic
+ * codec walks it, with one rule per leaf type:
+ *
+ *  - bool, u8 and enums are one byte; bools and enums are range-checked
+ *    on decode;
+ *  - other integers up to 32 bits are u32, 64-bit integers u64, signed
+ *    integers i64 — all little-endian (common/binio.hh), and narrowed
+ *    back with a range check; no struct is ever memcpy'd whole;
+ *  - vector and deque carry a u64 count, std::array and C arrays none;
+ *  - map, unordered_map and unordered_set carry a u64 count and are
+ *    written in ascending key order (and must decode in it), so the same
+ *    state always produces the same bytes;
+ *  - optional carries a flag byte;
+ *  - shared FabricConfig pointers are pooled: one body per config, then
+ *    its id.
+ *
+ * Three hooks cover what a list cannot say: the raw StaticInst/DynRecord
+ * pointers inside DynInst are derived, never written, and are rebound on
+ * load from the trace index against the SimInput the caller provides,
+ * bounds-checked; the FabricConfig pool; and MappingSession, whose
+ * geometry is validated before the session is constructed. An identity
+ * hash of the SimInput travels with the snapshot so a loader never binds
+ * state to the wrong input.
  *
  * Deserialization is fail-soft: corrupt, truncated or semantically
  * invalid bytes return false (degrading to a cache miss / re-warm) and
- * never fatal or invoke UB.
+ * never fatal or invoke UB. Decoding checks structure, not geometry: a
+ * decoded snapshot must still pass Simulation::fits() before restore.
  */
 
 #ifndef DYNASPAM_SIM_SNAPSHOT_IO_HH
@@ -36,7 +51,16 @@ namespace dynaspam::sim
 
 /** Bump when the snapshot body encoding changes shape. Mismatched
  *  versions are rejected at load time and fall back to re-warming. */
-inline constexpr std::uint32_t kSnapshotFormatVersion = 1;
+inline constexpr std::uint32_t kSnapshotFormatVersion = 2;
+
+/**
+ * Digest of the layout kSnapshotFormatVersion names: every field list
+ * reachable from a Snapshot, member names and leaf encodings, in walk
+ * order (computed by test_snapshot). The test pins the two together:
+ * change a field list and it fails until the version is bumped and the
+ * new digest recorded here.
+ */
+inline constexpr std::uint64_t kSnapshotLayoutDigest = 0x6203f684965214a2ULL;
 
 /**
  * Stable identity hash of a SimInput: program name and code, initial

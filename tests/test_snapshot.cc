@@ -11,10 +11,17 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <filesystem>
+#include <fstream>
 #include <memory>
+#include <sstream>
 #include <string>
 #include <vector>
 
+#include <unistd.h>
+
+#include "common/binio.hh"
+#include "common/fields.hh"
 #include "common/logging.hh"
 #include "runner/job.hh"
 #include "runner/report.hh"
@@ -77,6 +84,73 @@ runWithSnapshotAt(const sim::SystemConfig &cfg,
     std::string forked = resultBytes(restored.collectResult());
     return {continued, forked};
 }
+
+/**
+ * FNV-1a over the snapshot's shape: every field-list entry's name and
+ * the leaf rule the codec (sim/snapshot_io.hh) encodes it with,
+ * recursively, by type alone — independent of any simulated state.
+ */
+class LayoutHasher
+{
+    using ConfigPtr = std::shared_ptr<const fabric::FabricConfig>;
+
+  public:
+    std::uint64_t hash = bits::FNV1A_OFFSET;
+
+    template <typename T>
+    void
+    type()
+    {
+        using U = std::remove_cv_t<T>;
+        if constexpr (std::is_same_v<U, bool>) {
+            tag("bool");
+        } else if constexpr (std::is_enum_v<U>) {
+            tag("enum" + std::to_string(enumCount(U{})));
+        } else if constexpr (std::is_same_v<U, std::uint8_t>) {
+            tag("u8");
+        } else if constexpr (std::is_integral_v<U>) {
+            tag(std::is_signed_v<U> ? "i64" : sizeof(U) <= 4 ? "u32" : "u64");
+        } else if constexpr (fields::isStdArray<U>) {
+            tag("array" + std::to_string(std::tuple_size_v<U>));
+            type<typename U::value_type>();
+        } else if constexpr (std::is_array_v<U>) {
+            tag("array" + std::to_string(std::extent_v<U>));
+            type<std::remove_extent_t<U>>();
+        } else if constexpr (fields::isSequence<U> || fields::isKeyed<U> ||
+                             fields::isOptional<U>) {
+            tag(fields::isSequence<U> ? "sequence"
+                : fields::isKeyed<U>  ? "keyed"
+                                      : "optional");
+            type<typename U::value_type>();
+        } else if constexpr (fields::isPair<U>) {
+            tag("pair");
+            type<typename U::first_type>();
+            type<typename U::second_type>();
+        } else if constexpr (std::is_same_v<U, ConfigPtr>) {
+            tag("config-pool");
+            type<fabric::FabricConfig>();
+        } else {
+            tag("{");
+            auto entry = [&](const char *name, auto member, auto... derived) {
+                tag(name);
+                if constexpr (sizeof...(derived) == 0)
+                    type<fields::MemberType<decltype(member)>>();
+                else
+                    tag("derived");
+            };
+            U::fields(entry);
+            tag("}");
+        }
+    }
+
+  private:
+    void
+    tag(const std::string &text)
+    {
+        hash = bits::fnv1a(text.data(), text.size(), hash);
+        hash = bits::fnv1aStep(hash, 0);
+    }
+};
 
 } // namespace
 
@@ -255,22 +329,118 @@ TEST(SnapshotIo, CorruptBytesFallBackCleanly)
             sim::deserializeSnapshot(bytes.substr(0, len), input, out))
             << "truncated to " << len << " bytes";
     }
-    // Bit flips across the buffer either decode to the same state or
-    // fail soft; what they must never do is crash. Flip a spread of
-    // bytes including trace indices and container lengths.
+    // Bit flips across the buffer either fail soft or decode to some
+    // state; what they must never do is crash. Flip a spread of bytes
+    // including trace indices and container lengths. A mutant that
+    // decodes and fits the simulation is restored and run: fits() is
+    // the whole precondition of restore, so the run must not crash.
+    unsigned ran = 0;
     for (std::size_t pos = 0; pos < bytes.size();
          pos += bytes.size() / 64 + 1) {
         std::string corrupt = bytes;
         corrupt[pos] ^= 0xff;
         sim::Snapshot out;
-        (void)sim::deserializeSnapshot(corrupt, input, out);
+        if (!sim::deserializeSnapshot(corrupt, input, out))
+            continue;
+        sim::Simulation mutant(cfg, input);
+        if (!mutant.fits(out))
+            continue;
+        mutant.restore(out);
+        for (int cycle = 0; cycle < 10000 && !mutant.done(); cycle++)
+            mutant.tick();
+        ran++;
     }
+    EXPECT_GT(ran, 0u) << "no mutant got as far as a restored run";
     // Garbage that never was a snapshot.
     {
         sim::Snapshot out;
         EXPECT_FALSE(sim::deserializeSnapshot(
             std::string(1024, '\xee'), input, out));
     }
+}
+
+TEST(SnapshotIo, LayoutDigestMatchesFormatVersion)
+{
+    LayoutHasher layout;
+    layout.type<sim::Snapshot>();
+    EXPECT_EQ(layout.hash, sim::kSnapshotLayoutDigest)
+        << "the snapshot field lists changed (digest 0x" << std::hex
+        << layout.hash
+        << "): bump kSnapshotFormatVersion and record the new digest as "
+           "kSnapshotLayoutDigest in sim/snapshot_io.hh, so files in the "
+           "old layout re-warm instead of being misread";
+}
+
+TEST(SnapshotIo, DecodedSnapshotThatDoesNotFitIsRejected)
+{
+    // A checksum-valid snapshot file whose geometry does not match the
+    // simulation (here: an empty store-set table, as a changed default
+    // without an epoch bump would produce) decodes fine. It must be
+    // rejected and re-warmed, not restored into a crash.
+    const std::string dir =
+        (std::filesystem::temp_directory_path() /
+         ("dynaspam-test-fits-" + std::to_string(getpid())))
+            .string();
+    std::filesystem::remove_all(dir);
+
+    std::vector<runner::Job> jobs;
+    for (sim::SystemMode mode :
+         {sim::SystemMode::AccelNoSpec, sim::SystemMode::AccelSpec}) {
+        runner::Job job;
+        job.workload = "bfs";
+        job.mode = mode;
+        job.warmupInsts = 20000;
+        jobs.push_back(job);
+    }
+    runner::RunnerOptions opts;
+    opts.jobs = 1;
+    opts.snapshotCacheDir = dir;
+    runner::Runner(opts).runAll(jobs);
+
+    // Re-store the warmed body with the store-set table emptied.
+    std::vector<std::filesystem::path> files;
+    for (const auto &entry : std::filesystem::directory_iterator(dir))
+        files.push_back(entry.path());
+    ASSERT_EQ(files.size(), 1u);
+    std::ifstream file(files.front(), std::ios::binary);
+    std::stringstream buffer;
+    buffer << file.rdbuf();
+    const std::string frame = buffer.str();
+    binio::Reader in(frame);
+    char magic[4];
+    in.raw(magic, 4);
+    (void)in.u32();
+    (void)in.str();
+    const std::string group_key = in.str();
+    const std::uint64_t input_hash = in.u64();
+    (void)in.u64();
+    const std::string body = in.str();
+    ASSERT_TRUE(in.ok());
+
+    sim::Snapshot snap;
+    ASSERT_TRUE(sim::deserializeSnapshot(body, inputFor("bfs"), snap));
+    snap.cpu.storeSets.ssit.clear();
+    std::string bad;
+    sim::serializeSnapshot(snap, bad);
+    runner::SnapshotCache(dir).store(group_key, input_hash, bad);
+
+    runner::Runner again(opts);
+    const auto reloaded = again.runAll(jobs);
+    EXPECT_EQ(again.forkStats().snapshotRejects.load(), 1u);
+    EXPECT_EQ(again.forkStats().snapshotHits.load(), 0u);
+    EXPECT_EQ(again.forkStats().warmups.load(), 1u);
+
+    runner::RunnerOptions straightOpts;
+    straightOpts.jobs = 1;
+    straightOpts.forkSweeps = false;
+    const auto straight = runner::Runner(straightOpts).runAll(jobs);
+    ASSERT_EQ(reloaded.size(), straight.size());
+    for (std::size_t i = 0; i < jobs.size(); i++) {
+        EXPECT_EQ(runner::sweepEntryJson(reloaded[i]).dump(),
+                  runner::sweepEntryJson(straight[i]).dump())
+            << jobs[i].key();
+    }
+    std::filesystem::remove_all(dir);
 }
 
 TEST(Snapshot, SampledFidelityIsDeterministicAndMarked)

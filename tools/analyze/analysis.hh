@@ -3,15 +3,8 @@
  * dynaspam-analyze: project-specific static checks for the DynaSpAM
  * tree. Shared types between the lexer, the checks, and the driver.
  *
- * Two engines share these types:
- *  - the token engine (lexer.cc + checks.cc), portable C++20 with no
- *    dependencies — always built, authoritative for CI gating;
- *  - the AST engine (ast_engine.cc), a Clang LibTooling pass over
- *    compile_commands.json that re-runs the call-site checks with real
- *    semantic information. Compiled only when the Clang CMake package
- *    is found; `--engine ast` reports its absence otherwise.
- *
- * The token engine lexes real C++ tokens (comments and string literals
+ * The engine is token-based, portable C++20 with no dependencies. It
+ * lexes real C++ tokens (comments and string literals
  * stripped, multi-character operators intact), which is what lets the
  * checks distinguish `a == b` from `a = b` inside DYNASPAM_CHECK and
  * ignore the word "rand" in a doc comment — the failure modes of the

@@ -20,7 +20,12 @@
  *  - header-hygiene:     `#ifndef DYNASPAM_<PATH>_HH` guards matching
  *                        the file path, no `using namespace` in
  *                        headers, and NO_THREAD_SAFETY_ANALYSIS
- *                        confined to common/mutex.hh.
+ *                        confined to common/mutex.hh;
+ *  - snapshot-fields:    a class with a fields() list (common/fields.hh)
+ *                        lists every data member exactly once, in
+ *                        declaration order, under its own name — the
+ *                        snapshot codec, the restore audit and the
+ *                        layout digest all walk that one list.
  *
  * Escapes: a `// analyze-allow(<check>): reason` comment on the same
  * or preceding line suppresses that check there; fd-raii additionally
@@ -33,6 +38,7 @@
 #include <algorithm>
 #include <cctype>
 #include <initializer_list>
+#include <map>
 #include <sstream>
 
 namespace dynaspam::analyze
@@ -400,6 +406,236 @@ headerHygieneRun(const SourceFile &f, std::vector<Finding> &out)
                "convention (expected " + want + ")");
 }
 
+// --- snapshot-fields -------------------------------------------------------
+
+bool
+snapshotFieldsDomain(const std::string &rel)
+{
+    return startsWith(rel, "src/");
+}
+
+/** @return index just past the bracket matching the one at @p open. */
+std::size_t
+skipBalanced(const std::vector<Token> &toks, std::size_t open)
+{
+    const std::string o = toks[open].text;
+    const char *c = o == "{" ? "}" : o == "(" ? ")" : "]";
+    int depth = 0;
+    for (std::size_t i = open; i < toks.size(); i++) {
+        if (toks[i].text == o)
+            depth++;
+        else if (toks[i].is(c) && --depth == 0)
+            return i + 1;
+    }
+    return toks.size();
+}
+
+/** A data member or a fields() entry, at the line it appears on. */
+struct Named
+{
+    std::string name;
+    int line = 0;
+};
+
+/**
+ * Entries of a spelled-out fields() body [begin, end): each
+ * `&Class::member` pointer, whose preceding string literal must spell
+ * the same name.
+ */
+std::vector<Named>
+fieldEntries(const SourceFile &f, std::size_t begin, std::size_t end,
+             std::vector<Finding> &out)
+{
+    const auto &t = f.tokens;
+    std::vector<Named> entries;
+    for (std::size_t i = begin; i + 3 < end; i++) {
+        if (!t[i].is("&") || !t[i + 1].isIdent() || !t[i + 2].is("::"))
+            continue;
+        std::size_t k = i + 1;
+        while (k + 2 < end && t[k + 1].is("::") && t[k + 2].isIdent())
+            k += 2;
+        const Named entry{t[k].text, t[k].line};
+        if (i >= 2 && t[i - 1].is(",") &&
+            t[i - 2].kind == Token::Kind::String &&
+            t[i - 2].text != "\"" + entry.name + "\"")
+            report(out, "snapshot-fields", f, entry.line,
+                   "fields() entry " + t[i - 2].text + " points at member '" +
+                       entry.name + "': name each entry after its member");
+        entries.push_back(entry);
+        i = k;
+    }
+    return entries;
+}
+
+/**
+ * The name a class-body declaration statement declares as a non-static
+ * data member, or "" (functions, types, aliases, statics, friends).
+ * Bracketed groups arrive collapsed to their opening token.
+ */
+std::string
+declaredMember(const std::vector<Token> &t,
+               const std::vector<std::size_t> &stmt)
+{
+    if (stmt.empty())
+        return {};
+    for (std::size_t k : stmt)
+        if (contains({"static", "friend", "using", "typedef", "template",
+                      "static_assert", "struct", "class", "union",
+                      "operator"},
+                     t[k].text))
+            return {};
+    if (t[stmt.front()].is("enum"))
+        return {};
+    int angle = 0;
+    std::size_t last = stmt.front();
+    for (std::size_t k : stmt) {
+        const std::string &s = t[k].text;
+        if (s == "<")
+            angle++;
+        else if (s == ">")
+            angle--;
+        else if (s == ">>")
+            angle -= 2;
+        else if (angle <= 0 && s == "(")
+            return {};      // a function declaration
+        else if (angle <= 0 && (s == "=" || s == "[" || s == "{" || s == ":"))
+            break;
+        last = k;
+    }
+    return t[last].isIdent() ? t[last].text : std::string();
+}
+
+/**
+ * Parse the class body opening at @p open (named @p name), check its
+ * fields() list if it has one, and recurse into nested classes.
+ * @return index just past the closing brace
+ */
+std::size_t
+checkClassBody(const SourceFile &f, std::size_t open, const Token &name,
+               std::vector<Finding> &out)
+{
+    const auto &t = f.tokens;
+    std::vector<Named> members;
+    std::vector<Named> entries;
+    bool hasList = false;
+    std::vector<std::size_t> stmt;
+
+    std::size_t i = open + 1;
+    while (i < t.size() && !t[i].is("}")) {
+        const Token &tok = t[i];
+        if (tok.is("DYNASPAM_FIELDS") && stmt.empty() && i + 1 < t.size() &&
+            t[i + 1].is("(")) {
+            // DYNASPAM_FIELDS(Class, member, ...): the names themselves.
+            const std::size_t end = skipBalanced(t, i + 1);
+            hasList = true;
+            for (std::size_t k = i + 4; k + 1 < end; k += 2)
+                entries.push_back({t[k].text, t[k].line});
+            i = end;
+        } else if (tok.is(";")) {
+            const std::string member = declaredMember(t, stmt);
+            if (!member.empty())
+                members.push_back({member, t[stmt.front()].line});
+            stmt.clear();
+            i++;
+        } else if (tok.is(":") && stmt.size() == 1 &&
+                   contains({"public", "private", "protected"},
+                            t[stmt.front()].text)) {
+            stmt.clear();
+            i++;
+        } else if (tok.is("{")) {
+            const bool isType =
+                !stmt.empty() &&
+                contains({"struct", "class", "union"}, t[stmt.front()].text);
+            bool isFunction = false;
+            for (std::size_t k : stmt)
+                isFunction = isFunction || t[k].is("(");
+            if (isType && stmt.size() >= 2 && t[stmt[1]].isIdent()) {
+                i = checkClassBody(f, i, t[stmt[1]], out);
+                stmt.clear();
+            } else if (isFunction || isType || stmt.empty() ||
+                       t[stmt.front()].is("enum")) {
+                const std::size_t end = skipBalanced(t, i);
+                for (std::size_t k = 0; k + 1 < stmt.size(); k++)
+                    if (isFunction && t[stmt[k]].is("fields") &&
+                        t[stmt[k + 1]].is("(")) {
+                        hasList = true;
+                        entries = fieldEntries(f, i, end, out);
+                    }
+                i = end;
+                stmt.clear();
+            } else {
+                stmt.push_back(i);      // brace initializer
+                i = skipBalanced(t, i);
+            }
+        } else if (tok.is("(") || tok.is("[")) {
+            stmt.push_back(i);
+            i = skipBalanced(t, i);
+        } else {
+            stmt.push_back(i);
+            i++;
+        }
+    }
+    if (!hasList)
+        return i + 1;
+
+    const std::string cls = "'" + name.text + "'";
+    std::map<std::string, std::size_t> position;
+    for (std::size_t k = 0; k < members.size(); k++)
+        position[members[k].name] = k;
+    std::map<std::string, int> seen;
+    std::size_t lastPos = 0;
+    bool ordered = true;
+    for (const Named &e : entries) {
+        auto it = position.find(e.name);
+        if (it == position.end()) {
+            report(out, "snapshot-fields", f, e.line,
+                   "fields() of " + cls + " lists '" + e.name +
+                       "', which is not a data member of " + cls);
+        } else if (seen[e.name]++) {
+            report(out, "snapshot-fields", f, e.line,
+                   "fields() of " + cls + " lists '" + e.name + "' twice");
+        } else if (ordered && it->second < lastPos) {
+            report(out, "snapshot-fields", f, e.line,
+                   "fields() of " + cls + " lists '" + e.name +
+                       "' out of declaration order");
+            ordered = false;
+        } else {
+            lastPos = it->second;
+        }
+    }
+    for (const Named &m : members)
+        if (!seen.count(m.name))
+            report(out, "snapshot-fields", f, m.line,
+                   "member '" + m.name + "' of " + cls +
+                       " is missing from its fields() list: the snapshot "
+                       "codec, the restore audit and the layout digest "
+                       "walk that list, so the member would be silently "
+                       "dropped from snapshots");
+    return i + 1;
+}
+
+void
+snapshotFieldsRun(const SourceFile &f, std::vector<Finding> &out)
+{
+    const auto &t = f.tokens;
+    for (std::size_t i = 0; i + 2 < t.size(); i++) {
+        if (!(t[i].is("struct") || t[i].is("class")) ||
+            (i > 0 && (t[i - 1].is("enum") || t[i - 1].is("friend"))) ||
+            !t[i + 1].isIdent())
+            continue;
+        // A definition: `struct Name [final] [: bases] {`.
+        std::size_t k = i + 2;
+        if (t[k].is("final"))
+            k++;
+        if (k < t.size() && t[k].is(":"))
+            while (k < t.size() && !contains({"{", ";", "(", ")", ">", "="},
+                                             t[k].text))
+                k++;
+        if (k < t.size() && t[k].is("{"))
+            i = checkClassBody(f, k, t[i + 1], out) - 1;
+    }
+}
+
 } // namespace
 
 const std::vector<Check> &
@@ -425,6 +661,10 @@ allChecks()
          "path-derived include guards; no using-namespace in headers; "
          "NO_THREAD_SAFETY_ANALYSIS confined to common/mutex.hh",
          headerHygieneDomain, headerHygieneRun, "src/fixture/{}"},
+        {"snapshot-fields",
+         "every data member of a class with a fields() list is listed "
+         "once, in declaration order, under its own name",
+         snapshotFieldsDomain, snapshotFieldsRun, "src/sim/{}"},
     };
     return checks;
 }
