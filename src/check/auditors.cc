@@ -431,8 +431,8 @@ void
 StructureAuditor::auditTCache(const core::TCache &tcache, Cycle now)
 {
     const unsigned max_counter = bits::counterMax(tcache.params.counterBits);
-    for (std::size_t i = 0; i < tcache.entries.size(); i++) {
-        const auto &entry = tcache.entries[i];
+    for (std::size_t i = 0; i < tcache.state.entries.size(); i++) {
+        const auto &entry = tcache.state.entries[i];
         if (!entry.valid) {
             if (entry.hot) {
                 std::ostringstream os;
@@ -471,8 +471,8 @@ StructureAuditor::auditConfigCache(const core::ConfigCache &cache,
                                    Cycle now)
 {
     const unsigned max_counter = bits::counterMax(cache.params.counterBits);
-    for (std::size_t i = 0; i < cache.entries.size(); i++) {
-        const auto &entry = cache.entries[i];
+    for (std::size_t i = 0; i < cache.state.entries.size(); i++) {
+        const auto &entry = cache.state.entries[i];
         if (!entry.valid)
             continue;
         if (cache.indexOf(entry.key) != i) {

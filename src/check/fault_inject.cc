@@ -219,7 +219,7 @@ bool
 FaultInjector::injectTCacheFault()
 {
     core::TCache tcache;
-    auto &entry = tcache.entries[0];
+    auto &entry = tcache.state.entries[0];
     entry.valid = true;
     entry.key = 0;
     entry.counter = 1;
@@ -239,7 +239,7 @@ bool
 FaultInjector::injectConfigCacheFault()
 {
     core::ConfigCache cache;
-    auto &entry = cache.entries[0];
+    auto &entry = cache.state.entries[0];
     entry.valid = true;
     entry.key = 0;
     entry.config =
@@ -375,11 +375,14 @@ FaultInjector::injectSnapshotFault()
         void (*corrupt)(sim::Snapshot &);
     };
     const Fault faults[] = {
-        {"cpu.curCycle", [](sim::Snapshot &s) { s.cpu.curCycle += 1; }},
+        {"cpu.pipeline.curCycle",
+         [](sim::Snapshot &s) { s.cpu.pipeline.curCycle += 1; }},
         {"cpu.bpred.rasTop",
          [](sim::Snapshot &s) { s.cpu.bpred.rasTop += 1; }},
-        {"controller.dstats.tracesConsidered",
-         [](sim::Snapshot &s) { s.controller->dstats.tracesConsidered += 1; }},
+        {"controller.state.dstats.tracesConsidered",
+         [](sim::Snapshot &s) {
+             s.controller->state.dstats.tracesConsidered += 1;
+         }},
         {"controller.fabrics[0].live.lastUse",
          [](sim::Snapshot &s) { s.controller->fabrics[0].live.lastUse += 1; }},
     };

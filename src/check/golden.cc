@@ -157,7 +157,7 @@ branchTaken(isa::Opcode op, std::uint64_t a, std::uint64_t b)
 
 GoldenModel::GoldenModel(const isa::Program &program,
                          const mem::FunctionalMemory &initial_memory)
-    : prog(program), mem(initial_memory)
+    : prog(program), state{.mem = initial_memory}
 {
 }
 
@@ -165,26 +165,26 @@ GoldenEffect
 GoldenModel::step()
 {
     GoldenEffect eff;
-    if (isHalted)
+    if (state.isHalted)
         panic("golden model stepped past HALT");
-    if (curPc >= prog.size())
-        panic("golden model PC ", curPc, " out of bounds");
+    if (state.curPc >= prog.size())
+        panic("golden model PC ", state.curPc, " out of bounds");
 
-    const isa::StaticInst &inst = prog.inst(curPc);
-    eff.pc = curPc;
-    eff.nextPc = curPc + 1;
+    const isa::StaticInst &inst = prog.inst(state.curPc);
+    eff.pc = state.curPc;
+    eff.nextPc = state.curPc + 1;
 
     const std::uint64_t a =
-        inst.src1 == REG_INVALID ? 0 : regs[inst.src1];
+        inst.src1 == REG_INVALID ? 0 : state.regs[inst.src1];
     const std::uint64_t b =
-        inst.src2 == REG_INVALID ? 0 : regs[inst.src2];
+        inst.src2 == REG_INVALID ? 0 : state.regs[inst.src2];
 
     using isa::Opcode;
     switch (inst.op) {
       case Opcode::NOP:
         break;
       case Opcode::HALT:
-        isHalted = true;
+        state.isHalted = true;
         eff.halted = true;
         break;
       case Opcode::LD:
@@ -192,14 +192,14 @@ GoldenModel::step()
         eff.isMem = true;
         eff.effAddr = a + uns(inst.imm);
         eff.dest = inst.dest;
-        eff.destValue = mem.read64(eff.effAddr);
-        regs[inst.dest] = eff.destValue;
+        eff.destValue = state.mem.read64(eff.effAddr);
+        state.regs[inst.dest] = eff.destValue;
         break;
       case Opcode::ST:
       case Opcode::FST:
         eff.isMem = true;
         eff.effAddr = a + uns(inst.imm);
-        mem.write64(eff.effAddr, b);
+        state.mem.write64(eff.effAddr, b);
         break;
       case Opcode::BEQ:
       case Opcode::BNE:
@@ -216,8 +216,9 @@ GoldenModel::step()
       case Opcode::CALL:
         eff.taken = true;
         eff.dest = inst.dest;
-        eff.destValue = computeValue(inst.op, a, b, inst.imm, curPc);
-        regs[inst.dest] = eff.destValue;
+        eff.destValue =
+            computeValue(inst.op, a, b, inst.imm, state.curPc);
+        state.regs[inst.dest] = eff.destValue;
         eff.nextPc = InstAddr(inst.imm);
         break;
       case Opcode::RET:
@@ -226,13 +227,14 @@ GoldenModel::step()
         break;
       default:
         eff.dest = inst.dest;
-        eff.destValue = computeValue(inst.op, a, b, inst.imm, curPc);
-        regs[inst.dest] = eff.destValue;
+        eff.destValue =
+            computeValue(inst.op, a, b, inst.imm, state.curPc);
+        state.regs[inst.dest] = eff.destValue;
         break;
     }
 
-    if (!isHalted)
-        curPc = eff.nextPc;
+    if (!state.isHalted)
+        state.curPc = eff.nextPc;
     return eff;
 }
 
@@ -250,10 +252,10 @@ LockstepChecker::LockstepChecker(const isa::DynamicTrace &t,
 void
 LockstepChecker::diverged(SeqNum idx, Cycle now, const std::string &what)
 {
-    dead = true;
+    state.dead = true;
     std::ostringstream os;
     os << "golden-model divergence at record " << idx << ": " << what
-       << "\n--- last " << window.size() << " commits ---\n";
+       << "\n--- last " << state.window.size() << " commits ---\n";
     dumpWindow(os);
     sink.report("golden", now, os.str());
 }
@@ -302,50 +304,51 @@ LockstepChecker::checkRecord(SeqNum idx, bool via_fabric, Cycle now)
         return;
     }
 
-    window.push_back({idx, rec.pc, via_fabric, now});
-    if (window.size() > windowSize)
-        window.pop_front();
-    checked++;
+    state.window.push_back({idx, rec.pc, via_fabric, now});
+    if (state.window.size() > windowSize)
+        state.window.pop_front();
+    state.checked++;
 }
 
 void
 LockstepChecker::onCommit(SeqNum first_idx, std::uint32_t count,
                           bool via_fabric, Cycle now)
 {
-    if (dead || !count)
+    if (state.dead || !count)
         return;
 
-    if (first_idx != nextIdx) {
+    if (first_idx != state.nextIdx) {
         diverged(first_idx, now,
                  "commit-order break: expected record " +
-                     std::to_string(nextIdx) + ", got " +
+                     std::to_string(state.nextIdx) + ", got " +
                      std::to_string(first_idx) +
                      (via_fabric ? " (fabric invocation)" : ""));
         return;
     }
 
-    for (std::uint32_t i = 0; i < count && !dead; i++)
+    for (std::uint32_t i = 0; i < count && !state.dead; i++)
         checkRecord(first_idx + i, via_fabric, now);
-    if (!dead)
-        nextIdx = first_idx + count;
+    if (!state.dead)
+        state.nextIdx = first_idx + count;
 }
 
 void
 LockstepChecker::finish(Cycle now)
 {
-    if (dead)
+    if (state.dead)
         return;
-    if (nextIdx != trace.size()) {
-        diverged(nextIdx, now,
-                 "run ended with only " + std::to_string(nextIdx) + " of " +
-                     std::to_string(trace.size()) + " records committed");
+    if (state.nextIdx != trace.size()) {
+        diverged(state.nextIdx, now,
+                 "run ended with only " + std::to_string(state.nextIdx) +
+                     " of " + std::to_string(trace.size()) +
+                     " records committed");
     }
 }
 
 void
 LockstepChecker::dumpWindow(std::ostream &os) const
 {
-    for (const CommitEvent &ev : window) {
+    for (const CommitEvent &ev : state.window) {
         os << "  [" << ev.idx << "] cycle " << ev.cycle << " pc " << ev.pc
            << " " << trace.program().inst(ev.pc).toString()
            << (ev.viaFabric ? "  (fabric)" : "") << "\n";

@@ -67,12 +67,13 @@ class GoldenModel
     /** Execute the instruction at the current PC. */
     GoldenEffect step();
 
-    InstAddr pc() const { return curPc; }
-    bool halted() const { return isHalted; }
-    std::uint64_t reg(RegIndex index) const { return regs.at(index); }
-    const mem::FunctionalMemory &memory() const { return mem; }
+    InstAddr pc() const { return state.curPc; }
+    bool halted() const { return state.isHalted; }
+    std::uint64_t reg(RegIndex index) const { return state.regs.at(index); }
+    const mem::FunctionalMemory &memory() const { return state.mem; }
 
-    /** Complete interpreter state (the memory copy is a deep copy). */
+    /** Complete interpreter state, held live as `state` (the memory
+     *  copy is a deep copy). */
     struct SavedState
     {
         mem::FunctionalMemory mem;
@@ -85,30 +86,12 @@ class GoldenModel
         bool operator==(const SavedState &) const = default;
     };
 
-    void
-    save(SavedState &out) const
-    {
-        out.mem = mem;
-        out.regs = regs;
-        out.curPc = curPc;
-        out.isHalted = isHalted;
-    }
-
-    void
-    restore(const SavedState &in)
-    {
-        mem = in.mem;
-        regs = in.regs;
-        curPc = in.curPc;
-        isHalted = in.isHalted;
-    }
+    void save(SavedState &out) const { out = state; }
+    void restore(const SavedState &in) { state = in; }
 
   private:
     const isa::Program &prog;
-    mem::FunctionalMemory mem;
-    std::array<std::uint64_t, isa::NUM_ARCH_REGS> regs{};
-    InstAddr curPc = 0;
-    bool isHalted = false;
+    SavedState state;
 };
 
 /**
@@ -137,9 +120,9 @@ class LockstepChecker
     void finish(Cycle now);
 
     /** Next record index the checker expects to commit. */
-    SeqNum expected() const { return nextIdx; }
+    SeqNum expected() const { return state.nextIdx; }
 
-    std::uint64_t commitsChecked() const { return checked; }
+    std::uint64_t commitsChecked() const { return state.checked; }
 
     /** Dump the recent-commit window (also done on divergence). */
     void dumpWindow(std::ostream &os) const;
@@ -158,17 +141,27 @@ class LockstepChecker
     };
 
   public:
-    /** Complete checker state: the golden model plus the commit cursor
-     *  and the divergence-dump window. */
+    /** The checker's own mutable state, held live as `state`: the
+     *  commit cursor and the divergence-dump window. */
+    struct State
+    {
+        SeqNum nextIdx = 0;
+        std::uint64_t checked = 0;
+        bool dead = false;          ///< stop after first divergence
+        std::deque<CommitEvent> window;
+
+        DYNASPAM_FIELDS(State, nextIdx, checked, dead, window)
+
+        bool operator==(const State &) const = default;
+    };
+
+    /** Complete checker state: the golden model's plus its own. */
     struct SavedState
     {
         GoldenModel::SavedState golden;
-        SeqNum nextIdx = 0;
-        std::uint64_t checked = 0;
-        bool dead = false;
-        std::deque<CommitEvent> window;
+        State state;
 
-        DYNASPAM_FIELDS(SavedState, golden, nextIdx, checked, dead, window)
+        DYNASPAM_FIELDS(SavedState, golden, state)
 
         bool operator==(const SavedState &) const = default;
     };
@@ -178,7 +171,7 @@ class LockstepChecker
     bool
     fits(const SavedState &in) const
     {
-        return in.nextIdx <= trace.size() &&
+        return in.state.nextIdx <= trace.size() &&
                in.golden.curPc < trace.program().size();
     }
 
@@ -186,20 +179,14 @@ class LockstepChecker
     save(SavedState &out) const
     {
         golden.save(out.golden);
-        out.nextIdx = nextIdx;
-        out.checked = checked;
-        out.dead = dead;
-        out.window = window;
+        out.state = state;
     }
 
     void
     restore(const SavedState &in)
     {
         golden.restore(in.golden);
-        nextIdx = in.nextIdx;
-        checked = in.checked;
-        dead = in.dead;
-        window = in.window;
+        state = in.state;
     }
 
   private:
@@ -210,11 +197,7 @@ class LockstepChecker
     const isa::DynamicTrace &trace;
     GoldenModel golden;
     ViolationSink &sink;
-
-    SeqNum nextIdx = 0;
-    std::uint64_t checked = 0;
-    bool dead = false;          ///< stop after first divergence
-    std::deque<CommitEvent> window;
+    State state;
 };
 
 } // namespace dynaspam::check

@@ -35,7 +35,7 @@ Verifier::onCycleEnd(Cycle now)
     if (now % interval != 0)
         return;
     oooAuditor.auditAll(now);
-    statAuditPasses++;
+    state.auditPasses++;
 
     if (now % (interval * structureStride) == 0)
         auditStructures(now);
@@ -50,7 +50,7 @@ Verifier::auditStructures(Cycle now)
     structureAuditor.auditConfigCache(controller->configCache(),
                                       controller->fabricConfigParams(),
                                       now);
-    statStructurePasses++;
+    state.structurePasses++;
 }
 
 void

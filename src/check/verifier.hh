@@ -62,18 +62,29 @@ class Verifier : public ooo::CommitObserver
     void finish(Cycle now);
 
     const LockstepChecker &lockstepChecker() const { return lockstep; }
-    std::uint64_t auditPasses() const { return statAuditPasses; }
-    std::uint64_t structurePasses() const { return statStructurePasses; }
+    std::uint64_t auditPasses() const { return state.auditPasses; }
+    std::uint64_t structurePasses() const { return state.structurePasses; }
 
-    /** Complete verifier state (the auditors are read-only walkers with
-     *  no state of their own). */
-    struct SavedState
+    /** The verifier's own mutable state, held live as `state`: its pass
+     *  counters (the auditors are read-only walkers with no state of
+     *  their own). */
+    struct State
     {
-        LockstepChecker::SavedState lockstep;
         std::uint64_t auditPasses = 0;
         std::uint64_t structurePasses = 0;
 
-        DYNASPAM_FIELDS(SavedState, lockstep, auditPasses, structurePasses)
+        DYNASPAM_FIELDS(State, auditPasses, structurePasses)
+
+        bool operator==(const State &) const = default;
+    };
+
+    /** Complete verifier state: the lockstep checker's plus its own. */
+    struct SavedState
+    {
+        LockstepChecker::SavedState lockstep;
+        State state;
+
+        DYNASPAM_FIELDS(SavedState, lockstep, state)
 
         bool operator==(const SavedState &) const = default;
     };
@@ -88,16 +99,14 @@ class Verifier : public ooo::CommitObserver
     save(SavedState &out) const
     {
         lockstep.save(out.lockstep);
-        out.auditPasses = statAuditPasses;
-        out.structurePasses = statStructurePasses;
+        out.state = state;
     }
 
     void
     restore(const SavedState &in)
     {
         lockstep.restore(in.lockstep);
-        statAuditPasses = in.auditPasses;
-        statStructurePasses = in.structurePasses;
+        state = in.state;
     }
 
   private:
@@ -112,8 +121,7 @@ class Verifier : public ooo::CommitObserver
     StructureAuditor structureAuditor;
 
     std::uint64_t interval;
-    std::uint64_t statAuditPasses = 0;
-    std::uint64_t statStructurePasses = 0;
+    State state;
 };
 
 } // namespace dynaspam::check

@@ -15,7 +15,7 @@
 #include "common/logging.hh"
 #include "common/stats.hh"
 #include "runner/report.hh"
-#include "serve/server.hh"
+#include "runner/spec.hh"
 
 namespace dynaspam::cluster
 {
@@ -540,7 +540,10 @@ Coordinator::handleHttpRequest(ClientConn &conn,
         queueResponse(conn, handleMetricsScrape(), keepAlive, "/metrics");
         return;
     }
-    if (req.target == "/run") {
+    // /run accepts query parameters (?fidelity=..., ?warmup_insts=...),
+    // like the single-process server; every other endpoint matches on
+    // the full target.
+    if (req.target.substr(0, req.target.find('?')) == "/run") {
         if (req.method != "POST") {
             queueResponse(conn, errorResponse(405, "use POST"), keepAlive,
                           "/run");
@@ -548,7 +551,8 @@ Coordinator::handleHttpRequest(ClientConn &conn,
         }
         runner::Job job;
         try {
-            job = serve::jobFromSpecJson(json::Value::parse(req.body));
+            job = runner::jobFromSpecJson(json::Value::parse(req.body));
+            runner::applyRunQuery(job, req.target);
         } catch (const FatalError &err) {
             queueResponse(conn, errorResponse(400, err.what()), keepAlive,
                           "/run");
@@ -563,9 +567,9 @@ Coordinator::handleHttpRequest(ClientConn &conn,
                           "/sweep");
             return;
         }
-        serve::SweepRequest sweep;
+        runner::SweepRequest sweep;
         try {
-            sweep = serve::parseSweepBody(req.body);
+            sweep = runner::parseSweepBody(req.body);
         } catch (const FatalError &err) {
             queueResponse(conn, errorResponse(400, err.what()), keepAlive,
                           "/sweep");

@@ -11,7 +11,7 @@ namespace dynaspam::core
 {
 
 ConfigCache::ConfigCache(const ConfigCacheParams &p)
-    : params(p), entries(p.entries)
+    : params(p), state{.entries = std::vector<Entry>(p.entries)}
 {
     if (!p.entries)
         fatal("configuration cache must have at least one entry");
@@ -25,9 +25,9 @@ ConfigCache::InsertOutcome
 ConfigCache::insert(std::uint64_t key, fabric::FabricConfig config)
 {
     InsertOutcome outcome;
-    Entry &entry = entries[indexOf(key)];
+    Entry &entry = state.entries[indexOf(key)];
     if (entry.valid && entry.key != key) {
-        statEvictions++;
+        state.evictions++;
         outcome.evicted = true;
         outcome.evictedKey = entry.key;
     }
@@ -36,14 +36,14 @@ ConfigCache::insert(std::uint64_t key, fabric::FabricConfig config)
     entry.counter = 0;
     entry.config =
         std::make_shared<const fabric::FabricConfig>(std::move(config));
-    statInsertions++;
+    state.insertions++;
     return outcome;
 }
 
 std::shared_ptr<const fabric::FabricConfig>
 ConfigCache::find(std::uint64_t key) const
 {
-    const Entry &entry = entries[indexOf(key)];
+    const Entry &entry = state.entries[indexOf(key)];
     if (entry.valid && entry.key == key)
         return entry.config;
     return nullptr;
@@ -52,13 +52,13 @@ ConfigCache::find(std::uint64_t key) const
 bool
 ConfigCache::recordPrediction(std::uint64_t key)
 {
-    lookups++;
-    if (params.clearInterval && lookups % params.clearInterval == 0) {
-        for (Entry &entry : entries)
+    state.lookups++;
+    if (params.clearInterval && state.lookups % params.clearInterval == 0) {
+        for (Entry &entry : state.entries)
             entry.counter = 0;
     }
 
-    Entry &entry = entries[indexOf(key)];
+    Entry &entry = state.entries[indexOf(key)];
     if (!entry.valid || entry.key != key)
         return false;
     const unsigned max_counter = bits::counterMax(params.counterBits);
@@ -70,7 +70,7 @@ ConfigCache::recordPrediction(std::uint64_t key)
 void
 ConfigCache::penalize(std::uint64_t key)
 {
-    Entry &entry = entries[indexOf(key)];
+    Entry &entry = state.entries[indexOf(key)];
     if (entry.valid && entry.key == key)
         entry.counter = 0;
 }
@@ -78,7 +78,7 @@ ConfigCache::penalize(std::uint64_t key)
 bool
 ConfigCache::readyToOffload(std::uint64_t key) const
 {
-    const Entry &entry = entries[indexOf(key)];
+    const Entry &entry = state.entries[indexOf(key)];
     return entry.valid && entry.key == key &&
            entry.counter >= params.offloadThreshold;
 }

@@ -84,8 +84,8 @@ class ConfigCache
      */
     void penalize(std::uint64_t key);
 
-    std::uint64_t insertions() const { return statInsertions; }
-    std::uint64_t evictions() const { return statEvictions; }
+    std::uint64_t insertions() const { return state.insertions; }
+    std::uint64_t evictions() const { return state.evictions; }
 
     struct Entry
     {
@@ -102,9 +102,10 @@ class ConfigCache
     };
 
     /**
-     * Complete mutable cache state. FabricConfig objects are immutable
-     * after insertion, so entries share ownership with the live cache
-     * rather than deep-copying the configs.
+     * Complete mutable cache state, held live as `state`. FabricConfig
+     * objects are immutable after insertion, so a saved copy shares
+     * ownership with the live cache rather than deep-copying the
+     * configs.
      */
     struct SavedState
     {
@@ -122,26 +123,11 @@ class ConfigCache
     bool
     fits(const SavedState &in) const
     {
-        return in.entries.size() == entries.size();
+        return in.entries.size() == state.entries.size();
     }
 
-    void
-    save(SavedState &out) const
-    {
-        out.entries = entries;
-        out.lookups = lookups;
-        out.insertions = statInsertions;
-        out.evictions = statEvictions;
-    }
-
-    void
-    restore(const SavedState &in)
-    {
-        entries = in.entries;
-        lookups = in.lookups;
-        statInsertions = in.insertions;
-        statEvictions = in.evictions;
-    }
+    void save(SavedState &out) const { out = state; }
+    void restore(const SavedState &in) { state = in; }
 
   private:
     /** The structure auditor inspects entries directly. */
@@ -153,15 +139,11 @@ class ConfigCache
     {
         // Mix the outcome bits into the index so traces anchored at the
         // same branch with different outcomes spread across entries.
-        return std::size_t((key ^ (key >> 3)) % entries.size());
+        return std::size_t((key ^ (key >> 3)) % state.entries.size());
     }
 
     ConfigCacheParams params;
-    std::vector<Entry> entries;
-    std::uint64_t lookups = 0;
-
-    std::uint64_t statInsertions = 0;
-    std::uint64_t statEvictions = 0;
+    SavedState state;
 };
 
 } // namespace dynaspam::core

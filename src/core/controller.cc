@@ -53,14 +53,14 @@ DynaSpamController::walkMatchesOracle(const TraceWalk &walk,
     return true;
 }
 
-fabric::Fabric *
+std::size_t
 DynaSpamController::selectFabric(
     const std::shared_ptr<const fabric::FabricConfig> &config, Cycle now)
 {
     // Prefer a fabric already holding the configuration.
-    for (auto &fab : fabricPool) {
-        if (fab->hasConfig(config->key))
-            return fab.get();
+    for (std::size_t i = 0; i < fabricPool.size(); i++) {
+        if (fabricPool[i]->hasConfig(config->key))
+            return i;
     }
 
     // Configuration miss: from here on, which fabric is picked (a free
@@ -77,32 +77,30 @@ DynaSpamController::selectFabric(
     }
 
     // Otherwise an unconfigured fabric, else the LRU one.
-    fabric::Fabric *victim = nullptr;
-    for (auto &fab : fabricPool) {
-        if (!fab->configured()) {
-            victim = fab.get();
-            break;
+    std::size_t index = 0;
+    while (index < fabricPool.size() && fabricPool[index]->configured())
+        index++;
+    if (index == fabricPool.size()) {
+        index = 0;
+        for (std::size_t i = 1; i < fabricPool.size(); i++) {
+            if (fabricPool[i]->lastUseCycle() <
+                fabricPool[index]->lastUseCycle())
+                index = i;
         }
     }
-    if (!victim) {
-        victim = fabricPool.front().get();
-        for (auto &fab : fabricPool) {
-            if (fab->lastUseCycle() < victim->lastUseCycle())
-                victim = fab.get();
-        }
-    }
+    fabric::Fabric *victim = fabricPool[index].get();
 
     // Reconfigure the victim; its outgoing configuration's lifetime is a
     // Table 5 sample.
     if (victim->invocationsSinceConfigure() > 0) {
-        dstats.lifetimeSum += victim->invocationsSinceConfigure();
-        dstats.lifetimeCount++;
+        state.dstats.lifetimeSum += victim->invocationsSinceConfigure();
+        state.dstats.lifetimeCount++;
     }
     const Cycle ready = victim->configure(config, now);
-    dstats.reconfigurations++;
+    state.dstats.reconfigurations++;
     if (trace::compiledIn() && tsink)
         tsink->span(trace::Mark::Reconfigure, now, ready, config->key);
-    return victim;
+    return index;
 }
 
 ooo::FetchDirective
@@ -117,15 +115,15 @@ DynaSpamController::beforeFetch(SeqNum trace_idx, Cycle now)
     if (!inst.isCondBranch())
         return directive;
 
-    if (!suppressed.empty() && suppressed.count(trace_idx)) {
-        dstats.offloadSuppressed++;
+    if (!state.suppressed.empty() && state.suppressed.count(trace_idx)) {
+        state.dstats.offloadSuppressed++;
         // This record's invocation just squashed: run it on the host.
         // (The entry is consumed at commit, not here, because fetch can
         // be re-run after an unrelated squash.)
         return directive;
     }
 
-    if (mappingInProgress)
+    if (state.mappingInProgress)
         return directive;
 
     // Build the T-Cache index from the predictions for this and the next
@@ -142,7 +140,7 @@ DynaSpamController::beforeFetch(SeqNum trace_idx, Cycle now)
     if (!walk.valid)
         return directive;
 
-    dstats.tracesConsidered++;
+    state.dstats.tracesConsidered++;
     if (trace::compiledIn() && tsink)
         tsink->mark(trace::Mark::TCacheHit, now, walk.key, trace_idx);
 
@@ -158,7 +156,7 @@ DynaSpamController::beforeFetch(SeqNum trace_idx, Cycle now)
             guard->fired = true;
         }
         if (!ready || !params.enableOffload) {
-            dstats.offloadBelowThreshold++;
+            state.dstats.offloadBelowThreshold++;
             return directive;
         }
 
@@ -174,9 +172,9 @@ DynaSpamController::beforeFetch(SeqNum trace_idx, Cycle now)
             directive.liveOuts.push_back(lo.arch);
         directive.hasStores = config->hasStores;
 
-        pending[trace_idx] =
+        state.pending[trace_idx] =
             PendingInvocation{config, walk.key, config->numRecords};
-        dstats.offloadsIssued++;
+        state.dstats.offloadsIssued++;
         return directive;
     }
 
@@ -184,11 +182,11 @@ DynaSpamController::beforeFetch(SeqNum trace_idx, Cycle now)
     // against the oracle (a mispredicted path would abort the mapping
     // anyway — Section 3.1). Traces that already failed to map are not
     // retried.
-    dstats.hotNotMapped++;
-    if (failedKeys.count(walk.key))
+    state.dstats.hotNotMapped++;
+    if (state.failedKeys.count(walk.key))
         return directive;
-    if (now < lastMappingStart + params.mappingCooldown &&
-        dstats.mappingsStarted > 0) {
+    if (now < state.lastMappingStart + params.mappingCooldown &&
+        state.dstats.mappingsStarted > 0) {
         return directive;   // rate-limit reconfiguration pressure
     }
     if (!walkMatchesOracle(walk, trace_idx))
@@ -201,20 +199,19 @@ DynaSpamController::beforeFetch(SeqNum trace_idx, Cycle now)
     if (guard && guard->mapperDiverges)
         guard->fired = true;
 
-    session = std::make_unique<MappingSession>(
-        params.fabricParams, trace_idx,
-        std::uint32_t(walk.pcs.size()), walk.key);
-    policy->arm(session.get(), trace_idx);
-    mappingInProgress = true;
-    mappingKey = walk.key;
-    lastMappingStart = now;
+    state.session.emplace(params.fabricParams, trace_idx,
+                          std::uint32_t(walk.pcs.size()), walk.key);
+    policy->arm(&*state.session, trace_idx);
+    state.mappingInProgress = true;
+    state.mappingKey = walk.key;
+    state.lastMappingStart = now;
 
     directive.kind = ooo::FetchDirective::Kind::BeginMapping;
     directive.numRecords = std::uint32_t(walk.pcs.size());
     directive.policy = policy.get();
     // Counted at directive issue so aborts that fire before the first
     // trace instruction dispatches still balance the books.
-    dstats.mappingsStarted++;
+    state.dstats.mappingsStarted++;
     return directive;
 }
 
@@ -226,49 +223,49 @@ DynaSpamController::mappingStarted(SeqNum, Cycle)
 void
 DynaSpamController::mappingFinished(SeqNum trace_idx, Cycle now)
 {
-    if (!session)
+    if (!state.session)
         return;
     if (trace::compiledIn() && tsink) {
-        tsink->span(trace::Mark::Mapping, lastMappingStart, now,
-                    mappingKey, trace_idx);
+        tsink->span(trace::Mark::Mapping, state.lastMappingStart, now,
+                    state.mappingKey, trace_idx);
     }
-    auto config = session->buildConfig(trace);
+    auto config = state.session->buildConfig(trace);
     if (config) {
-        const auto outcome = cfgCache.insert(mappingKey,
+        const auto outcome = cfgCache.insert(state.mappingKey,
                                              std::move(*config));
         if (trace::compiledIn() && tsink) {
             if (outcome.evicted) {
                 tsink->mark(trace::Mark::ConfigEvict, now,
                             outcome.evictedKey);
             }
-            tsink->mark(trace::Mark::ConfigFill, now, mappingKey,
+            tsink->mark(trace::Mark::ConfigFill, now, state.mappingKey,
                         trace_idx);
         }
-        if (mappedKeys.insert(mappingKey).second)
-            dstats.distinctMappedTraces++;
-        dstats.mappingsCompleted++;
+        if (state.mappedKeys.insert(state.mappingKey).second)
+            state.dstats.distinctMappedTraces++;
+        state.dstats.mappingsCompleted++;
     } else {
-        dstats.mappingsDiscarded++;
-        failedKeys.insert(mappingKey);
+        state.dstats.mappingsDiscarded++;
+        state.failedKeys.insert(state.mappingKey);
     }
     policy->disarm();
-    session.reset();
-    mappingInProgress = false;
+    state.session.reset();
+    state.mappingInProgress = false;
 }
 
 void
 DynaSpamController::mappingAborted(SeqNum trace_idx, Cycle now)
 {
-    if (!session)
+    if (!state.session)
         return;
     if (trace::compiledIn() && tsink) {
-        tsink->span(trace::Mark::MappingAbort, lastMappingStart, now,
-                    mappingKey, trace_idx);
+        tsink->span(trace::Mark::MappingAbort, state.lastMappingStart,
+                    now, state.mappingKey, trace_idx);
     }
-    dstats.mappingsAborted++;
+    state.dstats.mappingsAborted++;
     policy->disarm();
-    session.reset();
-    mappingInProgress = false;
+    state.session.reset();
+    state.mappingInProgress = false;
 }
 
 ooo::InvocationResult
@@ -277,16 +274,16 @@ DynaSpamController::offloadStart(SeqNum trace_idx, std::uint32_t num_records,
                                  const std::vector<Cycle> &live_in_ready,
                                  Cycle mem_safe)
 {
-    auto it = pending.find(trace_idx);
-    if (it == pending.end())
+    auto it = state.pending.find(trace_idx);
+    if (it == state.pending.end())
         panic("offloadStart for unknown invocation at ", trace_idx);
     const PendingInvocation &inv = it->second;
 
     ooo::InvocationResult result;
-    fabric::Fabric *fab = selectFabric(inv.config, now);
-    it->second.startedOn = fab;
-    fabric::FabricExecResult fx =
-        fab->execute(trace, trace_idx, live_in_ready, mem_safe, now);
+    const std::size_t fab = selectFabric(inv.config, now);
+    it->second.startedOnIdx = int(fab);
+    fabric::FabricExecResult fx = fabricPool[fab]->execute(
+        trace, trace_idx, live_in_ready, mem_safe, now);
     (void)num_records;
     if (trace::compiledIn() && tsink) {
         tsink->span(trace::Mark::Invocation, now, fx.completeCycle,
@@ -305,16 +302,17 @@ DynaSpamController::offloadStart(SeqNum trace_idx, std::uint32_t num_records,
 void
 DynaSpamController::invocationCommitted(SeqNum trace_idx, Cycle now)
 {
-    dstats.invocationsCommitted++;
+    state.dstats.invocationsCommitted++;
     if (trace::compiledIn() && tsink)
         tsink->mark(trace::Mark::InvokeCommit, now, 0, trace_idx);
-    auto it = pending.find(trace_idx);
-    if (it != pending.end()) {
-        dstats.instsOffloaded += it->second.numRecords;
-        offloadedKeys.insert(it->second.key);
-        if (it->second.startedOn)
-            it->second.startedOn->noteCommitted(trace_idx);
-        pending.erase(it);
+    auto it = state.pending.find(trace_idx);
+    if (it != state.pending.end()) {
+        state.dstats.instsOffloaded += it->second.numRecords;
+        state.offloadedKeys.insert(it->second.key);
+        if (it->second.startedOnIdx >= 0)
+            fabricPool[std::size_t(it->second.startedOnIdx)]->noteCommitted(
+                trace_idx);
+        state.pending.erase(it);
     }
 }
 
@@ -327,21 +325,22 @@ DynaSpamController::invocationSquashed(SeqNum trace_idx, Cycle now,
                     at_fault ? 1 : 0);
     }
     if (at_fault) {
-        dstats.invocationsSquashed++;
-        suppressed.insert(trace_idx);
-        auto pit = pending.find(trace_idx);
-        if (pit != pending.end())
+        state.dstats.invocationsSquashed++;
+        state.suppressed.insert(trace_idx);
+        auto pit = state.pending.find(trace_idx);
+        if (pit != state.pending.end())
             cfgCache.penalize(pit->second.key);
     } else {
-        dstats.invocationsCollateral++;
+        state.dstats.invocationsCollateral++;
     }
-    auto it = pending.find(trace_idx);
-    if (it != pending.end()) {
+    auto it = state.pending.find(trace_idx);
+    if (it != state.pending.end()) {
         // Rewind the ghost effects this invocation left in the fabric's
         // pipelining state (squash notifications arrive youngest-first).
-        if (it->second.startedOn)
-            it->second.startedOn->rollback(trace_idx);
-        pending.erase(it);
+        if (it->second.startedOnIdx >= 0)
+            fabricPool[std::size_t(it->second.startedOnIdx)]->rollback(
+                trace_idx);
+        state.pending.erase(it);
     }
 }
 
@@ -354,7 +353,7 @@ DynaSpamController::onCommitControl(InstAddr pc, bool taken,
         tCache.commitBranch(pc, taken);
     // A suppressed record that has now committed on the host can be
     // offloaded again in the future.
-    suppressed.erase(trace_idx);
+    state.suppressed.erase(trace_idx);
 }
 
 void
@@ -370,11 +369,11 @@ DynaSpamController::finalizeStats()
 {
     for (auto &fab : fabricPool) {
         if (fab->invocationsSinceConfigure() > 0) {
-            dstats.lifetimeSum += fab->invocationsSinceConfigure();
-            dstats.lifetimeCount++;
+            state.dstats.lifetimeSum += fab->invocationsSinceConfigure();
+            state.dstats.lifetimeCount++;
         }
     }
-    dstats.distinctOffloadedTraces = offloadedKeys.size();
+    state.dstats.distinctOffloadedTraces = state.offloadedKeys.size();
 }
 
 void
@@ -385,34 +384,8 @@ DynaSpamController::save(SavedState &out) const
     out.fabrics.resize(fabricPool.size());
     for (std::size_t i = 0; i < fabricPool.size(); i++)
         fabricPool[i]->save(out.fabrics[i]);
-
-    if (session)
-        out.session = *session;
-    else
-        out.session.reset();
     policy->save(out.policy);
-    out.mappingInProgress = mappingInProgress;
-    out.mappingKey = mappingKey;
-    out.lastMappingStart = lastMappingStart;
-
-    out.pending.clear();
-    for (const auto &[seq, inv] : pending) {
-        int idx = -1;
-        for (std::size_t i = 0; i < fabricPool.size(); i++) {
-            if (fabricPool[i].get() == inv.startedOn) {
-                idx = int(i);
-                break;
-            }
-        }
-        out.pending.emplace(seq, SavedState::SavedPending{
-            inv.config, inv.key, inv.numRecords, idx});
-    }
-
-    out.suppressed = suppressed;
-    out.mappedKeys = mappedKeys;
-    out.offloadedKeys = offloadedKeys;
-    out.failedKeys = failedKeys;
-    out.dstats = dstats;
+    out.state = state;
 }
 
 bool
@@ -423,12 +396,12 @@ DynaSpamController::fits(const SavedState &in) const
     for (const fabric::Fabric::SavedState &fab : in.fabrics)
         if (!fabric::Fabric::fits(fab))
             return false;
-    if (in.session && !in.session->fits(trace))
+    if (in.state.session && !in.state.session->fits(trace))
         return false;
-    for (const auto &[seq, sp] : in.pending) {
-        if (!sp.config || sp.startedOnIdx < -1 ||
-            sp.startedOnIdx >= int(fabricPool.size()) || seq > trace.size() ||
-            sp.numRecords > trace.size() - seq)
+    for (const auto &[seq, inv] : in.state.pending) {
+        if (!inv.config || inv.startedOnIdx < -1 ||
+            inv.startedOnIdx >= int(fabricPool.size()) ||
+            seq > trace.size() || inv.numRecords > trace.size() - seq)
             return false;
     }
     return true;
@@ -437,6 +410,10 @@ DynaSpamController::fits(const SavedState &in) const
 void
 DynaSpamController::restore(const SavedState &in)
 {
+    for (const auto &[seq, inv] : in.state.pending)
+        if (inv.startedOnIdx >= int(fabricPool.size()))
+            panic("restore: pending invocation on out-of-range fabric");
+
     tCache.restore(in.tcache);
     cfgCache.restore(in.configCache);
     // Pool sizes may differ across a fork group (see SavedState docs);
@@ -444,37 +421,14 @@ DynaSpamController::restore(const SavedState &in)
     const std::size_t n = std::min(in.fabrics.size(), fabricPool.size());
     for (std::size_t i = 0; i < n; i++)
         fabricPool[i]->restore(in.fabrics[i]);
-
-    if (in.session)
-        session = std::make_unique<MappingSession>(*in.session);
-    else
-        session.reset();
-    policy->restore(in.policy, session.get());
-    mappingInProgress = in.mappingInProgress;
-    mappingKey = in.mappingKey;
-    lastMappingStart = in.lastMappingStart;
-
-    pending.clear();
-    for (const auto &[seq, sp] : in.pending) {
-        if (sp.startedOnIdx >= int(fabricPool.size()))
-            panic("restore: pending invocation on out-of-range fabric");
-        pending.emplace(seq, PendingInvocation{
-            sp.config, sp.key, sp.numRecords,
-            sp.startedOnIdx >= 0
-                ? fabricPool[std::size_t(sp.startedOnIdx)].get()
-                : nullptr});
-    }
-
-    suppressed = in.suppressed;
-    mappedKeys = in.mappedKeys;
-    offloadedKeys = in.offloadedKeys;
-    failedKeys = in.failedKeys;
-    dstats = in.dstats;
+    state = in.state;
+    policy->restore(in.policy, state.session ? &*state.session : nullptr);
 }
 
 void
 DynaSpamController::exportStats(StatRegistry &reg) const
 {
+    const DynaSpamStats &dstats = state.dstats;
     reg.counter("dynaspam.tracesConsidered").inc(dstats.tracesConsidered);
     reg.counter("dynaspam.mappingsStarted").inc(dstats.mappingsStarted);
     reg.counter("dynaspam.mappingsCompleted").inc(dstats.mappingsCompleted);

@@ -184,7 +184,7 @@ class DynaSpamController : public ooo::TraceHooks
                          Cycle now) override;
 
     // --- Inspection ------------------------------------------------------
-    const DynaSpamStats &stats() const { return dstats; }
+    const DynaSpamStats &stats() const { return state.dstats; }
     const TCache &tcache() const { return tCache; }
     const ConfigCache &configCache() const { return cfgCache; }
     const fabric::FabricParams &fabricConfigParams() const
@@ -220,8 +220,58 @@ class DynaSpamController : public ooo::TraceHooks
      *  Pure detection: the attached guard never changes behaviour. */
     void setWarmupGuard(WarmupGuard *g) { guard = g; }
 
+    /** Pending offload: the config, key and record count fetch chose.
+     *  The fabric is selected when the invocation starts, not at fetch,
+     *  so queued invocations of the previous configuration are not
+     *  killed by an early reconfiguration. */
+    struct PendingInvocation
+    {
+        std::shared_ptr<const fabric::FabricConfig> config;
+        std::uint64_t key = 0;
+        std::uint32_t numRecords = 0;
+        /** Pool index of the fabric that executed it, set at
+         *  offloadStart; -1 = not started yet. */
+        int startedOnIdx = -1;
+
+        DYNASPAM_FIELDS(PendingInvocation, config, key, numRecords,
+                        startedOnIdx)
+
+        bool operator==(const PendingInvocation &) const = default;
+    };
+
+    /** The controller's own mutable state, held live as `state`. */
+    struct State
+    {
+        /** In-flight mapping session, if one is open. */
+        std::optional<MappingSession> session;
+        bool mappingInProgress = false;
+        std::uint64_t mappingKey = 0;
+        Cycle lastMappingStart = 0;
+
+        /** Offloads fetched but not yet committed or squashed. */
+        std::unordered_map<SeqNum, PendingInvocation> pending;
+
+        /** After a squash at this record, execute it on the host once. */
+        std::unordered_set<SeqNum> suppressed;
+
+        std::unordered_set<std::uint64_t> mappedKeys;
+        std::unordered_set<std::uint64_t> offloadedKeys;
+        /** Traces whose mapping failed: don't retry them (an infeasible
+         *  schedule stays infeasible while the trace shape is stable). */
+        std::unordered_set<std::uint64_t> failedKeys;
+
+        DynaSpamStats dstats;
+
+        DYNASPAM_FIELDS(State, session, mappingInProgress, mappingKey,
+                        lastMappingStart, pending, suppressed, mappedKeys,
+                        offloadedKeys, failedKeys, dstats)
+
+        bool operator==(const State &) const = default;
+    };
+
     /**
-     * Complete mutable controller state for simulator snapshots.
+     * Complete mutable controller state for simulator snapshots: the
+     * caches', the fabrics' and the policy's, plus the controller's own.
      * Restore requires a controller built over the same trace with the
      * same T-Cache/ConfigCache/fabric parameters; numFabrics may differ
      * between saver and restorer ONLY while every fabric beyond the
@@ -234,40 +284,11 @@ class DynaSpamController : public ooo::TraceHooks
         TCache::SavedState tcache;
         ConfigCache::SavedState configCache;
         std::vector<fabric::Fabric::SavedState> fabrics;
-
-        /** In-flight mapping session, if one was open. */
-        std::optional<MappingSession> session;
         MappingPolicyBase::SavedState policy;
-        bool mappingInProgress = false;
-        std::uint64_t mappingKey = 0;
-        Cycle lastMappingStart = 0;
+        State state;
 
-        /** PendingInvocation with the fabric pointer as a pool index. */
-        struct SavedPending
-        {
-            std::shared_ptr<const fabric::FabricConfig> config;
-            std::uint64_t key = 0;
-            std::uint32_t numRecords = 0;
-            int startedOnIdx = -1;      ///< -1 = not started yet
-
-            DYNASPAM_FIELDS(SavedPending, config, key, numRecords,
-                            startedOnIdx)
-
-            bool operator==(const SavedPending &) const = default;
-        };
-        std::unordered_map<SeqNum, SavedPending> pending;
-
-        std::unordered_set<SeqNum> suppressed;
-        std::unordered_set<std::uint64_t> mappedKeys;
-        std::unordered_set<std::uint64_t> offloadedKeys;
-        std::unordered_set<std::uint64_t> failedKeys;
-
-        DynaSpamStats dstats;
-
-        DYNASPAM_FIELDS(SavedState, tcache, configCache, fabrics, session,
-                        policy, mappingInProgress, mappingKey,
-                        lastMappingStart, pending, suppressed, mappedKeys,
-                        offloadedKeys, failedKeys, dstats)
+        DYNASPAM_FIELDS(SavedState, tcache, configCache, fabrics, policy,
+                        state)
 
         bool operator==(const SavedState &) const = default;
     };
@@ -289,8 +310,9 @@ class DynaSpamController : public ooo::TraceHooks
     bool walkMatchesOracle(const TraceWalk &walk, SeqNum trace_idx) const;
 
     /** Pick a fabric for @p config: loaded > free > LRU; reconfigures
-     *  the victim when needed (charging configuration latency). */
-    fabric::Fabric *
+     *  the victim when needed (charging configuration latency).
+     *  @return the fabric's index in the pool */
+    std::size_t
     selectFabric(const std::shared_ptr<const fabric::FabricConfig> &config,
                  Cycle now);
 
@@ -304,39 +326,12 @@ class DynaSpamController : public ooo::TraceHooks
     ConfigCache cfgCache;
     std::vector<std::unique_ptr<fabric::Fabric>> fabricPool;
 
-    std::unique_ptr<MappingSession> session;
     std::unique_ptr<MappingPolicyBase> policy;
-    bool mappingInProgress = false;
-    std::uint64_t mappingKey = 0;
-    Cycle lastMappingStart = 0;
-
-    /** Pending offload: trace_idx -> (config, key, num records). The
-     *  fabric is selected when the invocation starts, not at fetch, so
-     *  queued invocations of the previous configuration are not killed
-     *  by an early reconfiguration. */
-    struct PendingInvocation
-    {
-        std::shared_ptr<const fabric::FabricConfig> config;
-        std::uint64_t key = 0;
-        std::uint32_t numRecords = 0;
-        /** The fabric that executed it (set at offloadStart). */
-        fabric::Fabric *startedOn = nullptr;
-    };
-    std::unordered_map<SeqNum, PendingInvocation> pending;
-
-    /** After a squash at this record, execute it on the host once. */
-    std::unordered_set<SeqNum> suppressed;
-
-    std::unordered_set<std::uint64_t> mappedKeys;
-    std::unordered_set<std::uint64_t> offloadedKeys;
-    /** Traces whose mapping failed: don't retry them (an infeasible
-     *  schedule stays infeasible while the trace shape is stable). */
-    std::unordered_set<std::uint64_t> failedKeys;
 
     trace::TraceSink *tsink = nullptr;
     WarmupGuard *guard = nullptr;
 
-    DynaSpamStats dstats;
+    State state;
 };
 
 } // namespace dynaspam::core

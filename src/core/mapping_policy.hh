@@ -39,16 +39,27 @@ class MappingPolicyBase : public ooo::SelectPolicy
     arm(MappingSession *session, SeqNum mapping_trace_idx)
     {
         sess = session;
-        baseIdx = mapping_trace_idx;
-        drainUntil = 0;
-        advancePending = false;
-        selectedThisCycle = false;
-        vetoedReadyInst = false;
-        lastNow = 0;
+        state = State{.baseIdx = mapping_trace_idx};
     }
 
     void disarm() { sess = nullptr; }
     MappingSession *session() { return sess; }
+
+    /** Mutable state of one mapping phase, held live as `state`. */
+    struct State
+    {
+        SeqNum baseIdx = 0;
+        Cycle drainUntil = 0;
+        Cycle lastNow = 0;
+        bool advancePending = false;
+        bool selectedThisCycle = false;
+        bool vetoedReadyInst = false;
+
+        DYNASPAM_FIELDS(State, baseIdx, drainUntil, lastNow, advancePending,
+                        selectedThisCycle, vetoedReadyInst)
+
+        bool operator==(const State &) const = default;
+    };
 
     /**
      * Armed-state capture for simulator snapshots. The session pointer
@@ -58,15 +69,9 @@ class MappingPolicyBase : public ooo::SelectPolicy
     struct SavedState
     {
         bool armed = false;
-        SeqNum baseIdx = 0;
-        Cycle drainUntil = 0;
-        Cycle lastNow = 0;
-        bool advancePending = false;
-        bool selectedThisCycle = false;
-        bool vetoedReadyInst = false;
+        State state;
 
-        DYNASPAM_FIELDS(SavedState, armed, baseIdx, drainUntil, lastNow,
-                        advancePending, selectedThisCycle, vetoedReadyInst)
+        DYNASPAM_FIELDS(SavedState, armed, state)
 
         bool operator==(const SavedState &) const = default;
     };
@@ -75,24 +80,14 @@ class MappingPolicyBase : public ooo::SelectPolicy
     save(SavedState &out) const
     {
         out.armed = sess != nullptr;
-        out.baseIdx = baseIdx;
-        out.drainUntil = drainUntil;
-        out.lastNow = lastNow;
-        out.advancePending = advancePending;
-        out.selectedThisCycle = selectedThisCycle;
-        out.vetoedReadyInst = vetoedReadyInst;
+        out.state = state;
     }
 
     void
     restore(const SavedState &in, MappingSession *session)
     {
         sess = in.armed ? session : nullptr;
-        baseIdx = in.baseIdx;
-        drainUntil = in.drainUntil;
-        lastNow = in.lastNow;
-        advancePending = in.advancePending;
-        selectedThisCycle = in.selectedThisCycle;
-        vetoedReadyInst = in.vetoedReadyInst;
+        state = in.state;
     }
 
     bool
@@ -100,24 +95,25 @@ class MappingPolicyBase : public ooo::SelectPolicy
     {
         if (!sess)
             return true;
-        lastNow = now;
+        state.lastNow = now;
 
         // Trigger a frontier advance when the previous cycle placed
         // nothing but vetoed at least one ready trace instruction, or
         // when the frontier filled up.
-        if (!advancePending && !selectedThisCycle && vetoedReadyInst)
-            advancePending = true;
-        selectedThisCycle = false;
-        vetoedReadyInst = false;
+        if (!state.advancePending && !state.selectedThisCycle &&
+            state.vetoedReadyInst)
+            state.advancePending = true;
+        state.selectedThisCycle = false;
+        state.vetoedReadyInst = false;
 
-        if (advancePending) {
+        if (state.advancePending) {
             // "The issue unit must pause if there are OOO functional
             // units that have not finished execution at the start of a
             // scheduling cycle" (Section 4.1, Special Issues).
-            if (now < drainUntil)
+            if (now < state.drainUntil)
                 return false;
             sess->advanceFrontier();
-            advancePending = false;
+            state.advancePending = false;
         }
         return true;
     }
@@ -127,15 +123,15 @@ class MappingPolicyBase : public ooo::SelectPolicy
     {
         if (!sess || sess->failed() || !inst.mappingInst)
             return;
-        sess->recordSelection(fu_index, inst, baseIdx);
-        selectedThisCycle = true;
+        sess->recordSelection(fu_index, inst, state.baseIdx);
+        state.selectedThisCycle = true;
 
         // Estimated completion for the drain pause (loads add a couple
         // of cycles of cache access on top of address generation).
         unsigned lat = isa::opLatency(inst.inst->opClass());
         if (inst.isLoad())
             lat += 3;
-        drainUntil = std::max(drainUntil, lastNow + lat);
+        state.drainUntil = std::max(state.drainUntil, state.lastNow + lat);
 
         bool frontier_full = true;
         for (unsigned pe = 0; pe < peCount(); pe++) {
@@ -145,19 +141,14 @@ class MappingPolicyBase : public ooo::SelectPolicy
             }
         }
         if (frontier_full)
-            advancePending = true;
+            state.advancePending = true;
     }
 
   protected:
     virtual unsigned peCount() const = 0;
 
     MappingSession *sess = nullptr;
-    SeqNum baseIdx = 0;
-    Cycle drainUntil = 0;
-    Cycle lastNow = 0;
-    bool advancePending = false;
-    bool selectedThisCycle = false;
-    bool vetoedReadyInst = false;
+    State state;
 };
 
 /** The paper's resource-aware scheduling policy (Algorithms 1-2). */
@@ -181,7 +172,7 @@ class ResourceAwarePolicy : public MappingPolicyBase
                                 // the fabric is being mapped
         int s = sess->priorityScore(fu_index, inst);
         if (s < 0)
-            vetoedReadyInst = true;
+            state.vetoedReadyInst = true;
         return s;
     }
 
@@ -215,11 +206,11 @@ class NaiveOrderPolicy : public MappingPolicyBase
             return -1;
         // One instruction at a time, in program order. (Younger
         // instructions never force a frontier advance.)
-        if (inst.traceIdx != baseIdx + sess->placedCount())
+        if (inst.traceIdx != state.baseIdx + sess->placedCount())
             return -1;
         int s = sess->priorityScore(fu_index, inst);
         if (s < 0) {
-            vetoedReadyInst = true;
+            state.vetoedReadyInst = true;
             return -1;
         }
         return 0;   // feasible: no preference between PEs (greedy)

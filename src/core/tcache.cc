@@ -10,7 +10,8 @@
 namespace dynaspam::core
 {
 
-TCache::TCache(const TCacheParams &p) : params(p), entries(p.entries)
+TCache::TCache(const TCacheParams &p)
+    : params(p), state{.entries = std::vector<Entry>(p.entries)}
 {
     if (!p.entries)
         fatal("T-Cache must have at least one entry");
@@ -23,20 +24,22 @@ TCache::TCache(const TCacheParams &p) : params(p), entries(p.entries)
 void
 TCache::commitBranch(InstAddr pc, bool taken)
 {
-    commitCount++;
-    if (params.clearInterval && commitCount % params.clearInterval == 0) {
+    state.commitCount++;
+    if (params.clearInterval &&
+        state.commitCount % params.clearInterval == 0) {
         // Periodic clearing: evict stale traces so infrequent ones do
         // not keep occupying the fabric (Section 3.1).
-        for (Entry &entry : entries) {
+        for (Entry &entry : state.entries) {
             entry.counter = 0;
             entry.hot = false;
         }
-        statClears++;
+        state.clears++;
     }
 
-    if (historyCount < 3) {
-        history[historyCount++] = {pc, taken};
-        if (historyCount < 3)
+    std::array<BranchRec, 3> &history = state.history;
+    if (state.historyCount < 3) {
+        history[state.historyCount++] = {pc, taken};
+        if (state.historyCount < 3)
             return;
     } else {
         history[0] = history[1];
@@ -48,7 +51,7 @@ TCache::commitBranch(InstAddr pc, bool taken)
         history[0].pc, history[0].taken, history[1].taken,
         history[2].taken);
 
-    Entry &entry = entries[indexOf(key)];
+    Entry &entry = state.entries[indexOf(key)];
     if (!entry.valid || entry.key != key) {
         entry.valid = true;
         entry.key = key;
@@ -60,13 +63,13 @@ TCache::commitBranch(InstAddr pc, bool taken)
         entry.counter++;
     if (entry.counter > params.hotThreshold)
         entry.hot = true;
-    statTrainings++;
+    state.trainings++;
 }
 
 bool
 TCache::isHot(std::uint64_t key) const
 {
-    const Entry &entry = entries[indexOf(key)];
+    const Entry &entry = state.entries[indexOf(key)];
     return entry.valid && entry.key == key && entry.hot;
 }
 

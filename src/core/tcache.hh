@@ -61,8 +61,8 @@ class TCache
     /** @return true when the trace identified by @p key is hot. */
     bool isHot(std::uint64_t key) const;
 
-    std::uint64_t trainings() const { return statTrainings; }
-    std::uint64_t clears() const { return statClears; }
+    std::uint64_t trainings() const { return state.trainings; }
+    std::uint64_t clears() const { return state.clears; }
 
     struct Entry
     {
@@ -87,12 +87,17 @@ class TCache
         bool operator==(const BranchRec &) const = default;
     };
 
-    /** Complete mutable T-Cache state (geometry is a parameter). */
+    /** Complete mutable T-Cache state, held live as `state` (geometry
+     *  is a parameter). */
     struct SavedState
     {
         std::vector<Entry> entries;
+        /** Last three committed conditional branches, oldest first. A
+         *  fixed array instead of a deque: this is touched on every
+         *  committed conditional branch, and two 16-byte moves beat
+         *  deque node math. */
         std::array<BranchRec, 3> history{};
-        unsigned historyCount = 0;
+        unsigned historyCount = 0;  ///< valid slots, saturates at 3
         std::uint64_t commitCount = 0;
         std::uint64_t trainings = 0;
         std::uint64_t clears = 0;
@@ -108,31 +113,12 @@ class TCache
     bool
     fits(const SavedState &in) const
     {
-        return in.entries.size() == entries.size() &&
+        return in.entries.size() == state.entries.size() &&
                in.historyCount <= in.history.size();
     }
 
-    void
-    save(SavedState &out) const
-    {
-        out.entries = entries;
-        out.history = history;
-        out.historyCount = historyCount;
-        out.commitCount = commitCount;
-        out.trainings = statTrainings;
-        out.clears = statClears;
-    }
-
-    void
-    restore(const SavedState &in)
-    {
-        entries = in.entries;
-        history = in.history;
-        historyCount = in.historyCount;
-        commitCount = in.commitCount;
-        statTrainings = in.trainings;
-        statClears = in.clears;
-    }
+    void save(SavedState &out) const { out = state; }
+    void restore(const SavedState &in) { state = in; }
 
   private:
     /** The structure auditor inspects entries directly. */
@@ -142,21 +128,11 @@ class TCache
 
     std::size_t indexOf(std::uint64_t key) const
     {
-        return std::size_t(key % entries.size());
+        return std::size_t(key % state.entries.size());
     }
 
     TCacheParams params;
-    std::vector<Entry> entries;
-
-    /** Last three committed conditional branches, oldest first. A fixed
-     *  array instead of a deque: this is touched on every committed
-     *  conditional branch, and two 16-byte moves beat deque node math. */
-    std::array<BranchRec, 3> history{};
-    unsigned historyCount = 0;  ///< valid slots, saturates at 3
-
-    std::uint64_t commitCount = 0;
-    std::uint64_t statTrainings = 0;
-    std::uint64_t statClears = 0;
+    SavedState state;
 };
 
 } // namespace dynaspam::core

@@ -47,49 +47,18 @@ Fabric::configure(std::shared_ptr<const FabricConfig> config, Cycle now)
         fatal("config uses ", int(config->stripesUsed),
               " stripes but fabric has ", params.numStripes);
 
-    if (current)
-        fstats.reconfigurations++;
-    current = std::move(config);
-    invocationsOnConfig = 0;
-    prevInstComplete.assign(current->insts.size(), 0);
-    prevLiveOutInternal.assign(current->liveOuts.size(), 0);
-    prevTraceEndIdx = 0;
-    configReadyCycle = now + Cycle(current->stripesUsed) *
-                                 params.configureCyclesPerStripe;
-    lastUse = now;
-    return configReadyCycle;
-}
-
-Fabric::Snapshot
-Fabric::takeSnapshot() const
-{
-    Snapshot snap;
-    snap.config = current;
-    snap.configReadyCycle = configReadyCycle;
-    snap.lastUse = lastUse;
-    snap.prevInstComplete = prevInstComplete;
-    snap.prevLiveOutInternal = prevLiveOutInternal;
-    snap.prevTraceEndIdx = prevTraceEndIdx;
-    snap.inflightWindow = inflightWindow;
-    snap.recentStores = recentStores;
-    snap.lastMemCompletePersist = lastMemCompletePersist;
-    snap.invocationsOnConfig = invocationsOnConfig;
-    return snap;
-}
-
-void
-Fabric::restoreSnapshot(const Snapshot &snap)
-{
-    current = snap.config;
-    configReadyCycle = snap.configReadyCycle;
-    lastUse = snap.lastUse;
-    prevInstComplete = snap.prevInstComplete;
-    prevLiveOutInternal = snap.prevLiveOutInternal;
-    prevTraceEndIdx = snap.prevTraceEndIdx;
-    inflightWindow = snap.inflightWindow;
-    recentStores = snap.recentStores;
-    lastMemCompletePersist = snap.lastMemCompletePersist;
-    invocationsOnConfig = snap.invocationsOnConfig;
+    Snapshot &live = state.live;
+    if (live.config)
+        state.stats.reconfigurations++;
+    live.config = std::move(config);
+    live.invocationsOnConfig = 0;
+    live.prevInstComplete.assign(live.config->insts.size(), 0);
+    live.prevLiveOutInternal.assign(live.config->liveOuts.size(), 0);
+    live.prevTraceEndIdx = 0;
+    live.configReadyCycle = now + Cycle(live.config->stripesUsed) *
+                                      params.configureCyclesPerStripe;
+    live.lastUse = now;
+    return live.configReadyCycle;
 }
 
 void
@@ -97,18 +66,18 @@ Fabric::noteCommitted(SeqNum trace_idx)
 {
     // Commits arrive in program order: everything at or before this
     // invocation is final.
-    snapshots.erase(snapshots.begin(),
-                    snapshots.upper_bound(trace_idx));
+    state.snapshots.erase(state.snapshots.begin(),
+                          state.snapshots.upper_bound(trace_idx));
 }
 
 void
 Fabric::rollback(SeqNum trace_idx)
 {
-    auto it = snapshots.find(trace_idx);
-    if (it == snapshots.end())
+    auto it = state.snapshots.find(trace_idx);
+    if (it == state.snapshots.end())
         return;     // never executed here (or already rolled back)
-    restoreSnapshot(it->second);
-    snapshots.erase(it, snapshots.end());
+    state.live = it->second;
+    state.snapshots.erase(it, state.snapshots.end());
 }
 
 FabricExecResult
@@ -116,32 +85,33 @@ Fabric::execute(const isa::DynamicTrace &trace, SeqNum trace_idx,
                 const std::vector<Cycle> &live_in_arrival, Cycle mem_safe,
                 Cycle now)
 {
-    if (!current)
+    Snapshot &live = state.live;
+    if (!live.config)
         panic("Fabric::execute without a configuration");
-    if (live_in_arrival.size() != current->liveIns.size())
+    if (live_in_arrival.size() != live.config->liveIns.size())
         panic("live-in arrival count mismatch");
 
     // Capture the pipelining state so a ROB squash of this invocation
     // can rewind its ghost effects.
-    snapshots[trace_idx] = takeSnapshot();
+    state.snapshots[trace_idx] = live;
 
     FabricExecResult result;
-    const FabricConfig &cfg = *current;
+    const FabricConfig &cfg = *live.config;
     const std::size_t n = cfg.insts.size();
 
     // Base start: request time, configuration done, and FIFO-depth
     // back-pressure (at most fifoDepth invocations overlap in flight).
-    Cycle start = std::max(now, configReadyCycle);
-    if (inflightWindow.size() >= params.fifoDepth)
+    Cycle start = std::max(now, live.configReadyCycle);
+    if (live.inflightWindow.size() >= params.fifoDepth)
         start = std::max(start,
-                         inflightWindow[inflightWindow.size() -
+                         live.inflightWindow[live.inflightWindow.size() -
                                         params.fifoDepth]);
 
     // Live-in arrival at the fabric input ports. Back-to-back invocations
     // of the same trace forward dependent live-outs directly over the
     // global bus, skipping the trip through the host register file.
     const bool back_to_back =
-        invocationsOnConfig > 0 && trace_idx == prevTraceEndIdx;
+        live.invocationsOnConfig > 0 && trace_idx == live.prevTraceEndIdx;
     std::vector<Cycle> arrival(live_in_arrival.size());
     for (std::size_t i = 0; i < arrival.size(); i++) {
         arrival[i] = live_in_arrival[i] + params.globalBusLatency;
@@ -150,13 +120,13 @@ Fabric::execute(const isa::DynamicTrace &trace, SeqNum trace_idx,
                 if (cfg.liveOuts[o].arch == cfg.liveIns[i]) {
                     arrival[i] = std::min(
                         arrival[i],
-                        prevLiveOutInternal[o] + params.globalBusLatency);
+                        live.prevLiveOutInternal[o] + params.globalBusLatency);
                     break;
                 }
             }
         }
-        fstats.busTransfers++;
-        fstats.fifoPushes++;
+        state.stats.busTransfers++;
+        state.stats.fifoPushes++;
     }
 
     std::vector<Cycle> complete(n, 0);
@@ -169,7 +139,7 @@ Fabric::execute(const isa::DynamicTrace &trace, SeqNum trace_idx,
     // Without memory speculation, memory operations execute in strict
     // program order — including across invocations.
     Cycle last_mem_complete =
-        params.memorySpeculation ? 0 : lastMemCompletePersist;
+        params.memorySpeculation ? 0 : live.lastMemCompletePersist;
     Cycle last_event = start;
     bool squashed = false;
     std::size_t executed = n;
@@ -204,14 +174,14 @@ Fabric::execute(const isa::DynamicTrace &trace, SeqNum trace_idx,
                 ready = std::max(ready,
                                  complete.at(route->producerIdx) +
                                      Cycle(route->hops) * params.hopLatency);
-                fstats.datapathHops += route->hops;
+                state.stats.datapathHops += route->hops;
                 break;
             }
         }
 
         // Structural pipelining: the PE must have finished this slot's
         // operation from the previous invocation.
-        ready = std::max(ready, prevInstComplete[i]);
+        ready = std::max(ready, live.prevInstComplete[i]);
 
         const unsigned lat = isa::opLatency(mi.opClass());
         Cycle done;
@@ -236,13 +206,13 @@ Fabric::execute(const isa::DynamicTrace &trace, SeqNum trace_idx,
                         }
                         // Dependences on stores outside this invocation
                         // are covered by mem_safe / recentStores below.
-                        for (const RecentStore &rs : recentStores) {
+                        for (const RecentStore &rs : live.recentStores) {
                             if (rs.seq == dep)
                                 ready = std::max(ready, rs.completeCycle);
                         }
                     }
                 }
-                fstats.dcacheAccesses++;
+                state.stats.dcacheAccesses++;
                 auto access = hierarchy.dataAccess(rec.effAddr, false);
                 done = ready + lat + access.latency;
 
@@ -261,7 +231,7 @@ Fabric::execute(const isa::DynamicTrace &trace, SeqNum trace_idx,
                         }
                     }
                     if (!bad) {
-                        for (const RecentStore &rs : recentStores) {
+                        for (const RecentStore &rs : live.recentStores) {
                             if (violates(rs.addr, rs.completeCycle)) {
                                 storeSets.recordViolation(mi.pc, rs.pc);
                                 squashed = true;
@@ -281,7 +251,7 @@ Fabric::execute(const isa::DynamicTrace &trace, SeqNum trace_idx,
                             std::max(last_event, bad->completeCycle);
                     }
                     if (squashed) {
-                        fstats.memViolations++;
+                        state.stats.memViolations++;
                         executed = i + 1;
                         complete[i] = done;
                         break;
@@ -293,7 +263,7 @@ Fabric::execute(const isa::DynamicTrace &trace, SeqNum trace_idx,
                 if (params.memorySpeculation)
                     storeSets.dispatchStore(mi.pc, pseudo_seq);
                 // Stores drain to the cache when the invocation commits.
-                fstats.dcacheAccesses++;
+                state.stats.dcacheAccesses++;
                 hierarchy.dataAccess(rec.effAddr, true);
             }
             last_mem_complete = std::max(last_mem_complete, done);
@@ -311,7 +281,7 @@ Fabric::execute(const isa::DynamicTrace &trace, SeqNum trace_idx,
                                      cls == isa::OpClass::FloatDiv;
             occupy[i] = unpipelined ? done : ready + 1;
         }
-        fstats.peOps++;
+        state.stats.peOps++;
         last_event = std::max(last_event, done);
 
         if (mi.isBranch) {
@@ -324,34 +294,34 @@ Fabric::execute(const isa::DynamicTrace &trace, SeqNum trace_idx,
                 break;
             }
             // Branch results are shipped to the ROB' over the bus.
-            fstats.busTransfers++;
+            state.stats.busTransfers++;
         }
     }
 
     // Update structural state for pipelining (loads free their PE at
     // issue; the reservation buffer carries the outstanding access).
     for (std::size_t i = 0; i < n; i++) {
-        prevInstComplete[i] =
+        live.prevInstComplete[i] =
             i < executed ? occupy[i] : std::max(last_event, start);
     }
-    lastMemCompletePersist = std::max(lastMemCompletePersist,
+    live.lastMemCompletePersist = std::max(live.lastMemCompletePersist,
                                       last_mem_complete);
 
     if (squashed) {
         result.squashed = true;
         result.completeCycle = last_event + params.globalBusLatency;
-        fstats.invocations++;
-        fstats.squashedInvocations++;
-        fstats.activeStripeInvocations += cfg.stripesUsed;
-        invocationsOnConfig++;
-        prevTraceEndIdx = 0;    // no back-to-back chaining after a squash
-        lastUse = result.completeCycle;
-        inflightWindow.push_back(result.completeCycle);
-        if (inflightWindow.size() > 2 * params.fifoDepth)
-            inflightWindow.pop_front();
+        state.stats.invocations++;
+        state.stats.squashedInvocations++;
+        state.stats.activeStripeInvocations += cfg.stripesUsed;
+        live.invocationsOnConfig++;
+        live.prevTraceEndIdx = 0;    // no back-to-back chaining after a squash
+        live.lastUse = result.completeCycle;
+        live.inflightWindow.push_back(result.completeCycle);
+        if (live.inflightWindow.size() > 2 * params.fifoDepth)
+            live.inflightWindow.pop_front();
         if (trace::compiledIn() && tsink) {
             tsink->counter(trace::Mark::FifoLevel, now,
-                           inflightWindow.size());
+                           live.inflightWindow.size());
         }
         // Squashed stores never drained; retire their LFST registrations.
         for (const PendingStore &ps : invStores)
@@ -364,11 +334,11 @@ Fabric::execute(const isa::DynamicTrace &trace, SeqNum trace_idx,
     Cycle complete_all = last_event;
     for (std::size_t o = 0; o < cfg.liveOuts.size(); o++) {
         Cycle internal = complete.at(cfg.liveOuts[o].producerIdx);
-        prevLiveOutInternal[o] = internal;
+        live.prevLiveOutInternal[o] = internal;
         result.liveOutReady[o] = internal + params.globalBusLatency;
         complete_all = std::max(complete_all, result.liveOutReady[o]);
-        fstats.busTransfers++;
-        fstats.fifoPushes++;
+        state.stats.busTransfers++;
+        state.stats.fifoPushes++;
     }
     result.completeCycle = complete_all;
 
@@ -378,22 +348,24 @@ Fabric::execute(const isa::DynamicTrace &trace, SeqNum trace_idx,
     // *next* invocation still sees its predicted producer (each new
     // dispatch of the same store PC re-registers, keeping them fresh).
     for (const PendingStore &ps : invStores) {
-        recentStores.push_back({ps.addr, ps.completeCycle, ps.pc, ps.seq});
+        live.recentStores.push_back(
+            {ps.addr, ps.completeCycle, ps.pc, ps.seq});
         result.storeEvents.push_back({ps.addr, ps.completeCycle, ps.pc});
     }
-    while (recentStores.size() > 64)
-        recentStores.pop_front();
+    while (live.recentStores.size() > 64)
+        live.recentStores.pop_front();
 
-    fstats.invocations++;
-    fstats.activeStripeInvocations += cfg.stripesUsed;
-    invocationsOnConfig++;
-    prevTraceEndIdx = trace_idx + cfg.numRecords;
-    lastUse = result.completeCycle;
-    inflightWindow.push_back(result.completeCycle);
-    if (inflightWindow.size() > 2 * params.fifoDepth)
-        inflightWindow.pop_front();
+    state.stats.invocations++;
+    state.stats.activeStripeInvocations += cfg.stripesUsed;
+    live.invocationsOnConfig++;
+    live.prevTraceEndIdx = trace_idx + cfg.numRecords;
+    live.lastUse = result.completeCycle;
+    live.inflightWindow.push_back(result.completeCycle);
+    if (live.inflightWindow.size() > 2 * params.fifoDepth)
+        live.inflightWindow.pop_front();
     if (trace::compiledIn() && tsink)
-        tsink->counter(trace::Mark::FifoLevel, now, inflightWindow.size());
+        tsink->counter(trace::Mark::FifoLevel, now,
+                       live.inflightWindow.size());
 
     return result;
 }
@@ -402,7 +374,7 @@ void
 Fabric::exportStats(StatRegistry &reg, const std::string &prefix) const
 {
     auto entry = [&](const char *name, auto member) {
-        reg.counter(prefix + "." + name).inc(fstats.*member);
+        reg.counter(prefix + "." + name).inc(state.stats.*member);
     };
     FabricStats::fields(entry);
 }

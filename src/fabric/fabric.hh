@@ -116,14 +116,14 @@ class Fabric
     /** @return true if @p key is the currently loaded configuration. */
     bool hasConfig(std::uint64_t key) const
     {
-        return current && current->key == key;
+        return state.live.config && state.live.config->key == key;
     }
 
     /** @return true when any configuration is loaded. */
-    bool configured() const { return current != nullptr; }
+    bool configured() const { return state.live.config != nullptr; }
 
     /** @return the loaded configuration (must be configured()). */
-    const FabricConfig &config() const { return *current; }
+    const FabricConfig &config() const { return *state.live.config; }
 
     /**
      * Execute one invocation of the loaded configuration.
@@ -155,17 +155,17 @@ class Fabric
      */
     void rollback(SeqNum trace_idx);
 
-    const FabricStats &stats() const { return fstats; }
+    const FabricStats &stats() const { return state.stats; }
     const FabricParams &parameters() const { return params; }
 
     /** Invocations executed since the last reconfiguration. */
     std::uint64_t invocationsSinceConfigure() const
     {
-        return invocationsOnConfig;
+        return state.live.invocationsOnConfig;
     }
 
     /** Last cycle this fabric was used (for LRU across fabrics). */
-    Cycle lastUseCycle() const { return lastUse; }
+    Cycle lastUseCycle() const { return state.live.lastUse; }
 
     /** Attach an event-trace sink (nullptr detaches): samples the
      *  in-flight FIFO occupancy as a counter track. */
@@ -189,19 +189,32 @@ class Fabric
         bool operator==(const RecentStore &) const = default;
     };
 
-    /** Pre-execution state capture for ROB-squash rollback; also the
-     *  per-fabric payload of a full simulator snapshot. FabricConfig
-     *  objects are immutable, so the pointer is shared, not copied. */
+    /**
+     * The fabric's pipelining state. The live state is one Snapshot;
+     * execute() copies it whole for ROB-squash rollback. FabricConfig
+     * objects are immutable, so the pointer is shared, not copied.
+     */
     struct Snapshot
     {
-        std::shared_ptr<const FabricConfig> config;
+        std::shared_ptr<const FabricConfig> config;    ///< loaded config
         Cycle configReadyCycle = 0;
         Cycle lastUse = 0;
+        /** Per-instruction completion cycles of the previous invocation
+         *  of the current config (for PE structural pipelining). */
         std::vector<Cycle> prevInstComplete;
+        /** Previous invocation's internal live-out completion times, for
+         *  direct global-bus forwarding on back-to-back invocations. */
         std::vector<Cycle> prevLiveOutInternal;
+        /** Record index just after the previous invocation (back-to-back
+         *  check). */
         SeqNum prevTraceEndIdx = 0;
+        /** Completion cycles of recent invocations: models live-in/
+         *  live-out FIFO depth back-pressure on pipelined execution. */
         std::deque<Cycle> inflightWindow;
         std::deque<RecentStore> recentStores;
+        /** Completion of the newest memory op, persisted across
+         *  invocations for the strict ordering of the no-speculation
+         *  configuration. */
         Cycle lastMemCompletePersist = 0;
         std::uint64_t invocationsOnConfig = 0;
 
@@ -224,13 +237,14 @@ class Fabric
     };
 
     /**
-     * Complete mutable fabric state: the live pipelining state (as one
-     * rollback Snapshot), the outstanding per-invocation rollback
-     * snapshots, and the statistics.
+     * Complete mutable fabric state, held live as `state`: the live
+     * pipelining state, the outstanding per-invocation rollback
+     * snapshots and the statistics.
      */
     struct SavedState
     {
         Snapshot live;
+        /** Keyed by the invocation's first trace record. */
         std::map<SeqNum, Snapshot> snapshots;
         FabricStats stats;
 
@@ -250,61 +264,17 @@ class Fabric
         return in.live.fits();
     }
 
-    void
-    save(SavedState &out) const
-    {
-        out.live = takeSnapshot();
-        out.snapshots = snapshots;
-        out.stats = fstats;
-    }
-
-    void
-    restore(const SavedState &in)
-    {
-        restoreSnapshot(in.live);
-        snapshots = in.snapshots;
-        fstats = in.stats;
-    }
+    void save(SavedState &out) const { out = state; }
+    void restore(const SavedState &in) { state = in; }
 
   private:
     FabricParams params;
     mem::MemoryHierarchy &hierarchy;
     ooo::StoreSetPredictor &storeSets;
 
-    std::shared_ptr<const FabricConfig> current;
-    Cycle configReadyCycle = 0;
-    Cycle lastUse = 0;
-
-    /** Per-instruction completion cycles of the previous invocation of
-     *  the current config (for PE structural pipelining). */
-    std::vector<Cycle> prevInstComplete;
-    /** Previous invocation's internal live-out completion times, for
-     *  direct global-bus forwarding on back-to-back invocations. */
-    std::vector<Cycle> prevLiveOutInternal;
-    SeqNum prevTraceEndIdx = 0;     ///< record index just after previous
-                                    ///< invocation (back-to-back check)
-
-    /** Completion cycles of recent invocations: models live-in/live-out
-     *  FIFO depth back-pressure on pipelined execution. */
-    std::deque<Cycle> inflightWindow;
-
-    std::deque<RecentStore> recentStores;
-
-    /** Completion of the newest memory op, persisted across invocations
-     *  for the strict ordering of the no-speculation configuration. */
-    Cycle lastMemCompletePersist = 0;
-
-    std::uint64_t invocationsOnConfig = 0;
-
-    Snapshot takeSnapshot() const;
-    void restoreSnapshot(const Snapshot &snap);
-
-    /** Keyed by the invocation's first trace record. */
-    std::map<SeqNum, Snapshot> snapshots;
+    SavedState state;
 
     trace::TraceSink *tsink = nullptr;
-
-    FabricStats fstats;
 };
 
 } // namespace dynaspam::fabric

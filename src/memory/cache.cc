@@ -19,7 +19,7 @@ Cache::Cache(const CacheParams &p, Cache *next, Cycle memory_latency)
     if (num_blocks == 0 || num_blocks % params.assoc != 0)
         fatal("cache '", params.name, "': size/assoc/block mismatch");
     numSets = std::size_t(num_blocks / params.assoc);
-    lines.resize(num_blocks);
+    state.lines.resize(num_blocks);
 }
 
 std::size_t
@@ -42,23 +42,23 @@ Cache::tagOf(Addr addr) const
 AccessResult
 Cache::access(Addr addr, bool is_write)
 {
-    useClock++;
+    state.useClock++;
     const std::size_t base = setIndex(addr) * params.assoc;
     const Addr tag = tagOf(addr);
 
     // Hit path.
     for (unsigned way = 0; way < params.assoc; way++) {
-        Line &line = lines[base + way];
+        Line &line = state.lines[base + way];
         if (line.valid && line.tag == tag) {
-            line.lastUse = useClock;
+            line.lastUse = state.useClock;
             line.dirty |= is_write;
-            statHits++;
+            state.hits++;
             return {params.hitLatency, true};
         }
     }
 
     // Miss: fetch from the next level (or memory) and fill over LRU victim.
-    statMisses++;
+    state.misses++;
     Cycle below;
     if (nextLevel)
         below = nextLevel->access(addr, false).latency;
@@ -67,8 +67,8 @@ Cache::access(Addr addr, bool is_write)
 
     std::size_t victim = base;
     for (unsigned way = 1; way < params.assoc; way++) {
-        const Line &cand = lines[base + way];
-        const Line &best = lines[victim];
+        const Line &cand = state.lines[base + way];
+        const Line &best = state.lines[victim];
         if (!cand.valid) {
             victim = base + way;
             break;
@@ -77,15 +77,15 @@ Cache::access(Addr addr, bool is_write)
             victim = base + way;
     }
 
-    Line &line = lines[victim];
+    Line &line = state.lines[victim];
     if (line.valid && line.dirty) {
-        statWritebacks++;
+        state.writebacks++;
         // Writebacks happen off the critical path; no latency charged.
     }
     line.valid = true;
     line.dirty = is_write;
     line.tag = tag;
-    line.lastUse = useClock;
+    line.lastUse = state.useClock;
 
     return {params.hitLatency + below, false};
 }
@@ -95,14 +95,14 @@ Cache::prefetch(Addr addr)
 {
     if (probe(addr))
         return;
-    statPrefetchFills++;
-    useClock++;
+    state.prefetchFills++;
+    state.useClock++;
     const std::size_t base = setIndex(addr) * params.assoc;
 
     std::size_t victim = base;
     for (unsigned way = 1; way < params.assoc; way++) {
-        const Line &cand = lines[base + way];
-        const Line &best = lines[victim];
+        const Line &cand = state.lines[base + way];
+        const Line &best = state.lines[victim];
         if (!cand.valid) {
             victim = base + way;
             break;
@@ -111,13 +111,13 @@ Cache::prefetch(Addr addr)
             victim = base + way;
     }
 
-    Line &line = lines[victim];
+    Line &line = state.lines[victim];
     if (line.valid && line.dirty)
-        statWritebacks++;
+        state.writebacks++;
     line.valid = true;
     line.dirty = false;
     line.tag = tagOf(addr);
-    line.lastUse = useClock;
+    line.lastUse = state.useClock;
 }
 
 bool
@@ -126,7 +126,7 @@ Cache::probe(Addr addr) const
     const std::size_t base = setIndex(addr) * params.assoc;
     const Addr tag = tagOf(addr);
     for (unsigned way = 0; way < params.assoc; way++) {
-        const Line &line = lines[base + way];
+        const Line &line = state.lines[base + way];
         if (line.valid && line.tag == tag)
             return true;
     }
@@ -136,16 +136,16 @@ Cache::probe(Addr addr) const
 void
 Cache::invalidateAll()
 {
-    for (Line &line : lines)
+    for (Line &line : state.lines)
         line = Line{};
 }
 
 void
 Cache::exportStats(StatRegistry &registry) const
 {
-    registry.counter(params.name + ".hits").inc(statHits);
-    registry.counter(params.name + ".misses").inc(statMisses);
-    registry.counter(params.name + ".writebacks").inc(statWritebacks);
+    registry.counter(params.name + ".hits").inc(state.hits);
+    registry.counter(params.name + ".misses").inc(state.misses);
+    registry.counter(params.name + ".writebacks").inc(state.writebacks);
 }
 
 MemoryHierarchy::MemoryHierarchy(const Params &params)

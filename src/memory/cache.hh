@@ -76,10 +76,10 @@ class Cache
     void invalidateAll();
 
     const std::string &name() const { return params.name; }
-    std::uint64_t hits() const { return statHits; }
-    std::uint64_t misses() const { return statMisses; }
-    std::uint64_t writebacks() const { return statWritebacks; }
-    std::uint64_t prefetchFills() const { return statPrefetchFills; }
+    std::uint64_t hits() const { return state.hits; }
+    std::uint64_t misses() const { return state.misses; }
+    std::uint64_t writebacks() const { return state.writebacks; }
+    std::uint64_t prefetchFills() const { return state.prefetchFills; }
     Cycle hitLatency() const { return params.hitLatency; }
 
     /** Export statistics into @p registry under this cache's name. */
@@ -98,14 +98,15 @@ class Cache
     };
 
     /**
-     * Complete mutable state of one cache level: the line array plus the
-     * LRU clock and the statistic counters. Geometry (params, level
-     * chaining) is construction-time configuration and is not captured;
-     * restore() requires a Cache built with the same geometry.
+     * Complete mutable state of one cache level, held live as `state`:
+     * the line array plus the LRU clock and the statistic counters.
+     * Geometry (params, level chaining) is construction-time
+     * configuration and is not captured; restore() requires a Cache
+     * built with the same geometry.
      */
     struct SavedState
     {
-        std::vector<Line> lines;
+        std::vector<Line> lines;    ///< numSets * assoc, set-major
         std::uint64_t useClock = 0;
         std::uint64_t hits = 0;
         std::uint64_t misses = 0;
@@ -122,32 +123,14 @@ class Cache
     bool
     fits(const SavedState &in) const
     {
-        return in.lines.size() == lines.size();
+        return in.lines.size() == state.lines.size();
     }
 
     /** Copy the mutable state into @p out (reuses its capacity). */
-    void
-    save(SavedState &out) const
-    {
-        out.lines = lines;
-        out.useClock = useClock;
-        out.hits = statHits;
-        out.misses = statMisses;
-        out.writebacks = statWritebacks;
-        out.prefetchFills = statPrefetchFills;
-    }
+    void save(SavedState &out) const { out = state; }
 
     /** Restore state captured by save(). The geometry must match. */
-    void
-    restore(const SavedState &in)
-    {
-        lines = in.lines;
-        useClock = in.useClock;
-        statHits = in.hits;
-        statMisses = in.misses;
-        statWritebacks = in.writebacks;
-        statPrefetchFills = in.prefetchFills;
-    }
+    void restore(const SavedState &in) { state = in; }
 
   private:
 
@@ -159,13 +142,7 @@ class Cache
     Cycle memLatency;
 
     std::size_t numSets;
-    std::vector<Line> lines;    ///< numSets * assoc, set-major
-    std::uint64_t useClock = 0;
-
-    std::uint64_t statHits = 0;
-    std::uint64_t statMisses = 0;
-    std::uint64_t statWritebacks = 0;
-    std::uint64_t statPrefetchFills = 0;
+    SavedState state;
 };
 
 /**

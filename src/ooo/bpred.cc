@@ -13,11 +13,11 @@ namespace dynaspam::ooo
 
 BranchPredictor::BranchPredictor(const BPredParams &p)
     : params(p),
-      localTable(p.localEntries, 1),
-      globalTable(p.globalEntries, 1),
-      chooserTable(p.chooserEntries, 2),
-      btb(p.btbEntries),
-      ras(p.rasEntries, 0)
+      state{.localTable = std::vector<std::uint8_t>(p.localEntries, 1),
+            .globalTable = std::vector<std::uint8_t>(p.globalEntries, 1),
+            .chooserTable = std::vector<std::uint8_t>(p.chooserEntries, 2),
+            .btb = std::vector<BtbEntry>(p.btbEntries),
+            .ras = std::vector<InstAddr>(p.rasEntries, 0)}
 {
     if (!p.localEntries || !p.globalEntries || !p.chooserEntries ||
         !p.btbEntries || !p.rasEntries) {
@@ -61,10 +61,11 @@ BranchPredictor::btbIndex(InstAddr pc) const
 bool
 BranchPredictor::predictDirection(InstAddr pc, std::uint64_t history) const
 {
-    const bool local_taken = counterTaken(localTable[localIndex(pc)]);
+    const bool local_taken =
+        counterTaken(state.localTable[localIndex(pc)]);
     const bool global_taken =
-        counterTaken(globalTable[globalIndex(pc, history)]);
-    const bool use_global = chooserTable[chooserIndex(pc)] >= 2;
+        counterTaken(state.globalTable[globalIndex(pc, history)]);
+    const bool use_global = state.chooserTable[chooserIndex(pc)] >= 2;
     return use_global ? global_taken : local_taken;
 }
 
@@ -76,9 +77,9 @@ BranchPredictor::peek(InstAddr pc, const isa::StaticInst &inst) const
 
     if (inst.op == Opcode::RET) {
         pred.taken = true;
-        if (rasTop > 0) {
+        if (state.rasTop > 0) {
             pred.targetKnown = true;
-            pred.target = ras[rasTop - 1];
+            pred.target = state.ras[state.rasTop - 1];
         }
         return pred;
     }
@@ -92,8 +93,8 @@ BranchPredictor::peek(InstAddr pc, const isa::StaticInst &inst) const
         return pred;
     }
 
-    pred.taken = predictDirection(pc, specHistory);
-    const BtbEntry &entry = btb[btbIndex(pc)];
+    pred.taken = predictDirection(pc, state.specHistory);
+    const BtbEntry &entry = state.btb[btbIndex(pc)];
     if (entry.pc == pc) {
         pred.targetKnown = true;
         pred.target = entry.target;
@@ -120,7 +121,7 @@ BranchPredictor::peekWithHistory(InstAddr pc, const isa::StaticInst &inst,
         return pred;
     }
     pred.taken = predictDirection(pc, history);
-    const BtbEntry &entry = btb[btbIndex(pc)];
+    const BtbEntry &entry = state.btb[btbIndex(pc)];
     if (entry.pc == pc) {
         pred.targetKnown = true;
         pred.target = entry.target;
@@ -131,27 +132,28 @@ BranchPredictor::peekWithHistory(InstAddr pc, const isa::StaticInst &inst,
 BPrediction
 BranchPredictor::predict(InstAddr pc, const isa::StaticInst &inst)
 {
-    statLookups++;
+    state.lookups++;
     BPrediction pred = peek(pc, inst);
 
     using isa::Opcode;
     if (inst.op == Opcode::CALL) {
         // Push the return address.
-        if (rasTop < ras.size())
-            ras[rasTop++] = pc + 1;
+        if (state.rasTop < state.ras.size())
+            state.ras[state.rasTop++] = pc + 1;
         else {
             // Overflow: rotate (oldest entry lost).
-            for (std::size_t i = 1; i < ras.size(); i++)
-                ras[i - 1] = ras[i];
-            ras[ras.size() - 1] = pc + 1;
+            for (std::size_t i = 1; i < state.ras.size(); i++)
+                state.ras[i - 1] = state.ras[i];
+            state.ras[state.ras.size() - 1] = pc + 1;
         }
     } else if (inst.op == Opcode::RET) {
-        if (rasTop > 0)
-            rasTop--;
+        if (state.rasTop > 0)
+            state.rasTop--;
     }
 
     if (inst.isCondBranch())
-        specHistory = (specHistory << 1) | (pred.taken ? 1 : 0);
+        state.specHistory =
+            (state.specHistory << 1) | (pred.taken ? 1 : 0);
 
     return pred;
 }
@@ -161,33 +163,36 @@ BranchPredictor::update(InstAddr pc, const isa::StaticInst &inst, bool taken,
                         InstAddr target, bool mispredicted)
 {
     if (mispredicted)
-        statMispredicts++;
+        state.mispredicts++;
 
     if (inst.isCondBranch()) {
         const std::size_t li = localIndex(pc);
-        const std::size_t gi = globalIndex(pc, archHistory);
+        const std::size_t gi = globalIndex(pc, state.archHistory);
         const std::size_t ci = chooserIndex(pc);
 
-        const bool local_correct = counterTaken(localTable[li]) == taken;
-        const bool global_correct = counterTaken(globalTable[gi]) == taken;
+        const bool local_correct =
+            counterTaken(state.localTable[li]) == taken;
+        const bool global_correct =
+            counterTaken(state.globalTable[gi]) == taken;
         if (local_correct != global_correct)
-            chooserTable[ci] = bump(chooserTable[ci], global_correct);
+            state.chooserTable[ci] =
+                bump(state.chooserTable[ci], global_correct);
 
-        localTable[li] = bump(localTable[li], taken);
-        globalTable[gi] = bump(globalTable[gi], taken);
+        state.localTable[li] = bump(state.localTable[li], taken);
+        state.globalTable[gi] = bump(state.globalTable[gi], taken);
 
-        archHistory = (archHistory << 1) | (taken ? 1 : 0);
+        state.archHistory = (state.archHistory << 1) | (taken ? 1 : 0);
         if (mispredicted) {
             // Resynchronize the speculative history. Fetch already
             // repaired the wrong bit via fixupLastHistoryBit(); this
             // catches standalone users and bounds drift after deep
             // speculation.
-            specHistory = archHistory;
+            state.specHistory = state.archHistory;
         }
     }
 
     if (taken && inst.op != isa::Opcode::RET) {
-        BtbEntry &entry = btb[btbIndex(pc)];
+        BtbEntry &entry = state.btb[btbIndex(pc)];
         entry.pc = pc;
         entry.target = target;
     }

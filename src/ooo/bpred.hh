@@ -96,7 +96,7 @@ class BranchPredictor
                                 std::uint64_t history) const;
 
     /** Current speculative global history (walker seed). */
-    std::uint64_t speculativeHistory() const { return specHistory; }
+    std::uint64_t speculativeHistory() const { return state.specHistory; }
 
     /** Snapshot the RAS. The fetch stage captures one per instruction,
      *  *before* predict() runs for it, so a squash at that instruction
@@ -104,7 +104,8 @@ class BranchPredictor
     RasCheckpoint
     rasCheckpoint() const
     {
-        return {rasTop, rasTop ? ras[rasTop - 1] : 0};
+        return {state.rasTop,
+                state.rasTop ? state.ras[state.rasTop - 1] : 0};
     }
 
     /** Roll the RAS back to @p cp (squash recovery). Restores the depth
@@ -112,9 +113,9 @@ class BranchPredictor
     void
     restoreRas(const RasCheckpoint &cp)
     {
-        rasTop = cp.top;
-        if (rasTop)
-            ras[rasTop - 1] = cp.tos;
+        state.rasTop = cp.top;
+        if (state.rasTop)
+            state.ras[state.rasTop - 1] = cp.tos;
     }
 
     /**
@@ -138,11 +139,12 @@ class BranchPredictor
     void
     fixupLastHistoryBit(bool taken)
     {
-        specHistory = (specHistory & ~std::uint64_t(1)) | (taken ? 1 : 0);
+        state.specHistory =
+            (state.specHistory & ~std::uint64_t(1)) | (taken ? 1 : 0);
     }
 
-    std::uint64_t lookups() const { return statLookups; }
-    std::uint64_t mispredicts() const { return statMispredicts; }
+    std::uint64_t lookups() const { return state.lookups; }
+    std::uint64_t mispredicts() const { return state.mispredicts; }
 
     struct BtbEntry
     {
@@ -155,21 +157,21 @@ class BranchPredictor
     };
 
     /**
-     * Complete mutable predictor state: every counter table, the BTB,
-     * the RAS, both history registers and the statistics. Table sizes
-     * are construction-time parameters; restore() requires a predictor
-     * built with the same BPredParams.
+     * Complete mutable predictor state, held live as `state`: every
+     * counter table, the BTB, the RAS, both history registers and the
+     * statistics. Table sizes are construction-time parameters;
+     * restore() requires a predictor built with the same BPredParams.
      */
     struct SavedState
     {
-        std::vector<std::uint8_t> localTable;
-        std::vector<std::uint8_t> globalTable;
-        std::vector<std::uint8_t> chooserTable;
+        std::vector<std::uint8_t> localTable;    ///< 2-bit counters
+        std::vector<std::uint8_t> globalTable;   ///< 2-bit counters
+        std::vector<std::uint8_t> chooserTable;  ///< 2-bit: >=2 prefers global
         std::vector<BtbEntry> btb;
         std::vector<InstAddr> ras;
-        std::size_t rasTop = 0;
-        std::uint64_t specHistory = 0;
-        std::uint64_t archHistory = 0;
+        std::size_t rasTop = 0;             ///< number of valid entries
+        std::uint64_t specHistory = 0;      ///< speculative global history
+        std::uint64_t archHistory = 0;      ///< resolved global history
         std::uint64_t lookups = 0;
         std::uint64_t mispredicts = 0;
 
@@ -185,42 +187,16 @@ class BranchPredictor
     bool
     fits(const SavedState &in) const
     {
-        return in.localTable.size() == localTable.size() &&
-               in.globalTable.size() == globalTable.size() &&
-               in.chooserTable.size() == chooserTable.size() &&
-               in.btb.size() == btb.size() && in.ras.size() == ras.size() &&
+        return in.localTable.size() == state.localTable.size() &&
+               in.globalTable.size() == state.globalTable.size() &&
+               in.chooserTable.size() == state.chooserTable.size() &&
+               in.btb.size() == state.btb.size() &&
+               in.ras.size() == state.ras.size() &&
                in.rasTop <= in.ras.size();
     }
 
-    void
-    save(SavedState &out) const
-    {
-        out.localTable = localTable;
-        out.globalTable = globalTable;
-        out.chooserTable = chooserTable;
-        out.btb = btb;
-        out.ras = ras;
-        out.rasTop = rasTop;
-        out.specHistory = specHistory;
-        out.archHistory = archHistory;
-        out.lookups = statLookups;
-        out.mispredicts = statMispredicts;
-    }
-
-    void
-    restore(const SavedState &in)
-    {
-        localTable = in.localTable;
-        globalTable = in.globalTable;
-        chooserTable = in.chooserTable;
-        btb = in.btb;
-        ras = in.ras;
-        rasTop = in.rasTop;
-        specHistory = in.specHistory;
-        archHistory = in.archHistory;
-        statLookups = in.lookups;
-        statMispredicts = in.mispredicts;
-    }
+    void save(SavedState &out) const { out = state; }
+    void restore(const SavedState &in) { state = in; }
 
   private:
     static bool counterTaken(std::uint8_t c) { return c >= 2; }
@@ -234,21 +210,7 @@ class BranchPredictor
     bool predictDirection(InstAddr pc, std::uint64_t history) const;
 
     BPredParams params;
-
-    std::vector<std::uint8_t> localTable;    ///< 2-bit counters
-    std::vector<std::uint8_t> globalTable;   ///< 2-bit counters
-    std::vector<std::uint8_t> chooserTable;  ///< 2-bit: >=2 prefers global
-
-    std::vector<BtbEntry> btb;
-
-    std::vector<InstAddr> ras;
-    std::size_t rasTop = 0;     ///< number of valid entries
-
-    std::uint64_t specHistory = 0;   ///< speculative global history
-    std::uint64_t archHistory = 0;   ///< resolved global history
-
-    std::uint64_t statLookups = 0;
-    std::uint64_t statMispredicts = 0;
+    SavedState state;
 };
 
 } // namespace dynaspam::ooo

@@ -123,14 +123,14 @@ OooCpu::OooCpu(const OooParams &p, const isa::DynamicTrace &t,
                mem::MemoryHierarchy &h)
     : params(p), trace(t), hierarchy(h), bpred(p.bpred),
       storeSets(p.storeSets), activePolicy(&defaultPolicy),
-      frontEndCap(4 * p.fetchWidth),
-      rat(isa::NUM_ARCH_REGS, REG_INVALID),
-      physReadyCycle(p.numPhysRegs, 0)
+      frontEndCap(4 * p.fetchWidth)
 {
     if (p.numPhysRegs < isa::NUM_ARCH_REGS + p.renameWidth)
         fatal("too few physical registers (", p.numPhysRegs, ")");
 
     // Initial mapping: arch reg i -> phys reg i, all ready (value 0).
+    rat.resize(isa::NUM_ARCH_REGS);
+    physReadyCycle.assign(p.numPhysRegs, 0);
     for (RegIndex i = 0; i < isa::NUM_ARCH_REGS; i++)
         rat[i] = i;
     for (RegIndex i = isa::NUM_ARCH_REGS; i < p.numPhysRegs; i++)
@@ -1339,56 +1339,15 @@ OooCpu::save(SavedState &out) const
     storeSets.save(out.storeSets);
     out.activeIsDefault = activePolicy == &defaultPolicy;
     out.pendingIsNull = pendingMappingPolicy == nullptr;
-
-    out.curCycle = curCycle;
-    out.nextSeq = nextSeq;
-    out.fetchIdx = fetchIdx;
-    out.commitIdx = commitIdx;
-    out.fetchResumeCycle = fetchResumeCycle;
-    out.fetchBlockedOnBranch = fetchBlockedOnBranch;
-    out.lastFetchBlock = lastFetchBlock;
-    out.frontEnd = frontEnd;
-
-    out.rat = rat;
-    out.freeList = freeList;
-    out.physReadyCycle = physReadyCycle;
-
-    out.rob = rob;
-    out.iq = iq;
-    out.loadQueue = loadQueue;
-    out.storeQueue = storeQueue;
-    out.invocations = invocations;
-
-    out.readyByType = readyByType;
-    out.pendingByType = pendingByType;
-    out.regConsumers = regConsumers;
-    out.readyCount = readyCount;
-    out.pendingCount = pendingCount;
-
-    out.storesByLine = storesByLine;
-    out.loadsByLine = loadsByLine;
-    out.sqBoundCycle = sqBoundCycle;
-    out.sqBound = sqBound;
-    out.storeBuffer = storeBuffer;
-    out.retiredByLine = retiredByLine;
-
-    out.fuBusyUntil = fuBusyUntil;
-
-    out.mappingActive = mappingActive;
-    out.mappingTraceIdx = mappingTraceIdx;
-    out.mappingFetchRemaining = mappingFetchRemaining;
-    out.mappingDispatchRemaining = mappingDispatchRemaining;
-    out.mappingIssueRemaining = mappingIssueRemaining;
-    out.mappingCommitRemaining = mappingCommitRemaining;
-
-    out.pstats = pstats;
+    out.pipeline = *this;
 }
 
 bool
-OooCpu::fits(const SavedState &in) const
+OooCpu::fits(const SavedState &saved) const
 {
-    if (!bpred.fits(in.bpred) || !storeSets.fits(in.storeSets))
+    if (!bpred.fits(saved.bpred) || !storeSets.fits(saved.storeSets))
         return false;
+    const PipelineState &in = saved.pipeline;
 
     // Construction-time table geometry.
     if (in.rat.size() != rat.size() ||
@@ -1487,49 +1446,7 @@ OooCpu::restore(const SavedState &in, SelectPolicy *mapping_policy)
     storeSets.restore(in.storeSets);
     activePolicy = in.activeIsDefault ? &defaultPolicy : mapping_policy;
     pendingMappingPolicy = in.pendingIsNull ? nullptr : mapping_policy;
-
-    curCycle = in.curCycle;
-    nextSeq = in.nextSeq;
-    fetchIdx = in.fetchIdx;
-    commitIdx = in.commitIdx;
-    fetchResumeCycle = in.fetchResumeCycle;
-    fetchBlockedOnBranch = in.fetchBlockedOnBranch;
-    lastFetchBlock = in.lastFetchBlock;
-    frontEnd = in.frontEnd;
-
-    rat = in.rat;
-    freeList = in.freeList;
-    physReadyCycle = in.physReadyCycle;
-
-    rob = in.rob;
-    iq = in.iq;
-    loadQueue = in.loadQueue;
-    storeQueue = in.storeQueue;
-    invocations = in.invocations;
-
-    readyByType = in.readyByType;
-    pendingByType = in.pendingByType;
-    regConsumers = in.regConsumers;
-    readyCount = in.readyCount;
-    pendingCount = in.pendingCount;
-
-    storesByLine = in.storesByLine;
-    loadsByLine = in.loadsByLine;
-    sqBoundCycle = in.sqBoundCycle;
-    sqBound = in.sqBound;
-    storeBuffer = in.storeBuffer;
-    retiredByLine = in.retiredByLine;
-
-    fuBusyUntil = in.fuBusyUntil;
-
-    mappingActive = in.mappingActive;
-    mappingTraceIdx = in.mappingTraceIdx;
-    mappingFetchRemaining = in.mappingFetchRemaining;
-    mappingDispatchRemaining = in.mappingDispatchRemaining;
-    mappingIssueRemaining = in.mappingIssueRemaining;
-    mappingCommitRemaining = in.mappingCommitRemaining;
-
-    pstats = in.pstats;
+    static_cast<PipelineState &>(*this) = in.pipeline;
 
     // Scratch is rebuilt from scratch by its user; leave no stale state.
     arrivalScratch.clear();

@@ -111,74 +111,15 @@ struct PipelineStats
 };
 
 /**
- * The out-of-order CPU. One instance simulates one complete program run
- * over a given oracle trace.
+ * Mutable state of an OooCpu's pipeline: every member the stages
+ * change, declared once. OooCpu inherits it privately, so the stage
+ * code reads these members unqualified, and save()/restore() copy it
+ * whole. Construction-time configuration (params, table geometries, FU
+ * offsets), the attached hooks/observer/sink and the two policy
+ * pointers stay in OooCpu.
  */
-class OooCpu
+struct PipelineState
 {
-  public:
-    /**
-     * @param params pipeline configuration (Table 4 defaults)
-     * @param trace oracle dynamic trace to simulate
-     * @param hierarchy cache hierarchy (timing only)
-     */
-    OooCpu(const OooParams &params, const isa::DynamicTrace &trace,
-           mem::MemoryHierarchy &hierarchy);
-    ~OooCpu();
-
-    OooCpu(const OooCpu &) = delete;
-    OooCpu &operator=(const OooCpu &) = delete;
-
-    /** Attach the DynaSpAM controller (nullptr detaches). */
-    void setHooks(TraceHooks *hooks) { traceHooks = hooks; }
-
-    /** Attach a commit/cycle observer (nullptr detaches). Used by the
-     *  verification layer for golden-model lockstep and auditing. */
-    void setCommitObserver(CommitObserver *obs) { observer = obs; }
-
-    /** Attach an event-trace sink (nullptr detaches). The sink records
-     *  one event per committed or squashed ROB entry, from timestamps
-     *  the pipeline tracks anyway — attaching it cannot perturb timing. */
-    void setTraceSink(trace::TraceSink *sink) { tsink = sink; }
-
-    /**
-     * Replace the issue-select policy for the whole run (ablation and
-     * test use; DynaSpAM installs its policy per mapping phase through
-     * the hooks instead). Pass nullptr to restore oldest-first.
-     */
-    void
-    setSelectPolicyForTesting(SelectPolicy *policy)
-    {
-        activePolicy = policy ? policy : &defaultPolicy;
-    }
-
-    /** Run until the whole trace commits. @return total cycles. */
-    Cycle run();
-
-    /** Advance one cycle (exposed for unit tests). */
-    void tick();
-
-    /** @return true when every oracle record has committed. */
-    bool done() const { return commitIdx >= trace.size(); }
-
-    Cycle now() const { return curCycle; }
-    const PipelineStats &stats() const { return pstats; }
-    BranchPredictor &branchPredictor() { return bpred; }
-    StoreSetPredictor &storeSetPredictor() { return storeSets; }
-    const OooParams &config() const { return params; }
-
-    /** Export statistics into @p registry under the "ooo." prefix. */
-    void exportStats(StatRegistry &registry) const;
-
-    /** Dump pipeline occupancy and control state (debugging aid). */
-    void dumpState(std::ostream &os) const;
-
-  private:
-    /** The invariant auditors inspect pipeline internals directly. */
-    friend class dynaspam::check::OooAuditor;
-    /** The fault-injection self-test seeds violations directly. */
-    friend class dynaspam::check::FaultInjector;
-
     // --- Front-end entry awaiting rename ---
     struct FrontEndInst
     {
@@ -296,6 +237,184 @@ class OooCpu
         std::deque<Entry> slots;
     };
 
+    /** Address-keyed index over an LSQ queue: line -> age-ordered seqs. */
+    using LsqIndex = std::unordered_map<Addr, std::vector<SeqNum>>;
+
+    /**
+     * Wakeup-driven scheduler entry. Dispatch either enqueues an
+     * instruction on pendingByType (all source values known) or parks
+     * it on its producers' consumer lists; the last producer to issue
+     * moves it to pending, and issueStage drains matured pending
+     * entries into readyByType before selecting. The select loop thus
+     * touches only ready instructions instead of rescanning the whole
+     * IQ once per FU slot — cost scales with activity, not capacity.
+     * Selection order is made irrelevant by the explicit
+     * (score, oldest-seq) tie-break, so reports stay byte-identical
+     * to the scan-based engine.
+     */
+    struct PendingWakeup
+    {
+        Cycle readyCycle = 0;   ///< max source-ready cycle, may be future
+        SeqNum seq = 0;
+
+        DYNASPAM_FIELDS(PendingWakeup, readyCycle, seq)
+
+        bool operator==(const PendingWakeup &) const = default;
+    };
+
+    /** Post-commit store buffer entry: recently committed stores remain
+     *  visible for store-to-load forwarding while they drain. */
+    struct RetiredStore
+    {
+        Addr addr = 0;
+        Cycle dataReady = 0;
+        SeqNum seq = 0;
+
+        DYNASPAM_FIELDS(RetiredStore, addr, dataReady, seq)
+
+        bool operator==(const RetiredStore &) const = default;
+    };
+
+    Cycle curCycle = 0;
+    SeqNum nextSeq = 1;             ///< 0 reserved as "no instruction"
+    SeqNum fetchIdx = 0;            ///< next oracle record to fetch
+    SeqNum commitIdx = 0;           ///< next oracle record to commit
+    Cycle fetchResumeCycle = 0;     ///< fetch blocked until this cycle
+    bool fetchBlockedOnBranch = false;  ///< waiting for mispredict resolve
+    Addr lastFetchBlock = ~Addr(0);
+    std::deque<FrontEndInst> frontEnd;
+
+    // Rename state.
+    std::vector<RegIndex> rat;              ///< arch -> phys
+    std::vector<RegIndex> freeList;
+    std::vector<Cycle> physReadyCycle;      ///< CYCLE_INVALID = not ready
+
+    // Back-end structures.
+    std::deque<DynInst> rob;                ///< contiguous seq numbers
+    std::vector<SeqNum> iq;                 ///< membership set, unordered
+    std::deque<SeqNum> loadQueue;
+    std::deque<SeqNum> storeQueue;
+    InvocationTable invocations;
+
+    // Wakeup-driven scheduler (see PendingWakeup).
+    std::vector<std::vector<SeqNum>> readyByType;       ///< per FU type
+    std::vector<std::vector<PendingWakeup>> pendingByType;
+    std::vector<std::vector<SeqNum>> regConsumers;      ///< per phys reg
+    std::size_t readyCount = 0;
+    std::size_t pendingCount = 0;
+
+    // Cacheline-granular LSQ address index: disambiguation and
+    // forwarding probe only same-line entries, in age order, instead of
+    // walking the full queues per memory op.
+    LsqIndex storesByLine;
+    LsqIndex loadsByLine;
+
+    /** Per-cycle cache of the oldest incomplete store's seq (used by
+     *  the no-speculation load-readiness rule). CYCLE_INVALID = stale. */
+    Cycle sqBoundCycle = CYCLE_INVALID;
+    SeqNum sqBound = 0;
+
+    std::deque<RetiredStore> storeBuffer;
+    std::unordered_map<Addr, std::vector<RetiredStore>> retiredByLine;
+
+    // FU pool: busy-until cycle per unit, grouped by type.
+    std::vector<std::vector<Cycle>> fuBusyUntil;
+
+    // Mapping-phase state. Fetch marks trace records; the first trace
+    // instruction stalls in rename until the back-end drains; the policy
+    // is active from first dispatch until last trace-instruction issue.
+    bool mappingActive = false;
+    SeqNum mappingTraceIdx = 0;
+    std::uint32_t mappingFetchRemaining = 0;  ///< records left to mark
+    std::uint32_t mappingDispatchRemaining = 0; ///< marked, not dispatched
+    std::uint32_t mappingIssueRemaining = 0;  ///< dispatched, not issued
+    std::uint32_t mappingCommitRemaining = 0; ///< dispatched, not committed
+
+    PipelineStats pstats;
+
+    DYNASPAM_FIELDS(PipelineState, curCycle, nextSeq, fetchIdx, commitIdx,
+                    fetchResumeCycle, fetchBlockedOnBranch, lastFetchBlock,
+                    frontEnd, rat, freeList, physReadyCycle, rob, iq,
+                    loadQueue, storeQueue, invocations, readyByType,
+                    pendingByType, regConsumers, readyCount, pendingCount,
+                    storesByLine, loadsByLine, sqBoundCycle, sqBound,
+                    storeBuffer, retiredByLine, fuBusyUntil, mappingActive,
+                    mappingTraceIdx, mappingFetchRemaining,
+                    mappingDispatchRemaining, mappingIssueRemaining,
+                    mappingCommitRemaining, pstats)
+
+    bool operator==(const PipelineState &) const = default;
+};
+
+/**
+ * The out-of-order CPU. One instance simulates one complete program run
+ * over a given oracle trace.
+ */
+class OooCpu : private PipelineState
+{
+  public:
+    /**
+     * @param params pipeline configuration (Table 4 defaults)
+     * @param trace oracle dynamic trace to simulate
+     * @param hierarchy cache hierarchy (timing only)
+     */
+    OooCpu(const OooParams &params, const isa::DynamicTrace &trace,
+           mem::MemoryHierarchy &hierarchy);
+    ~OooCpu();
+
+    OooCpu(const OooCpu &) = delete;
+    OooCpu &operator=(const OooCpu &) = delete;
+
+    /** Attach the DynaSpAM controller (nullptr detaches). */
+    void setHooks(TraceHooks *hooks) { traceHooks = hooks; }
+
+    /** Attach a commit/cycle observer (nullptr detaches). Used by the
+     *  verification layer for golden-model lockstep and auditing. */
+    void setCommitObserver(CommitObserver *obs) { observer = obs; }
+
+    /** Attach an event-trace sink (nullptr detaches). The sink records
+     *  one event per committed or squashed ROB entry, from timestamps
+     *  the pipeline tracks anyway — attaching it cannot perturb timing. */
+    void setTraceSink(trace::TraceSink *sink) { tsink = sink; }
+
+    /**
+     * Replace the issue-select policy for the whole run (ablation and
+     * test use; DynaSpAM installs its policy per mapping phase through
+     * the hooks instead). Pass nullptr to restore oldest-first.
+     */
+    void
+    setSelectPolicyForTesting(SelectPolicy *policy)
+    {
+        activePolicy = policy ? policy : &defaultPolicy;
+    }
+
+    /** Run until the whole trace commits. @return total cycles. */
+    Cycle run();
+
+    /** Advance one cycle (exposed for unit tests). */
+    void tick();
+
+    /** @return true when every oracle record has committed. */
+    bool done() const { return commitIdx >= trace.size(); }
+
+    Cycle now() const { return curCycle; }
+    const PipelineStats &stats() const { return pstats; }
+    BranchPredictor &branchPredictor() { return bpred; }
+    StoreSetPredictor &storeSetPredictor() { return storeSets; }
+    const OooParams &config() const { return params; }
+
+    /** Export statistics into @p registry under the "ooo." prefix. */
+    void exportStats(StatRegistry &registry) const;
+
+    /** Dump pipeline occupancy and control state (debugging aid). */
+    void dumpState(std::ostream &os) const;
+
+  private:
+    /** The invariant auditors inspect pipeline internals directly. */
+    friend class dynaspam::check::OooAuditor;
+    /** The fault-injection self-test seeds violations directly. */
+    friend class dynaspam::check::FaultInjector;
+
     // Stage functions, called in reverse pipeline order each tick.
     void commitStage();
     void executeStage();
@@ -316,7 +435,7 @@ class OooCpu
     void startReadyInvocations();
     Cycle physReady(RegIndex phys) const;
 
-    // Wakeup-driven scheduler (see the comment at the member block).
+    // Wakeup-driven scheduler (see PipelineState::PendingWakeup).
     void scheduleAtDispatch(DynInst &d);
     void wakeConsumers(RegIndex phys);
     void drainPendingWakeups();
@@ -328,9 +447,6 @@ class OooCpu
     static constexpr unsigned lsqLineShift = 6;
     static Addr lsqLine(Addr addr) { return addr >> lsqLineShift; }
 
-    /** Address-keyed index over an LSQ queue: line -> age-ordered seqs. */
-    using LsqIndex = std::unordered_map<Addr, std::vector<SeqNum>>;
-
     OooParams params;
     const isa::DynamicTrace &trace;
     mem::MemoryHierarchy &hierarchy;
@@ -339,118 +455,27 @@ class OooCpu
     StoreSetPredictor storeSets;
     OldestFirstPolicy defaultPolicy;
     SelectPolicy *activePolicy;     ///< never null
+    SelectPolicy *pendingMappingPolicy = nullptr;
     TraceHooks *traceHooks = nullptr;
     CommitObserver *observer = nullptr;
     trace::TraceSink *tsink = nullptr;
 
-    Cycle curCycle = 0;
-    SeqNum nextSeq = 1;             ///< 0 reserved as "no instruction"
-    SeqNum fetchIdx = 0;            ///< next oracle record to fetch
-    SeqNum commitIdx = 0;           ///< next oracle record to commit
-    Cycle fetchResumeCycle = 0;     ///< fetch blocked until this cycle
-    bool fetchBlockedOnBranch = false;  ///< waiting for mispredict resolve
-    Addr lastFetchBlock = ~Addr(0);
-
-    std::deque<FrontEndInst> frontEnd;
     std::size_t frontEndCap;
-
-    // Rename state.
-    std::vector<RegIndex> rat;              ///< arch -> phys
-    std::vector<RegIndex> freeList;
-    std::vector<Cycle> physReadyCycle;      ///< CYCLE_INVALID = not ready
-
-    // Back-end structures.
-    std::deque<DynInst> rob;                ///< contiguous seq numbers
-    std::vector<SeqNum> iq;                 ///< membership set, unordered
-    std::deque<SeqNum> loadQueue;
-    std::deque<SeqNum> storeQueue;
-    InvocationTable invocations;
-
-    /**
-     * Wakeup-driven scheduler state. Dispatch either enqueues an
-     * instruction on pendingByType (all source values known) or parks
-     * it on its producers' consumer lists; the last producer to issue
-     * moves it to pending, and issueStage drains matured pending
-     * entries into readyByType before selecting. The select loop thus
-     * touches only ready instructions instead of rescanning the whole
-     * IQ once per FU slot — cost scales with activity, not capacity.
-     * Selection order is made irrelevant by the explicit
-     * (score, oldest-seq) tie-break, so reports stay byte-identical
-     * to the scan-based engine.
-     */
-    struct PendingWakeup
-    {
-        Cycle readyCycle = 0;   ///< max source-ready cycle, may be future
-        SeqNum seq = 0;
-
-        DYNASPAM_FIELDS(PendingWakeup, readyCycle, seq)
-
-        bool operator==(const PendingWakeup &) const = default;
-    };
-    std::vector<std::vector<SeqNum>> readyByType;       ///< per FU type
-    std::vector<std::vector<PendingWakeup>> pendingByType;
-    std::vector<std::vector<SeqNum>> regConsumers;      ///< per phys reg
-    std::size_t readyCount = 0;
-    std::size_t pendingCount = 0;
     unsigned fuTypeOffsets[unsigned(isa::FuType::NUM_FU_TYPES)] = {};
-
-    // Cacheline-granular LSQ address index: disambiguation and
-    // forwarding probe only same-line entries, in age order, instead of
-    // walking the full queues per memory op.
-    LsqIndex storesByLine;
-    LsqIndex loadsByLine;
-
-    /** Per-cycle cache of the oldest incomplete store's seq (used by
-     *  the no-speculation load-readiness rule). CYCLE_INVALID = stale. */
-    Cycle sqBoundCycle = CYCLE_INVALID;
-    SeqNum sqBound = 0;
-
-    /** Post-commit store buffer: recently committed stores remain
-     *  visible for store-to-load forwarding while they drain. */
-    struct RetiredStore
-    {
-        Addr addr = 0;
-        Cycle dataReady = 0;
-        SeqNum seq = 0;
-
-        DYNASPAM_FIELDS(RetiredStore, addr, dataReady, seq)
-
-        bool operator==(const RetiredStore &) const = default;
-    };
-    std::deque<RetiredStore> storeBuffer;
-    std::unordered_map<Addr, std::vector<RetiredStore>> retiredByLine;
     static constexpr std::size_t storeBufferEntries = 16;
 
     /** Reused live-in arrival scratch for startReadyInvocations(). */
     std::vector<Cycle> arrivalScratch;
 
-    // FU pool: busy-until cycle per unit, grouped by type.
-    std::vector<std::vector<Cycle>> fuBusyUntil;
-
-    // Mapping-phase state. Fetch marks trace records; the first trace
-    // instruction stalls in rename until the back-end drains; the policy
-    // is active from first dispatch until last trace-instruction issue.
-    bool mappingActive = false;
-    SeqNum mappingTraceIdx = 0;
-    SelectPolicy *pendingMappingPolicy = nullptr;
-    std::uint32_t mappingFetchRemaining = 0;  ///< records left to mark
-    std::uint32_t mappingDispatchRemaining = 0; ///< marked, not dispatched
-    std::uint32_t mappingIssueRemaining = 0;  ///< dispatched, not issued
-    std::uint32_t mappingCommitRemaining = 0; ///< dispatched, not committed
-
-    PipelineStats pstats;
-
   public:
     /**
-     * Complete mutable pipeline state for simulator snapshots. Excludes
-     * construction-time configuration (params, table geometries, FU
-     * offsets) and the attached hooks/observer/sink, which the restore
-     * target must already share; restore() requires a CPU built over the
-     * same trace with the same OooParams. DynInst pointer members stay
-     * valid because both sides reference the same immutable
-     * Program/DynamicTrace. The two policy pointers are encoded as
-     * "default or the (single) externally-owned mapping policy" and
-     * rebound by restore().
+     * Complete mutable CPU state for simulator snapshots: both
+     * predictors' state and the pipeline state, with the two policy
+     * pointers encoded as "default or the (single) externally-owned
+     * mapping policy" and rebound by restore(). restore() requires a
+     * CPU built over the same trace with the same OooParams. DynInst
+     * pointer members stay valid because both sides reference the same
+     * immutable Program/DynamicTrace.
      */
     struct SavedState
     {
@@ -458,61 +483,10 @@ class OooCpu
         StoreSetPredictor::SavedState storeSets;
         bool activeIsDefault = true;    ///< activePolicy == &defaultPolicy
         bool pendingIsNull = true;      ///< pendingMappingPolicy == nullptr
-
-        Cycle curCycle = 0;
-        SeqNum nextSeq = 1;
-        SeqNum fetchIdx = 0;
-        SeqNum commitIdx = 0;
-        Cycle fetchResumeCycle = 0;
-        bool fetchBlockedOnBranch = false;
-        Addr lastFetchBlock = ~Addr(0);
-        std::deque<FrontEndInst> frontEnd;
-
-        std::vector<RegIndex> rat;
-        std::vector<RegIndex> freeList;
-        std::vector<Cycle> physReadyCycle;
-
-        std::deque<DynInst> rob;
-        std::vector<SeqNum> iq;
-        std::deque<SeqNum> loadQueue;
-        std::deque<SeqNum> storeQueue;
-        InvocationTable invocations;
-
-        std::vector<std::vector<SeqNum>> readyByType;
-        std::vector<std::vector<PendingWakeup>> pendingByType;
-        std::vector<std::vector<SeqNum>> regConsumers;
-        std::size_t readyCount = 0;
-        std::size_t pendingCount = 0;
-
-        LsqIndex storesByLine;
-        LsqIndex loadsByLine;
-        Cycle sqBoundCycle = CYCLE_INVALID;
-        SeqNum sqBound = 0;
-        std::deque<RetiredStore> storeBuffer;
-        std::unordered_map<Addr, std::vector<RetiredStore>> retiredByLine;
-
-        std::vector<std::vector<Cycle>> fuBusyUntil;
-
-        bool mappingActive = false;
-        SeqNum mappingTraceIdx = 0;
-        std::uint32_t mappingFetchRemaining = 0;
-        std::uint32_t mappingDispatchRemaining = 0;
-        std::uint32_t mappingIssueRemaining = 0;
-        std::uint32_t mappingCommitRemaining = 0;
-
-        PipelineStats pstats;
+        PipelineState pipeline;
 
         DYNASPAM_FIELDS(SavedState, bpred, storeSets, activeIsDefault,
-                        pendingIsNull, curCycle, nextSeq, fetchIdx, commitIdx,
-                        fetchResumeCycle, fetchBlockedOnBranch, lastFetchBlock,
-                        frontEnd, rat, freeList, physReadyCycle, rob, iq,
-                        loadQueue, storeQueue, invocations, readyByType,
-                        pendingByType, regConsumers, readyCount, pendingCount,
-                        storesByLine, loadsByLine, sqBoundCycle, sqBound,
-                        storeBuffer, retiredByLine, fuBusyUntil, mappingActive,
-                        mappingTraceIdx, mappingFetchRemaining,
-                        mappingDispatchRemaining, mappingIssueRemaining,
-                        mappingCommitRemaining, pstats)
+                        pendingIsNull, pipeline)
 
         bool operator==(const SavedState &) const = default;
     };
@@ -520,10 +494,10 @@ class OooCpu
     /** Capture the full pipeline state into @p out (reuses capacity). */
     void save(SavedState &out) const;
 
-    /** @return true when @p in has this pipeline's table geometry and
-     *  every scalar indexing those tables, the ROB or the trace is in
-     *  range — the precondition restore() relies on. */
-    bool fits(const SavedState &in) const;
+    /** @return true when @p saved has this pipeline's table geometry
+     *  and every scalar indexing those tables, the ROB or the trace is
+     *  in range — the precondition restore() relies on. */
+    bool fits(const SavedState &saved) const;
 
     /**
      * Restore a previously saved state. @p mapping_policy is the

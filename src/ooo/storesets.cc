@@ -13,8 +13,10 @@ namespace dynaspam::ooo
 {
 
 StoreSetPredictor::StoreSetPredictor(const StoreSetParams &p)
-    : params(p), ssit(p.ssitEntries, STORE_SET_INVALID),
-      lfst(p.lfstEntries)
+    : params(p),
+      state{.ssit =
+                std::vector<StoreSetId>(p.ssitEntries, STORE_SET_INVALID),
+            .lfst = std::vector<LfstEntry>(p.lfstEntries)}
 {
     if (!p.ssitEntries || !p.lfstEntries)
         fatal("store-set tables must be non-empty");
@@ -23,26 +25,28 @@ StoreSetPredictor::StoreSetPredictor(const StoreSetParams &p)
 void
 StoreSetPredictor::maybeClear()
 {
-    if (params.clearInterval && allocations >= params.clearInterval) {
-        std::fill(ssit.begin(), ssit.end(), STORE_SET_INVALID);
-        for (auto &entry : lfst)
+    if (params.clearInterval &&
+        state.allocations >= params.clearInterval) {
+        std::fill(state.ssit.begin(), state.ssit.end(), STORE_SET_INVALID);
+        for (auto &entry : state.lfst)
             entry = LfstEntry{};
-        allocations = 0;
+        state.allocations = 0;
     }
 }
 
 void
 StoreSetPredictor::recordViolation(InstAddr load_pc, InstAddr store_pc)
 {
-    statViolations++;
+    state.violations++;
     maybeClear();
-    allocations++;
+    state.allocations++;
 
-    StoreSetId &load_set = ssit[ssitIndex(load_pc)];
-    StoreSetId &store_set = ssit[ssitIndex(store_pc)];
+    StoreSetId &load_set = state.ssit[ssitIndex(load_pc)];
+    StoreSetId &store_set = state.ssit[ssitIndex(store_pc)];
 
     if (load_set == STORE_SET_INVALID && store_set == STORE_SET_INVALID) {
-        load_set = store_set = nextId++ % StoreSetId(lfst.size());
+        load_set = store_set =
+            state.nextId++ % StoreSetId(state.lfst.size());
     } else if (load_set == STORE_SET_INVALID) {
         load_set = store_set;
     } else if (store_set == STORE_SET_INVALID) {
@@ -58,10 +62,10 @@ StoreSetPredictor::recordViolation(InstAddr load_pc, InstAddr store_pc)
 StoreSetId
 StoreSetPredictor::dispatchStore(InstAddr store_pc, SeqNum seq)
 {
-    StoreSetId set = ssit[ssitIndex(store_pc)];
+    StoreSetId set = state.ssit[ssitIndex(store_pc)];
     if (set == STORE_SET_INVALID)
         return STORE_SET_INVALID;
-    LfstEntry &entry = lfst[set % lfst.size()];
+    LfstEntry &entry = state.lfst[set % state.lfst.size()];
     entry.storeSeq = seq;
     entry.storePc = store_pc;
     return set;
@@ -70,19 +74,19 @@ StoreSetPredictor::dispatchStore(InstAddr store_pc, SeqNum seq)
 SeqNum
 StoreSetPredictor::lookupDependence(InstAddr load_pc) const
 {
-    StoreSetId set = ssit[ssitIndex(load_pc)];
+    StoreSetId set = state.ssit[ssitIndex(load_pc)];
     if (set == STORE_SET_INVALID)
         return 0;
-    return lfst[set % lfst.size()].storeSeq;
+    return state.lfst[set % state.lfst.size()].storeSeq;
 }
 
 void
 StoreSetPredictor::retireStore(InstAddr store_pc, SeqNum seq)
 {
-    StoreSetId set = ssit[ssitIndex(store_pc)];
+    StoreSetId set = state.ssit[ssitIndex(store_pc)];
     if (set == STORE_SET_INVALID)
         return;
-    LfstEntry &entry = lfst[set % lfst.size()];
+    LfstEntry &entry = state.lfst[set % state.lfst.size()];
     // Only the youngest registered store clears the entry; an older
     // store retiring must not erase a younger one's registration.
     if (entry.storeSeq == seq)
@@ -92,7 +96,7 @@ StoreSetPredictor::retireStore(InstAddr store_pc, SeqNum seq)
 bool
 StoreSetPredictor::hasSet(InstAddr pc) const
 {
-    return ssit[ssitIndex(pc)] != STORE_SET_INVALID;
+    return state.ssit[ssitIndex(pc)] != STORE_SET_INVALID;
 }
 
 } // namespace dynaspam::ooo

@@ -82,7 +82,7 @@ class StoreSetPredictor
     /** @return true if @p pc currently belongs to some store set. */
     bool hasSet(InstAddr pc) const;
 
-    std::uint64_t violations() const { return statViolations; }
+    std::uint64_t violations() const { return state.violations; }
 
     struct LfstEntry
     {
@@ -94,7 +94,8 @@ class StoreSetPredictor
         bool operator==(const LfstEntry &) const = default;
     };
 
-    /** Complete mutable predictor state (table sizes are parameters). */
+    /** Complete mutable predictor state, held live as `state` (table
+     *  sizes are parameters). */
     struct SavedState
     {
         std::vector<StoreSetId> ssit;
@@ -113,42 +114,24 @@ class StoreSetPredictor
     bool
     fits(const SavedState &in) const
     {
-        return in.ssit.size() == ssit.size() &&
-               in.lfst.size() == lfst.size();
+        return in.ssit.size() == state.ssit.size() &&
+               in.lfst.size() == state.lfst.size();
     }
 
-    void
-    save(SavedState &out) const
-    {
-        out.ssit = ssit;
-        out.lfst = lfst;
-        out.nextId = nextId;
-        out.allocations = allocations;
-        out.violations = statViolations;
-    }
-
-    void
-    restore(const SavedState &in)
-    {
-        ssit = in.ssit;
-        lfst = in.lfst;
-        nextId = in.nextId;
-        allocations = in.allocations;
-        statViolations = in.violations;
-    }
+    void save(SavedState &out) const { out = state; }
+    void restore(const SavedState &in) { state = in; }
 
   private:
-    std::size_t ssitIndex(InstAddr pc) const { return pc % ssit.size(); }
+    std::size_t
+    ssitIndex(InstAddr pc) const
+    {
+        return pc % state.ssit.size();
+    }
 
     void maybeClear();
 
     StoreSetParams params;
-    std::vector<StoreSetId> ssit;
-    std::vector<LfstEntry> lfst;
-
-    StoreSetId nextId = 0;
-    std::uint64_t allocations = 0;
-    std::uint64_t statViolations = 0;
+    SavedState state;
 };
 
 } // namespace dynaspam::ooo

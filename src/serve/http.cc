@@ -292,7 +292,9 @@ decodeChunkedBody(const std::string &raw, std::string &out)
         pos = eol + 2;
         if (size == 0)
             return raw.compare(pos, 2, "\r\n") == 0;
-        if (pos + size + 2 > raw.size())
+        // Compare against what is left rather than adding to pos: a
+        // size near SIZE_MAX would wrap pos + size + 2.
+        if (raw.size() - pos < 2 || size > raw.size() - pos - 2)
             return false;
         out.append(raw, pos, size);
         if (raw.compare(pos + size, 2, "\r\n") != 0)

@@ -76,30 +76,6 @@
 namespace dynaspam::serve
 {
 
-/**
- * Parse + strictly validate one job-spec JSON object
- * ({"workload": ..., "mode": ..., "trace_length": ..., ...}).
- * Shared by the single-process daemon and the cluster coordinator so
- * both reject exactly the same inputs.
- * @throws FatalError with a descriptive message -> 400
- */
-runner::Job jobFromSpecJson(const json::Value &value);
-
-/** Parsed form of a POST /sweep request body. */
-struct SweepRequest
-{
-    std::string name;               ///< sweep name ("custom" for jobs[])
-    std::vector<runner::Job> jobs;
-};
-
-/**
- * Parse + validate a POST /sweep body: either a named sweep
- * ({"sweep": "fig8", "workloads": [...], "scale": N, ...}) or an
- * explicit {"jobs": [...]} list.
- * @throws FatalError with a descriptive message -> 400
- */
-SweepRequest parseSweepBody(const std::string &body);
-
 /** Configuration for one Server instance. */
 struct ServerOptions
 {

@@ -3,10 +3,10 @@
  * Snapshot body (de)serialization, derived from the aggregates' field
  * lists (common/fields.hh). See snapshot_io.hh for the leaf rules.
  *
- * Private nested pipeline types (OooCpu::FrontEndInst, InvocationState,
- * LockstepChecker::CommitEvent, ...) are reached through their field
- * lists and deduced template parameters: access control applies to
- * *names*, so the codec may walk them as long as it never spells them.
+ * Private nested types (LockstepChecker::CommitEvent) are reached
+ * through their field lists and deduced template parameters: access
+ * control applies to *names*, so the codec may walk them as long as it
+ * never spells them.
  */
 
 #include "sim/snapshot_io.hh"

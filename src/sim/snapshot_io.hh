@@ -51,7 +51,7 @@ namespace dynaspam::sim
 
 /** Bump when the snapshot body encoding changes shape. Mismatched
  *  versions are rejected at load time and fall back to re-warming. */
-inline constexpr std::uint32_t kSnapshotFormatVersion = 2;
+inline constexpr std::uint32_t kSnapshotFormatVersion = 3;
 
 /**
  * Digest of the layout kSnapshotFormatVersion names: every field list
@@ -60,7 +60,7 @@ inline constexpr std::uint32_t kSnapshotFormatVersion = 2;
  * change a field list and it fails until the version is bumped and the
  * new digest recorded here.
  */
-inline constexpr std::uint64_t kSnapshotLayoutDigest = 0x6203f684965214a2ULL;
+inline constexpr std::uint64_t kSnapshotLayoutDigest = 0xe3785c47df819ed2ULL;
 
 /**
  * Stable identity hash of a SimInput: program name and code, initial

@@ -40,6 +40,7 @@
 #include "cluster/worker.hh"
 #include "common/logging.hh"
 #include "runner/runner.hh"
+#include "serve/server.hh"
 
 using namespace dynaspam;
 using cluster::Coordinator;
@@ -436,6 +437,45 @@ TEST(Cluster, SweepReportByteIdenticalToSingleProcess)
     coordinator.waitUntilDrained();
     for (std::thread &t : threads)
         t.join();
+}
+
+TEST(Cluster, RunQueryStringMatchesSingleProcessServe)
+{
+    // /run takes ?fidelity=...&warmup_insts=... on both front ends, so
+    // the coordinator must route by path, not by the whole target.
+    const std::string target = "/run?fidelity=sampled&warmup_insts=1000";
+    const std::string spec = "{\"workload\": \"bfs\", \"trace_length\": 16}";
+
+    serve::ServerOptions serve_opts;
+    serve_opts.port = 0;
+    serve_opts.verbose = false;
+    serve::Server server(serve_opts);
+    server.start();
+    Reply single = request(server.port(), "POST", target, spec);
+    server.beginDrain();
+    server.waitUntilDrained();
+    ASSERT_EQ(single.status, 200);
+    EXPECT_NE(single.body.find("\"sampled\""), std::string::npos);
+
+    Coordinator coordinator(quietCoordinator(1));
+    coordinator.start();
+    Worker worker(quietWorker(coordinator, ""));
+    std::thread thread([&] { worker.run(); });
+    ASSERT_TRUE(eventually([&] {
+        return coordinator.metrics().value(
+                   "dynaspam_cluster_workers_connected") == 1;
+    }));
+    Reply clustered = request(coordinator.httpPort(), "POST", target, spec);
+    EXPECT_EQ(clustered.status, 200);
+    EXPECT_EQ(clustered.body, single.body);
+
+    Reply bad = request(coordinator.httpPort(), "POST", "/run?speed=max",
+                        spec);
+    EXPECT_EQ(bad.status, 400);
+
+    coordinator.beginDrain();
+    coordinator.waitUntilDrained();
+    thread.join();
 }
 
 TEST(Cluster, WorkerKilledMidSweepStillYieldsIdenticalReport)

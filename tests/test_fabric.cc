@@ -227,18 +227,39 @@ TEST(Fabric, RollbackRestoresPipeliningState)
     Rig rig;
     SimpleTrace st;
     rig.fabric->configure(st.config, 0);
+    Fabric::SavedState before;
+    rig.fabric->save(before);
 
     auto first = rig.fabric->execute(*st.trace, 0, {0, 0}, 0, 0);
     ASSERT_FALSE(first.squashed);
     EXPECT_EQ(rig.fabric->invocationsSinceConfigure(), 1u);
 
-    // Roll the invocation back: the fabric forgets it ever ran.
+    // Roll the invocation back: the fabric forgets it ever ran. The
+    // whole live state is as before execute(), and no rollback
+    // snapshot is left behind.
     rig.fabric->rollback(0);
     EXPECT_EQ(rig.fabric->invocationsSinceConfigure(), 0u);
+    Fabric::SavedState after;
+    rig.fabric->save(after);
+    EXPECT_EQ(after.live, before.live);
+    EXPECT_TRUE(after.snapshots.empty());
 
     // Re-execution now sees a fresh fabric: identical timing.
     auto replay = rig.fabric->execute(*st.trace, 0, {0, 0}, 0, 0);
     EXPECT_EQ(replay.completeCycle, first.completeCycle);
+
+    // The same from a state with history (FIFO window, PE completion
+    // cycles, recent stores): commit the replay, then roll back a
+    // second, pipelined invocation.
+    rig.fabric->noteCommitted(0);
+    rig.fabric->save(before);
+    ASSERT_FALSE(before.live.inflightWindow.empty());
+    auto second = rig.fabric->execute(*st.trace, 0, {1, 1}, 0, 1);
+    ASSERT_FALSE(second.squashed);
+    rig.fabric->rollback(0);
+    rig.fabric->save(after);
+    EXPECT_EQ(after.live, before.live);
+    EXPECT_TRUE(after.snapshots.empty());
 }
 
 TEST(Fabric, NoteCommittedDropsSnapshots)

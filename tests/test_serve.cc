@@ -244,6 +244,27 @@ TEST(ServeHttp, StatusReasons)
     EXPECT_STREQ(serve::httpStatusReason(999), "Unknown");
 }
 
+TEST(ServeHttp, ChunkSizeNearSizeMaxIsRejected)
+{
+    // A chunk size of 2^64 - 2 must not wrap the bounds check: each
+    // such line would append the whole rest of the input to the output.
+    std::string huge;
+    for (int i = 0; i < 2000; i++)
+        huge += "fffffffffffffffe\r\nab\r\n";
+    huge += "0\r\n\r\n";
+    for (const std::string &raw :
+         {huge, std::string("fffffffffffffffe\r\nab\r\n0\r\n\r\n")}) {
+        std::string out;
+        EXPECT_FALSE(serve::decodeChunkedBody(raw, out));
+        EXPECT_LE(out.size(), raw.size());
+    }
+
+    std::string out;
+    EXPECT_TRUE(serve::decodeChunkedBody("2\r\nab\r\n0\r\n\r\n", out));
+    EXPECT_EQ(out, "ab");
+    EXPECT_FALSE(serve::decodeChunkedBody("3\r\nab\r\n0\r\n\r\n", out));
+}
+
 TEST(ServeMetrics, RendersAllKindsDeterministically)
 {
     serve::Metrics metrics;
