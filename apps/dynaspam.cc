@@ -12,6 +12,8 @@
  *   dynaspam sweep --table 5 --jobs 4
  *   dynaspam trace bfs --mode accel-spec --cycles 1000:5000 --out t.json
  *   dynaspam serve --port 8080 --jobs 4 --cache-max-mb 256
+ *   dynaspam coordinator --port 8080 --worker-port 9090 --workers 4
+ *   dynaspam worker --connect 127.0.0.1:9090
  *   dynaspam list
  *
  * Caching defaults to .dynaspam-cache/ in the working directory; a
@@ -40,7 +42,7 @@
 #include "explore/engine.hh"
 #include "explore/space.hh"
 #include "runner/runner.hh"
-#include "serve/server.hh"
+#include "runner/thread_pool.hh"
 #include "trace/trace.hh"
 #include "workloads/workload.hh"
 
@@ -100,20 +102,19 @@ usage(const char *argv0)
         "           --scale N            (default 1)\n"
         "           --cycles A:B         only events in cycles [A, B]\n"
         "           --out FILE           (default trace.json)\n"
-        "  serve  run the HTTP/JSON simulation service (see\n"
-        "         EXPERIMENTS.md \"Serving\"); drains gracefully on\n"
-        "         SIGTERM/SIGINT\n"
+        "  serve  run the HTTP/JSON simulation service: the coordinator\n"
+        "         below with one in-process worker (see EXPERIMENTS.md\n"
+        "         \"Serving\"); drains gracefully on SIGTERM/SIGINT\n"
         "           --port N             TCP port (default 8080; 0 = any)\n"
         "           --bind ADDR          bind address (default 127.0.0.1)\n"
         "           --jobs N             worker threads (default: cores)\n"
-        "           --queue-capacity N   queued-job bound -> 429 "
-        "(default 64)\n"
+        "           --queue-capacity N   queued + running job bound -> "
+        "429\n"
+        "                                (default 64)\n"
         "           --timeout-ms N       per-request deadline "
         "(default 120000)\n"
         "           --warmup-insts N     default warmup for job specs\n"
         "                                that set none (default 0)\n"
-        "           --cluster            delegate to `coordinator` "
-        "(below)\n"
         "  coordinator\n"
         "         run the cluster front end: epoll HTTP server that\n"
         "         shards sweeps across connected workers (see\n"
@@ -128,12 +129,9 @@ usage(const char *argv0)
         "(default 120000)\n"
         "           --cluster-token T    require T in each worker Hello\n"
         "                                (or env DYNASPAM_CLUSTER_TOKEN)\n"
-        "           --coordinator-memo N\n"
-        "                                LRU memo of N rendered entries;\n"
-        "                                repeats skip the workers "
-        "(default 0)\n"
         "  worker run one shard worker; dials the coordinator and\n"
-        "         executes the job batches routed to its hash slot\n"
+        "         executes the job batches routed to its hash slot on\n"
+        "         DYNASPAM_JOBS threads (default 1)\n"
         "           --connect HOST:PORT  coordinator worker port\n"
         "                                (default 127.0.0.1:9090)\n"
         "           --cluster-token T    enrollment token to send\n"
@@ -650,8 +648,6 @@ cmdCoordinator(Args &args)
             opts.requestTimeoutMs = args.uvalue(flag);
         else if (flag == "--cluster-token")
             opts.clusterToken = args.value(flag);
-        else if (flag == "--coordinator-memo")
-            opts.memoCapacity = args.uvalue(flag);
         else
             fatal("unknown option ", flag);
     }
@@ -670,6 +666,9 @@ cmdWorker(Args &args)
     cluster::WorkerOptions opts;
     opts.cacheDir = ".dynaspam-cache";
     opts.clusterToken = envClusterToken();
+    // One shard of a fleet: DYNASPAM_JOBS threads, one by default, so
+    // N workers sharing a host do not each claim every core.
+    opts.threads = runner::ThreadPool::defaultWorkers(1);
     bool use_cache = true;
     unsigned cache_max_mb = 0;
 
@@ -715,68 +714,54 @@ cmdWorker(Args &args)
 int
 cmdServe(Args &args)
 {
-    serve::ServerOptions opts;
-    opts.cacheDir = ".dynaspam-cache";
+    // One worker slot, held by an in-process worker: the coordinator's
+    // front end with serve's knobs, and no worker port.
+    cluster::CoordinatorOptions opts;
+    opts.workerSlots = 1;
+    opts.queueCapacity = 64;
+    cluster::WorkerOptions worker;
+    worker.cacheDir = ".dynaspam-cache";
+    worker.verbose = false;
     bool use_cache = true;
-    bool clusterMode = false;
     unsigned cache_max_mb = 0;
-    std::string clusterToken = envClusterToken();
-    unsigned memoCapacity = 0;
 
     std::string flag;
     while (args.next(flag)) {
-        if (flag == "--cluster-token")
-            clusterToken = args.value(flag);
-        else if (flag == "--coordinator-memo")
-            memoCapacity = args.uvalue(flag);
-        else if (flag == "--port")
-            opts.port = args.uvalue(flag);
+        if (flag == "--port")
+            opts.httpPort = args.uvalue(flag);
         else if (flag == "--bind")
             opts.bindAddress = args.value(flag);
         else if (flag == "--jobs")
-            opts.jobs = args.uvalue(flag);
+            worker.threads = args.uvalue(flag);
         else if (flag == "--queue-capacity")
             opts.queueCapacity = args.uvalue(flag);
         else if (flag == "--timeout-ms")
             opts.requestTimeoutMs = args.uvalue(flag);
         else if (flag == "--cache")
-            opts.cacheDir = args.value(flag);
+            worker.cacheDir = args.value(flag);
         else if (flag == "--no-cache")
             use_cache = false;
         else if (flag == "--cache-max-mb")
             cache_max_mb = args.uvalue(flag);
         else if (flag == "--snapshot-cache")
-            opts.snapshotCacheDir = args.value(flag);
+            worker.snapshotCacheDir = args.value(flag);
         else if (flag == "--snapshot-cache-max-mb")
-            opts.snapshotCacheMaxBytes =
+            worker.snapshotCacheMaxBytes =
                 std::uint64_t(args.uvalue(flag)) * 1024 * 1024;
         else if (flag == "--warmup-insts")
             opts.defaultWarmupInsts = args.uvalue(flag);
-        else if (flag == "--cluster")
-            clusterMode = true;
         else
             fatal("unknown option ", flag);
     }
-    if (clusterMode) {
-        // serve --cluster == the coordinator with serve's knobs.
-        cluster::CoordinatorOptions copts;
-        copts.httpPort = opts.port;
-        copts.bindAddress = opts.bindAddress;
-        copts.queueCapacity = opts.queueCapacity;
-        copts.requestTimeoutMs = opts.requestTimeoutMs;
-        copts.clusterToken = clusterToken;
-        copts.memoCapacity = memoCapacity;
-        cluster::Coordinator coordinator(std::move(copts));
-        return coordinator.serveForever();
-    }
     if (!use_cache)
-        opts.cacheDir.clear();
-    opts.cacheMaxBytes = std::uint64_t(cache_max_mb) * 1024 * 1024;
-    if (opts.port > 65535)
+        worker.cacheDir.clear();
+    worker.cacheMaxBytes = std::uint64_t(cache_max_mb) * 1024 * 1024;
+    if (opts.httpPort > 65535)
         fatal("serve: --port must be <= 65535");
+    opts.localWorker = std::move(worker);
 
-    serve::Server server(std::move(opts));
-    return server.serveForever();
+    cluster::Coordinator coordinator(std::move(opts));
+    return coordinator.serveForever();
 }
 
 int

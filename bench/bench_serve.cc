@@ -1,9 +1,9 @@
 /**
  * @file
  * Serving-path benchmark: sustained RPS and latency percentiles of the
- * HTTP simulation service under mixed cached/uncached traffic, for the
- * single-process daemon (serve::Server) and the coordinator/worker
- * cluster (src/cluster) side by side.
+ * HTTP simulation service under mixed cached/uncached traffic, for
+ * `dynaspam serve` (the coordinator with one in-process worker) and a
+ * coordinator with W workers side by side.
  *
  *   bench_serve [--requests N] [--connections C] [--workers W]
  *               [--cached-pct P] [--out FILE] [--baseline FILE]
@@ -19,8 +19,9 @@
  * last response byte; RPS counts the whole timed phase.
  *
  * Both modes run in-process on ephemeral ports with fresh cache
- * directories, so neither inherits a warm disk cache. The cluster mode
- * starts one coordinator and W worker threads (the same code paths as
+ * directories, so neither inherits a warm disk cache. The "single"
+ * mode is exactly what `dynaspam serve` builds; the cluster mode starts
+ * one coordinator and W worker threads (the same code paths as
  * `dynaspam coordinator` / `dynaspam worker`, minus the process
  * boundary).
  *
@@ -52,7 +53,6 @@
 #include "cluster/worker.hh"
 #include "common/json.hh"
 #include "common/logging.hh"
-#include "serve/server.hh"
 
 using namespace dynaspam;
 
@@ -381,20 +381,25 @@ main(int argc, char **argv)
                 "%u-worker cluster\n",
                 requests, cached_pct, connections, workers);
 
-    // --- Single-process daemon -----------------------------------------
+    // --- dynaspam serve: one in-process worker --------------------------
     json::Value single_row;
     {
         TempDir cache("single");
-        serve::ServerOptions opts;
-        opts.port = 0;
-        opts.cacheDir = cache.path();
+        cluster::CoordinatorOptions opts;
+        opts.httpPort = 0;
+        opts.workerSlots = 1;
+        opts.queueCapacity = 64;
         opts.verbose = false;
-        serve::Server server(opts);
+        cluster::WorkerOptions worker;
+        worker.cacheDir = cache.path();
+        worker.verbose = false;
+        opts.localWorker = worker;
+        cluster::Coordinator server(opts);
         server.start();
-        if (!prime(server.port()))
+        if (!prime(server.httpPort()))
             fatal("single-process priming request failed");
         single_row = loadToJson(
-            runLoad(server.port(), schedule, connections));
+            runLoad(server.httpPort(), schedule, connections));
         server.beginDrain();
         server.waitUntilDrained();
     }
@@ -423,7 +428,7 @@ main(int argc, char **argv)
             fleet.push_back(
                 std::make_unique<cluster::Worker>(wopts));
             fleet_threads.emplace_back(
-                [&fleet, w] { fleet[w]->run(); });
+                [worker = fleet.back().get()] { worker->run(); });
         }
         for (unsigned waited = 0; waited < 10000; waited++) {
             if (coordinator.metrics().value(

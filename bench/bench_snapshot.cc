@@ -249,10 +249,10 @@ timeClusterSweep(const std::vector<Job> &jobs, unsigned repeat,
         wopts.snapshotCacheDir = snaps.path();
         // No result cache and no memo: every timed pass re-executes all
         // jobs, so the snapshot cache is the only thing being measured.
-        wopts.memoCapacity = 0;
+        wopts.memoEntries = 0;
         wopts.verbose = false;
         workers.push_back(std::make_unique<cluster::Worker>(wopts));
-        threads.emplace_back([&workers, i] { workers[i]->run(); });
+        threads.emplace_back([w = workers.back().get()] { w->run(); });
     }
     for (unsigned waited = 0; waited < 10000; waited++) {
         if (coordinator.metrics().value(

@@ -118,6 +118,15 @@ flushBuffer(int fd, std::string &out)
     return true;
 }
 
+bool
+isHexHash(const std::string &s)
+{
+    return s.size() == 16 &&
+           std::all_of(s.begin(), s.end(), [](char c) {
+               return (c >= '0' && c <= '9') || (c >= 'a' && c <= 'f');
+           });
+}
+
 std::string
 toLower(std::string s)
 {
@@ -130,7 +139,9 @@ toLower(std::string s)
 } // namespace
 
 Coordinator::Coordinator(CoordinatorOptions options_)
-    : options(std::move(options_))
+    : options(std::move(options_)),
+      resultCache(options.localWorker ? options.localWorker->cacheDir
+                                      : std::string())
 {
     if (options.workerSlots == 0)
         fatal("coordinator: --workers must be >= 1");
@@ -151,7 +162,7 @@ Coordinator::Coordinator(CoordinatorOptions options_)
     metrics_.declareGauge("dynaspam_cluster_worker_inflight",
                           "Batches inflight per worker slot.");
     metrics_.declareGauge("dynaspam_cluster_worker_queue_depth",
-                          "Batches queued worker-side, per slot (from the "
+                          "Jobs queued worker-side, per slot (from the "
                           "last Pong).");
     metrics_.declareGauge("dynaspam_cluster_worker_evictions",
                           "Cumulative memo + cache evictions per slot "
@@ -161,15 +172,18 @@ Coordinator::Coordinator(CoordinatorOptions options_)
     metrics_.declareCounter("dynaspam_cluster_hello_rejects_total",
                             "Worker enrollments rejected (bad or missing "
                             "cluster token).");
-    metrics_.declareGauge("dynaspam_cluster_coordinator_memo_hits",
-                          "Jobs answered from the coordinator-side "
-                          "result memo.");
     metrics_.declareGauge("dynaspam_cluster_outstanding_jobs",
                           "Jobs belonging to unfinished requests.");
     metrics_.declareHistogram(
         "dynaspam_request_latency_seconds",
         "End-to-end /run and /sweep latency in seconds.",
         {0.001, 0.005, 0.01, 0.05, 0.1, 0.5, 1, 5, 10, 30});
+
+    if (options.localWorker) {
+        WorkerOptions worker = *options.localWorker;
+        worker.metrics = &metrics_;
+        local = std::make_unique<Worker>(std::move(worker));
+    }
 }
 
 Coordinator::~Coordinator()
@@ -193,22 +207,53 @@ Coordinator::start()
 
     listenHttpFd = serve::listenTcp(options.bindAddress, options.httpPort,
                                     options.acceptBacklog, httpPort_);
-    listenWorkerFd =
-        serve::listenTcp(options.bindAddress, options.workerPort,
-                         options.acceptBacklog, workerPort_);
     setNonBlocking(listenHttpFd.get());
-    setNonBlocking(listenWorkerFd.get());
+    if (!local) {
+        listenWorkerFd =
+            serve::listenTcp(options.bindAddress, options.workerPort,
+                             options.acceptBacklog, workerPort_);
+        setNonBlocking(listenWorkerFd.get());
+    }
 
     epollFd.reset(::epoll_create1(0));
     if (!epollFd)
         fatal("coordinator: epoll_create1: ", std::strerror(errno));
+    int localPair[2] = {-1, -1};
+    if (local && ::socketpair(AF_UNIX, SOCK_STREAM | SOCK_CLOEXEC, 0,
+                              localPair) != 0)
+        fatal("coordinator: socketpair: ", std::strerror(errno));
+    common::Fd localEnd(localPair[0]);
+    common::Fd workerEnd(localPair[1]);
     for (int fd : {listenHttpFd.get(), listenWorkerFd.get(),
-                   wakePipe.readEnd.get()}) {
+                   wakePipe.readEnd.get(), localEnd.get()}) {
+        if (fd < 0)
+            continue;
         epoll_event ev{};
         ev.events = EPOLLIN;
         ev.data.fd = fd;
         if (::epoll_ctl(epollFd.get(), EPOLL_CTL_ADD, fd, &ev) != 0)
             fatal("coordinator: epoll_ctl: ", std::strerror(errno));
+    }
+
+    if (local) {
+        // The in-process worker's link is enrolled in slot 0 before the
+        // loop (and so any HTTP request) runs; the worker skips the
+        // Hello/Welcome handshake. The loop thread does not exist yet,
+        // so start() holds its role for this one hand-off.
+        common::ScopedRole role(loopRole);
+        setNonBlocking(localEnd.get());
+        WorkerConn conn;
+        // analyze-owns: the workers map owns the fd; dropWorker() and
+        // the event-loop teardown close it.
+        conn.fd = localEnd.release();
+        conn.slot = 0;
+        conn.lastPong = Clock::now();
+        slotFd[0] = conn.fd;
+        workers.emplace(conn.fd, std::move(conn));
+        updateWorkerGauge();
+        localThread = std::thread([this, fd = workerEnd.release()] {
+            local->serveConnection(fd, false);
+        });
     }
 
     started = true;
@@ -232,6 +277,12 @@ Coordinator::waitUntilDrained()
         return;
     if (loopThread.joinable())
         loopThread.join();
+    // The loop's teardown said Goodbye, so the local worker's link
+    // thread exits; destroying the worker runs what its pool still
+    // holds (batches of requests that already failed) to completion.
+    if (localThread.joinable())
+        localThread.join();
+    local.reset();
     drained = true;
 }
 
@@ -249,7 +300,12 @@ Coordinator::serveForever()
     ::sigaction(SIGTERM, &sa, nullptr);
     ::sigaction(SIGINT, &sa, nullptr);
 
-    if (options.verbose)
+    const char *who = local ? "serve" : "coordinator";
+    if (options.verbose && local)
+        inform("serve: listening on ", options.bindAddress, ":",
+               httpPort(), " (queue capacity ", options.queueCapacity,
+               ")");
+    else if (options.verbose)
         inform("coordinator: serving HTTP on ", options.bindAddress, ":",
                httpPort(), ", workers on :", workerPort(), " (",
                options.workerSlots, " shard slots, queue capacity ",
@@ -259,7 +315,7 @@ Coordinator::serveForever()
     gCoordinatorWakeFd.store(-1, std::memory_order_relaxed);
 
     if (options.verbose)
-        inform("coordinator: drained, exiting");
+        inform(who, ": drained, exiting");
     return 0;
 }
 
@@ -491,16 +547,17 @@ Coordinator::parseClientRequests(int fd)
           case serve::HttpParseOutcome::NeedMore:
             return;
           case serve::HttpParseOutcome::Malformed:
+            // Not keep-alive: queueResponse marks the connection
+            // close-after-flush, and may close it (and free `conn`)
+            // right away.
             queueResponse(conn,
                           errorResponse(400, "malformed HTTP request"),
                           false, "unparsed");
-            conn.closeAfterFlush = true;
             return;
           case serve::HttpParseOutcome::TooLarge:
             queueResponse(
                 conn, errorResponse(413, "request exceeds size limit"),
                 false, "unparsed");
-            conn.closeAfterFlush = true;
             return;
           case serve::HttpParseOutcome::Ok:
             conn.in.erase(0, consumed);
@@ -558,6 +615,8 @@ Coordinator::handleHttpRequest(ClientConn &conn,
                           "/run");
             return;
         }
+        if (job.warmupInsts == 0)
+            job.warmupInsts = options.defaultWarmupInsts;
         admitRequest(conn, "/run", "run", {job}, keepAlive);
         return;
     }
@@ -575,6 +634,9 @@ Coordinator::handleHttpRequest(ClientConn &conn,
                           "/sweep");
             return;
         }
+        for (runner::Job &job : sweep.jobs)
+            if (job.warmupInsts == 0)
+                job.warmupInsts = options.defaultWarmupInsts;
         admitRequest(conn, "/sweep", sweep.name, std::move(sweep.jobs),
                      keepAlive);
         return;
@@ -585,9 +647,8 @@ Coordinator::handleHttpRequest(ClientConn &conn,
     }
     if (req.target.rfind("/results", 0) == 0) {
         queueResponse(conn,
-                      errorResponse(404,
-                                    "results live in worker shard caches; "
-                                    "re-request via POST /sweep"),
+                      req.method == "GET" ? handleResults(req.target)
+                                          : errorResponse(405, "use GET"),
                       keepAlive, "/results");
         return;
     }
@@ -624,7 +685,7 @@ Coordinator::closeClient(int fd)
     // A pending request keeps running; its result still warms the
     // owning shard's caches. The response is dropped on completion.
     // An explore session dies with its stream: any in-flight internal
-    // batch completes (warming shard caches and the memo) and is then
+    // batch completes (warming shard caches) and is then
     // dropped when finishExploreBatch finds the session gone.
     const std::uint64_t exploreId = it->second.exploreId;
     ::close(fd);
@@ -783,6 +844,7 @@ Coordinator::handleResult(WorkerConn &conn, const Frame &frame)
     std::uint64_t batchId = 0;
     std::vector<RawEntry> rawEntries;
     std::string error;
+    int status = 500;
     if (frame.type == FrameType::ResultRaw) {
         if (!decodeResultRaw(frame.payload, batchId, rawEntries)) {
             dropWorker(conn.fd, "malformed Result");
@@ -793,6 +855,10 @@ Coordinator::handleResult(WorkerConn &conn, const Frame &frame)
             json::Value payload = json::Value::parse(frame.payload);
             batchId = payload.at("id").asUint();
             error = payload.at("error").asString();
+            // 503: the batch's deadline passed before the worker
+            // started it (the request has normally failed already).
+            if (const json::Value *code = payload.find("status"))
+                status = int(code->asUint());
         } catch (const FatalError &) {
             dropWorker(conn.fd, "malformed Result");
             return;
@@ -817,7 +883,7 @@ Coordinator::handleResult(WorkerConn &conn, const Frame &frame)
 
     if (!error.empty()) {
         // Deterministic execution failure: retrying would reproduce it.
-        failRequest(request.id, 500, error);
+        failRequest(request.id, status, error);
         return;
     }
 
@@ -833,25 +899,6 @@ Coordinator::handleResult(WorkerConn &conn, const Frame &frame)
     for (std::size_t i = 0; i < rawEntries.size(); i++) {
         if (rawEntries[i].fromCache)
             request.hits++;
-        if (options.memoCapacity > 0) {
-            // Memoize a twin of the fragment with from_cache flipped to
-            // true: a memo-served repeat IS a cache hit, and must say
-            // so. The re-render is byte-safe — json::Object keys are
-            // sorted, and dumpAt at the worker's indent/depth produces
-            // exactly the splice-compatible form.
-            try {
-                json::Value entry =
-                    json::Value::parse(rawEntries[i].fragment);
-                entry.asObject().insert_or_assign("from_cache",
-                                                  json::Value(true));
-                memoPut(
-                    request.jobs[batch.jobIndices[i]].hashHex(),
-                    entry.dumpAt(kReportIndent, kEntryFragmentDepth));
-            } catch (const FatalError &) {
-                // An unparseable fragment still splices verbatim; it
-                // just never memoizes.
-            }
-        }
         request.entries[batch.jobIndices[i]] =
             json::Value(json::Raw{std::move(rawEntries[i].fragment)});
         request.remaining--;
@@ -948,65 +995,47 @@ Coordinator::admitRequest(ClientConn &conn, const std::string &endpoint,
                       endpoint);
         return;
     }
-    // Memo probe: jobs whose pre-rendered entry is already in the
-    // coordinator-side memo never reach a worker. Fully memo-served
-    // requests are legal even with zero workers connected.
-    std::vector<const std::string *> memoFrags(jobs.size(), nullptr);
-    std::size_t memoServed = 0;
-    if (options.memoCapacity > 0) {
-        for (std::size_t i = 0; i < jobs.size(); i++) {
-            memoFrags[i] = memoGet(jobs[i].hashHex());
-            if (memoFrags[i])
-                memoServed++;
-        }
-    }
-    if (memoServed < jobs.size() && liveWorkerCount() == 0) {
+    if (liveWorkerCount() == 0) {
         queueResponse(conn, errorResponse(503, "no workers connected"),
                       keep_alive, endpoint);
         return;
     }
 
-    const std::uint64_t id = nextRequestId++;
-    Request &request = requests[id];
-    request.id = id;
+    Request request;
     request.clientFd = conn.fd;
     request.name = name;
     request.keepAlive = keep_alive;
     request.endpoint = endpoint;
     request.jobs = std::move(jobs);
-    request.entries.resize(request.jobs.size());
-    request.remaining = request.jobs.size();
-    request.start = Clock::now();
-    request.deadline =
-        request.start +
-        std::chrono::milliseconds(options.requestTimeoutMs);
+    request.deadline = Clock::now() +
+                       std::chrono::milliseconds(options.requestTimeoutMs);
+    conn.busy = true;
+    conn.requestId = fanOut(std::move(request));
+    assignPendingBatches();
+}
 
-    for (std::size_t i = 0; i < request.jobs.size(); i++) {
-        if (!memoFrags[i])
-            continue;
-        request.entries[i] = json::Value(json::Raw{*memoFrags[i]});
-        request.hits++;
-        request.remaining--;
-    }
-    if (memoServed > 0) {
-        memoHits += memoServed;
-        metrics_.set("dynaspam_cluster_coordinator_memo_hits",
-                     double(memoHits));
-    }
+std::uint64_t
+Coordinator::fanOut(Request request)
+{
+    const std::uint64_t id = nextRequestId++;
+    Request &r = requests[id];
+    r = std::move(request);
+    r.id = id;
+    r.entries.resize(r.jobs.size());
+    r.remaining = r.jobs.size();
+    r.start = Clock::now();
 
-    // Shard: group the memo-missed job indices by FNV-1a hash-space
-    // owner slot, using the fork-group hash so every member of a fork
-    // group lands on the same worker — that worker warms the shared
-    // prefix once (or loads it from its snapshot cache) and forks all
-    // members from it. Jobs without a warmup phase keep their per-job
-    // hash, preserving the old shard-local result-cache locality.
+    // Shard: group the job indices by FNV-1a hash-space owner slot,
+    // using the fork-group hash so every member of a fork group lands
+    // on the same worker — that worker warms the shared prefix once (or
+    // loads it from its snapshot cache) and forks all members from it.
+    // Jobs without a warmup phase keep their per-job hash, preserving
+    // shard-local result-cache locality.
     std::map<unsigned, std::vector<std::size_t>> shards;
-    for (std::size_t i = 0; i < request.jobs.size(); i++)
-        if (!memoFrags[i])
-            shards[ownerSlot(runner::forkGroupHash(request.jobs[i]),
-                             options.workerSlots)]
-                .push_back(i);
-
+    for (std::size_t i = 0; i < r.jobs.size(); i++)
+        shards[ownerSlot(runner::forkGroupHash(r.jobs[i]),
+                         options.workerSlots)]
+            .push_back(i);
     for (auto &shard : shards) {
         const std::uint64_t batchId = nextBatchId++;
         Batch &batch = batches[batchId];
@@ -1014,20 +1043,14 @@ Coordinator::admitRequest(ClientConn &conn, const std::string &endpoint,
         batch.requestId = id;
         batch.ownerSlot = shard.first;
         batch.jobIndices = std::move(shard.second);
-        batch.notBefore = request.start;
-        request.batchIds.insert(batchId);
-        assignBatch(batch);
+        batch.notBefore = r.start;
+        r.batchIds.insert(batchId);
     }
 
-    outstandingJobs += request.jobs.size();
+    outstandingJobs += r.jobs.size();
     metrics_.set("dynaspam_cluster_outstanding_jobs",
                  double(outstandingJobs));
-    conn.busy = true;
-    conn.requestId = id;
-    // A fully memo-served request completes without any worker round
-    // trip (finishRequest needs conn.busy/requestId set above).
-    if (request.remaining == 0)
-        finishRequest(request);
+    return id;
 }
 
 void
@@ -1065,6 +1088,10 @@ Coordinator::assignBatch(Batch &batch)
     json::Object payload;
     payload.emplace("id", batch.id);
     payload.emplace("jobs", std::move(jobSpecs));
+    const auto left = std::chrono::duration_cast<std::chrono::milliseconds>(
+        reqIt->second.deadline - Clock::now());
+    payload.emplace("deadline_ms",
+                    std::uint64_t(std::max<std::int64_t>(0, left.count())));
 
     WorkerConn &conn = workers.at(fd);
     batch.assignedFd = fd;
@@ -1202,13 +1229,7 @@ Coordinator::handleExplore(ClientConn &conn,
                           "/explore");
             return;
         }
-        std::size_t memoServed = 0;
-        if (options.memoCapacity > 0) {
-            for (const runner::Job &job : first)
-                if (memoMap.count(job.hashHex()))
-                    memoServed++;
-        }
-        if (memoServed < first.size() && liveWorkerCount() == 0) {
+        if (liveWorkerCount() == 0) {
             exploreSessions.erase(id);
             queueResponse(conn,
                           errorResponse(503, "no workers connected"),
@@ -1218,8 +1239,7 @@ Coordinator::handleExplore(ClientConn &conn,
     }
 
     // Count the request as a 200 now; later failures surface as a
-    // terminal error line inside the stream, exactly like the
-    // single-process daemon.
+    // terminal error line inside the stream.
     metrics_.inc("dynaspam_http_requests_total",
                  requestLabels("/explore", 200));
     conn.busy = true;
@@ -1236,94 +1256,34 @@ Coordinator::handleExplore(ClientConn &conn,
 void
 Coordinator::driveExplore(std::uint64_t sessionId)
 {
-    // Iterative, so memo-served batches (which complete synchronously)
-    // cannot recurse one stack frame per generation.
-    while (true) {
-        auto it = exploreSessions.find(sessionId);
-        if (it == exploreSessions.end())
-            return;
-        ExploreSession &session = it->second;
-        if (session.requestId != 0)
-            return;    // waiting on shard results
-        if (session.engine->done()) {
-            endExploreStream(sessionId);
-            return;
-        }
-        if (!dispatchExploreBatch(session))
-            return;    // shards in flight (or the session died)
-    }
+    auto it = exploreSessions.find(sessionId);
+    if (it == exploreSessions.end())
+        return;
+    ExploreSession &session = it->second;
+    if (session.requestId != 0)
+        return;    // waiting on shard results
+    if (session.engine->done())
+        endExploreStream(sessionId);
+    else
+        dispatchExploreBatch(session);
 }
 
-bool
+void
 Coordinator::dispatchExploreBatch(ExploreSession &session)
 {
-    const std::vector<runner::Job> &batch = session.engine->nextBatch();
-
-    const std::uint64_t id = nextRequestId++;
-    Request &request = requests[id];
-    request.id = id;
+    // Internal batches bypass the draining/queue-capacity rejections:
+    // the search was admitted as a whole when its stream began, and a
+    // draining coordinator still finishes running streams. The engine
+    // hands out a non-empty batch whenever it is not done.
+    Request request;
     request.clientFd = -1;    // results flow over the stream, not HTTP
     request.name = "explore";
     request.endpoint = "/explore";
     request.exploreSessionId = session.id;
-    request.jobs = batch;
-    request.entries.resize(request.jobs.size());
-    request.remaining = request.jobs.size();
-    request.start = Clock::now();
+    request.jobs = session.engine->nextBatch();
     request.deadline = session.deadline;
-
-    // Internal batches bypass the draining/queue-capacity rejections:
-    // the search was admitted as a whole when its stream began, and a
-    // draining coordinator still finishes running streams.
-    std::size_t memoServed = 0;
-    if (options.memoCapacity > 0) {
-        for (std::size_t i = 0; i < request.jobs.size(); i++) {
-            const std::string *frag =
-                memoGet(request.jobs[i].hashHex());
-            if (!frag)
-                continue;
-            request.entries[i] = json::Value(json::Raw{*frag});
-            request.hits++;
-            request.remaining--;
-            memoServed++;
-        }
-    }
-    if (memoServed > 0) {
-        memoHits += memoServed;
-        metrics_.set("dynaspam_cluster_coordinator_memo_hits",
-                     double(memoHits));
-    }
-
-    std::map<unsigned, std::vector<std::size_t>> shards;
-    for (std::size_t i = 0; i < request.jobs.size(); i++)
-        if (request.entries[i].isNull())
-            shards[ownerSlot(runner::forkGroupHash(request.jobs[i]),
-                             options.workerSlots)]
-                .push_back(i);
-    for (auto &shard : shards) {
-        const std::uint64_t batchId = nextBatchId++;
-        Batch &b = batches[batchId];
-        b.id = batchId;
-        b.requestId = id;
-        b.ownerSlot = shard.first;
-        b.jobIndices = std::move(shard.second);
-        b.notBefore = request.start;
-        request.batchIds.insert(batchId);
-        assignBatch(b);
-    }
-
-    outstandingJobs += request.jobs.size();
-    metrics_.set("dynaspam_cluster_outstanding_jobs",
-                 double(outstandingJobs));
-    session.requestId = id;
-
-    if (request.remaining == 0) {
-        // Fully memo-served: complete inline; driveExplore's loop
-        // continues with the next generation.
-        finishExploreBatch(request);
-        return true;
-    }
-    return false;
+    session.requestId = fanOut(std::move(request));
+    assignPendingBatches();
 }
 
 void
@@ -1442,34 +1402,6 @@ Coordinator::failExploreSession(std::uint64_t sessionId, int status,
     endExploreStream(sessionId);
 }
 
-const std::string *
-Coordinator::memoGet(const std::string &hash)
-{
-    auto it = memoMap.find(hash);
-    if (it == memoMap.end())
-        return nullptr;
-    memoOrder.splice(memoOrder.begin(), memoOrder, it->second.first);
-    return &it->second.second;
-}
-
-void
-Coordinator::memoPut(const std::string &hash, std::string fragment)
-{
-    auto it = memoMap.find(hash);
-    if (it != memoMap.end()) {
-        memoOrder.splice(memoOrder.begin(), memoOrder, it->second.first);
-        it->second.second = std::move(fragment);
-        return;
-    }
-    memoOrder.push_front(hash);
-    memoMap.emplace(hash, std::make_pair(memoOrder.begin(),
-                                         std::move(fragment)));
-    while (memoMap.size() > options.memoCapacity) {
-        memoMap.erase(memoOrder.back());
-        memoOrder.pop_back();
-    }
-}
-
 void
 Coordinator::dropRequestBatches(const Request &request)
 {
@@ -1585,6 +1517,33 @@ Coordinator::handleMetricsScrape()
     serve::HttpResponse resp;
     resp.contentType = "text/plain; version=0.0.4; charset=utf-8";
     resp.body = metrics_.render();
+    return resp;
+}
+
+serve::HttpResponse
+Coordinator::handleResults(const std::string &target) const
+{
+    const std::string prefix = "/results/";
+    const std::string hash = target.rfind(prefix, 0) == 0
+                                 ? target.substr(prefix.size())
+                                 : std::string();
+    if (!isHexHash(hash))
+        return errorResponse(404, "not a job hash (16 lowercase hex "
+                                  "characters)");
+    std::optional<std::pair<runner::Job, sim::RunResult>> cached =
+        resultCache.loadByHash(hash);
+    if (!cached)
+        return errorResponse(404, "no cached result for hash " + hash);
+
+    // The report a cached `dynaspam run` of that job writes.
+    StatRegistry registry = runner::sweepRequestStats(1, 1);
+    std::ostringstream os;
+    runner::writeSweepReport(
+        os, "run",
+        {runner::JobOutcome{cached->first, std::move(cached->second), true}},
+        &registry);
+    serve::HttpResponse resp;
+    resp.body = os.str();
     return resp;
 }
 

@@ -2,15 +2,18 @@
  * @file
  * Cluster coordinator: epoll front end + shard fan-out for sweeps.
  *
- * The coordinator is the client-facing half of the distributed sweep
- * fabric (`dynaspam coordinator`, or `dynaspam serve --cluster`). Where
- * the single-process daemon spends a thread per connection, the
- * coordinator runs ONE event-loop thread multiplexing every socket —
- * the HTTP listener, the worker listener, every client and every worker
- * link — through epoll with non-blocking fds and per-connection
- * in/out buffers. HTTP/1.1 connections are persistent by default
- * (close with `Connection: close`), so a load generator pays the TCP
- * handshake once, not per request.
+ * The coordinator is the one client-facing HTTP front end. `dynaspam
+ * coordinator` serves `dynaspam worker` processes that dial its worker
+ * port; `dynaspam serve` is the same coordinator with one worker slot
+ * held by an in-process Worker (CoordinatorOptions::localWorker),
+ * joined over a socketpair that is enrolled before any HTTP is
+ * accepted, so serve binds no worker port. ONE event-loop thread
+ * multiplexes every socket — the HTTP listener, the worker listener,
+ * every client and every worker link — through epoll with non-blocking
+ * fds and per-connection in/out buffers; no simulation ever runs on
+ * it. HTTP/1.1 connections are persistent by default (close with
+ * `Connection: close`), so a load generator pays the TCP handshake
+ * once, not per request.
  *
  * Sharding: each job's FNV-1a content hash — the same hash that keys
  * the on-disk ResultCache — is mapped to one of `--workers` hash-space
@@ -23,8 +26,8 @@
  * Merging: workers return fully serialized sweep-report entries; the
  * coordinator splices them back into job order and wraps them with
  * runner::sweepReportJson + sweepRequestStats, producing a combined
- * report byte-identical to what a single process (CLI `dynaspam sweep`
- * or the non-cluster daemon) would emit for the same cache state.
+ * report byte-identical to what `dynaspam sweep` would emit for the
+ * same cache state.
  *
  * Failure handling, so a worker crash never drops an accepted request:
  *  - membership is health-checked (Ping/Pong every pingIntervalMs; a
@@ -36,10 +39,12 @@
  *    the request with 500 and are NOT retried — a deterministic
  *    simulator would only reproduce the error;
  *  - requests carry a wall-clock deadline (requestTimeoutMs -> 503).
+ *    Each Batch carries the request's remaining time, and a worker
+ *    skips a batch whose deadline passed before it started.
  *
- * Admission is bounded like the single-process daemon: when the jobs
- * belonging to unfinished requests would exceed queueCapacity, new
- * requests get 429 + Retry-After.
+ * Admission is bounded: when the jobs belonging to unfinished requests
+ * — queued or running — would exceed queueCapacity, new requests get
+ * 429 + Retry-After.
  *
  * POST /explore runs the design-space-exploration engine
  * (explore::Engine) inside the event loop: every engine batch becomes
@@ -48,11 +53,12 @@
  * a chunked response while the search progresses. Worker death, batch
  * reassignment, deadlines and drain all behave exactly as for /sweep.
  *
+ * GET /results/<hash> answers from the in-process worker's on-disk
+ * result cache (ResultCache::loadByHash); without one it is a 404.
+ *
  * Hardening: with --cluster-token set, worker enrollment requires the
  * shared secret in the Hello frame; mismatches are dropped before
- * Welcome and counted (never logged). An optional coordinator-side LRU
- * memo (--coordinator-memo) answers repeat jobs from pre-rendered
- * entry fragments without touching workers.
+ * Welcome and counted (never logged).
  */
 
 #ifndef DYNASPAM_CLUSTER_COORDINATOR_HH
@@ -60,21 +66,23 @@
 
 #include <chrono>
 #include <cstdint>
-#include <list>
 #include <map>
 #include <memory>
+#include <optional>
 #include <set>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "cluster/wire.hh"
+#include "cluster/worker.hh"
 #include "common/annotations.hh"
 #include "common/fd.hh"
 #include "common/json.hh"
 #include "common/mutex.hh"
 #include "explore/engine.hh"
 #include "runner/job.hh"
+#include "runner/result_cache.hh"
 #include "serve/http.hh"
 #include "serve/metrics.hh"
 
@@ -87,11 +95,12 @@ struct CoordinatorOptions
     std::string bindAddress = "127.0.0.1";
     /** Client-facing HTTP port; 0 binds an ephemeral port. */
     unsigned httpPort = 8080;
-    /** Worker-facing wire-protocol port; 0 binds an ephemeral port. */
+    /** Worker-facing wire-protocol port; 0 binds an ephemeral port.
+     *  Not bound when localWorker is set. */
     unsigned workerPort = 9090;
     /** Hash-space partitions == maximum cluster size. */
     unsigned workerSlots = 4;
-    /** Max jobs belonging to unfinished requests before 429. */
+    /** Max jobs (queued or running) of unfinished requests before 429. */
     std::size_t queueCapacity = 256;
     /** Per-request wall-clock budget before a 503. */
     std::uint64_t requestTimeoutMs = 120000;
@@ -114,14 +123,16 @@ struct CoordinatorOptions
      * never logged and never appears in /metrics.
      */
     std::string clusterToken;
+    /** warmup_insts applied to /run and /sweep jobs that set none
+     *  (`dynaspam serve --warmup-insts N`). 0 = no default. */
+    std::uint64_t defaultWarmupInsts = 0;
     /**
-     * Coordinator-side result memo: pre-rendered sweep-report entries
-     * kept per job hash, so fully repeated sweeps answer without
-     * touching a worker. 0 disables the memo (the default: memo-served
-     * entries report from_cache=true, which changes repeat-sweep bytes
-     * for deployments that run workers cache-less on purpose).
+     * In-process worker (`dynaspam serve`): built by the constructor,
+     * publishing its job metrics into this coordinator's registry, and
+     * joined at start() over a socketpair enrolled in slot 0 before any
+     * HTTP is accepted. Its cacheDir also answers GET /results/<hash>.
      */
-    std::size_t memoCapacity = 0;
+    std::optional<WorkerOptions> localWorker;
     /** Log a line per lifecycle event (suppressed in tests). */
     bool verbose = true;
 };
@@ -155,7 +166,8 @@ class Coordinator
      */
     void beginDrain();
 
-    /** Block until the event loop has exited and everything is closed. */
+    /** Block until the event loop has exited and everything is closed
+     *  (the in-process worker included: its queued batches finish). */
     void waitUntilDrained();
 
     /**
@@ -284,18 +296,24 @@ class Coordinator
                       const std::string &name,
                       std::vector<runner::Job> jobs, bool keep_alive)
         REQUIRES(loopRole);
+    /**
+     * Register @p request under a fresh id and split its jobs into
+     * per-shard batches, left for assignPendingBatches() to send (so a
+     * worker dropped mid-assignment cannot pull the request out from
+     * under the caller). @return the request id
+     */
+    std::uint64_t fanOut(Request request) REQUIRES(loopRole);
+    /** GET /results/<hash> from the shared on-disk result cache. */
+    serve::HttpResponse handleResults(const std::string &target) const;
 
     /** Validate + admit a POST /explore and stream its header. */
     void handleExplore(ClientConn &conn, const serve::HttpRequest &req)
         REQUIRES(loopRole);
     /** Dispatch engine batches until one waits on workers (or done). */
     void driveExplore(std::uint64_t sessionId) REQUIRES(loopRole);
-    /**
-     * Create the internal Request for the session's pending engine
-     * batch. @return true when it completed synchronously (memo served
-     * every job) and the drive loop should continue
-     */
-    bool dispatchExploreBatch(ExploreSession &session) REQUIRES(loopRole);
+    /** Fan the session's pending engine batch out as an internal
+     *  Request. */
+    void dispatchExploreBatch(ExploreSession &session) REQUIRES(loopRole);
     /** Decode a finished internal batch, feed the engine, stream. */
     void finishExploreBatch(Request &request) REQUIRES(loopRole);
     /** Stream @p bytes to the session's client. @return false when the
@@ -308,12 +326,6 @@ class Coordinator
     void failExploreSession(std::uint64_t sessionId, int status,
                             const std::string &message) REQUIRES(loopRole);
 
-    /** Memo lookup; refreshes LRU order. @return nullptr on miss */
-    const std::string *memoGet(const std::string &hash)
-        REQUIRES(loopRole);
-    /** Memo insert/refresh (evicts LRU past memoCapacity). */
-    void memoPut(const std::string &hash, std::string fragment)
-        REQUIRES(loopRole);
     /** Try to assign every unassigned batch whose backoff has expired. */
     void assignPendingBatches() REQUIRES(loopRole);
     bool assignBatch(Batch &batch) REQUIRES(loopRole);
@@ -338,6 +350,10 @@ class Coordinator
 
     CoordinatorOptions options;
     serve::Metrics metrics_;
+    /** Read-only view of the local worker's cache for /results. */
+    runner::ResultCache resultCache;
+    std::unique_ptr<Worker> local;
+    std::thread localThread;
 
     // Lifecycle plumbing. The listen sockets and the epoll instance are
     // created by start() before the loop thread exists and closed by the
@@ -377,14 +393,6 @@ class Coordinator
     std::uint64_t nextBatchId GUARDED_BY(loopRole) = 1;
     std::uint64_t nextExploreId GUARDED_BY(loopRole) = 1;
 
-    /** Coordinator-side LRU result memo: job hash -> pre-rendered
-     *  from_cache=true sweep-report entry fragment. */
-    std::list<std::string> memoOrder GUARDED_BY(loopRole);
-    std::map<std::string,
-             std::pair<std::list<std::string>::iterator, std::string>>
-        memoMap GUARDED_BY(loopRole);
-    /** Lifetime memo hits (mirrored into the memo_hits gauge). */
-    std::uint64_t memoHits GUARDED_BY(loopRole) = 0;
     std::uint64_t pingTick GUARDED_BY(loopRole) = 0;
     Clock::time_point lastPingSweep GUARDED_BY(loopRole);
     /** Jobs belonging to unfinished requests (admission gauge). */

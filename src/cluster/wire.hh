@@ -26,12 +26,18 @@
  * requires a matching one before granting a slot (a mismatch drops the
  * connection without a Welcome). The token is never logged on either
  * side and never appears in /metrics.
- *     coordinator -> worker   Batch  {"id": n, "jobs": [jobToJson...]}
+ *     coordinator -> worker   Batch  {"id": n, "jobs": [jobToJson...],
+ *                                     "deadline_ms": remaining}
  *     worker -> coordinator   ResultRaw (binary, successful batches)
- *     worker -> coordinator   Result {"id": n, "error": "..."}
+ *     worker -> coordinator   Result {"id": n, "error": "...",
+ *                                     "status": 500 | 503}
  *     coordinator -> worker   Ping   {"tick": n}
  *     worker -> coordinator   Pong   {"tick": n, "queued": q,
- *                                     "evictions": e}
+ *                                     "evictions": e, "warmups": w}
+ *
+ * "deadline_ms" (the request's remaining time) and "status" (503: the
+ * batch expired before the worker started it) are optional: a missing
+ * deadline never expires, a missing status means 500.
  *
  * Successful results use the binary ResultRaw payload (encodeResultRaw)
  * carrying each sweep-report entry as a pre-serialized fragment

@@ -47,24 +47,45 @@ recvSome(int fd, char *buf, std::size_t len, int flags)
     }
 }
 
-bool
-sendFrame(int fd, FrameType type, const json::Value &payload)
+std::string
+renderEntry(const runner::JobOutcome &outcome)
 {
-    const std::string wire = encodeFrame(type, payload.dump());
-    return serve::sendAll(fd, wire.data(), wire.size());
+    return runner::sweepEntryJson(outcome).dumpAt(kReportIndent,
+                                                  kEntryFragmentDepth);
 }
 
 } // namespace
 
 Worker::Worker(WorkerOptions options_)
-    : options(std::move(options_)), cache(options.cacheDir),
-      snapCache(options.snapshotCacheDir),
+    : options(std::move(options_)),
+      metrics(options.metrics ? *options.metrics : ownMetrics),
+      cache(options.cacheDir), snapCache(options.snapshotCacheDir),
       customExecute(bool(options.executeFn))
 {
     if (!options.executeFn)
         options.executeFn = [](const runner::Job &job) {
             return runner::execute(job);
         };
+
+    metrics.declareGauge("dynaspam_queue_depth",
+                         "Jobs received by the worker, not yet running.");
+    metrics.declareGauge("dynaspam_jobs_inflight",
+                         "Jobs a worker thread is executing (or waiting "
+                         "on another thread's identical job).");
+    metrics.declareCounter("dynaspam_jobs_executed_total",
+                           "Simulations completed by the worker.");
+    metrics.declareCounter("dynaspam_jobs_cancelled_total",
+                           "Queued jobs skipped because their request "
+                           "deadline passed.");
+    metrics.declareHistogram(
+        "dynaspam_sim_kips",
+        "Simulation speed per executed job, in kilo-instructions "
+        "committed per wall-clock second.",
+        {250, 500, 1000, 2000, 4000, 8000, 16000, 32000});
+
+    pool = std::make_unique<runner::ThreadPool>(
+        options.threads ? options.threads
+                        : runner::ThreadPool::defaultWorkers());
 }
 
 int
@@ -134,13 +155,15 @@ Worker::run()
 }
 
 int
-Worker::serveConnection(int fd)
+Worker::serveConnection(int fd, bool handshake)
 {
     // Owns @p fd (int parameter so tests can hand it a socketpair end).
     common::Fd link(fd);
+    std::uint64_t gen;
     {
-        common::MutexLock lock(fdMutex);
+        common::MutexLock lock(linkMutex);
         linkFd = fd;
+        gen = ++linkGen;
     }
 
     timeval tv{};
@@ -148,87 +171,81 @@ Worker::serveConnection(int fd)
     ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof(tv));
 
     // Clearing linkFd under the lock strictly precedes `link` closing
-    // the socket (at return), so a concurrent shutdownNow() either sees
-    // the live fd and shuts it down before we close, or sees -1.
+    // the socket (at return), so a pool thread or a concurrent
+    // shutdownNow() either uses the live fd before we close, or sees -1.
     auto finish = [this](int code) {
         {
-            common::MutexLock lock(fdMutex);
+            common::MutexLock lock(linkMutex);
             linkFd = -1;
         }
-        if (cache.enabled()) {
-            runner::CacheGcStats gc = cache.gc(options.cacheMaxBytes);
-            cacheEvictions += gc.staleEvicted + gc.lruEvicted;
-        }
-        if (snapCache.enabled()) {
-            runner::CacheGcStats gc =
-                snapCache.gc(options.snapshotCacheMaxBytes);
-            cacheEvictions += gc.staleEvicted + gc.lruEvicted;
-        }
+        common::MutexLock lock(stateMutex);
+        gcCaches(true);
         return code;
     };
 
-    json::Object hello;
-    hello.emplace("protocol", std::uint64_t(kWireVersion));
-    if (!options.clusterToken.empty())
-        hello.emplace("token", options.clusterToken);
-    if (!sendFrame(fd, FrameType::Hello, json::Value(std::move(hello))))
-        return finish(1);
-
-    // Handshake: block until one Welcome frame arrives.
     std::string inBuf;
-    Frame welcome;
-    while (true) {
-        std::size_t consumed = 0;
-        DecodeOutcome outcome = decodeFrame(inBuf, welcome, consumed);
-        if (outcome == DecodeOutcome::Bad) {
-            warn("worker: bad frame during handshake");
+    if (!handshake) {
+        slot_ = 0;
+    } else {
+        json::Object hello;
+        hello.emplace("protocol", std::uint64_t(kWireVersion));
+        if (!options.clusterToken.empty())
+            hello.emplace("token", options.clusterToken);
+        if (!send(gen, encodeFrame(FrameType::Hello,
+                                   json::Value(std::move(hello)).dump())))
+            return finish(1);
+
+        // Handshake: block until one Welcome frame arrives.
+        Frame welcome;
+        while (true) {
+            std::size_t consumed = 0;
+            DecodeOutcome outcome = decodeFrame(inBuf, welcome, consumed);
+            if (outcome == DecodeOutcome::Bad) {
+                warn("worker: bad frame during handshake");
+                return finish(1);
+            }
+            if (outcome == DecodeOutcome::Ok) {
+                inBuf.erase(0, consumed);
+                break;
+            }
+            char chunk[4096];
+            long n = recvSome(fd, chunk, sizeof(chunk), 0);
+            if (n <= 0) {
+                warn("worker: coordinator closed during handshake");
+                return finish(1);
+            }
+            inBuf.append(chunk, std::size_t(n));
+        }
+        if (welcome.type != FrameType::Welcome) {
+            warn("worker: expected Welcome, got frame type ",
+                 unsigned(welcome.type));
             return finish(1);
         }
-        if (outcome == DecodeOutcome::Ok) {
-            inBuf.erase(0, consumed);
-            break;
-        }
-        char chunk[4096];
-        long n = recvSome(fd, chunk, sizeof(chunk), 0);
-        if (n <= 0) {
-            warn("worker: coordinator closed during handshake");
+        try {
+            json::Value payload = json::Value::parse(welcome.payload);
+            if (const json::Value *error = payload.find("error")) {
+                warn("worker: coordinator rejected us: ",
+                     error->asString());
+                // A rejection (full cluster, protocol mismatch) is not a
+                // lost link: reconnecting would just be rejected again.
+                terminal.store(true, std::memory_order_relaxed);
+                return finish(1);
+            }
+            slot_ = unsigned(payload.at("slot").asUint());
+            if (options.verbose)
+                inform("worker: joined as slot ", slot_, "/",
+                       payload.at("slots").asUint(), " (cache ",
+                       cache.enabled() ? options.cacheDir : "disabled",
+                       ")");
+        } catch (const FatalError &err) {
+            warn("worker: malformed Welcome: ", err.what());
             return finish(1);
         }
-        inBuf.append(chunk, std::size_t(n));
-    }
-    if (welcome.type != FrameType::Welcome) {
-        warn("worker: expected Welcome, got frame type ",
-             unsigned(welcome.type));
-        return finish(1);
-    }
-    try {
-        json::Value payload = json::Value::parse(welcome.payload);
-        if (const json::Value *error = payload.find("error")) {
-            warn("worker: coordinator rejected us: ", error->asString());
-            // A rejection (full cluster, protocol mismatch) is not a
-            // lost link: reconnecting would just be rejected again.
-            terminal.store(true, std::memory_order_relaxed);
-            return finish(1);
-        }
-        slot_ = unsigned(payload.at("slot").asUint());
-        if (options.verbose)
-            inform("worker: joined as slot ", slot_, "/",
-                   payload.at("slots").asUint(), " (cache ",
-                   cache.enabled() ? options.cacheDir : "disabled", ")");
-    } catch (const FatalError &err) {
-        warn("worker: malformed Welcome: ", err.what());
-        return finish(1);
     }
 
     while (true) {
-        if (!drainFrames(inBuf, fd))
+        if (!drainFrames(inBuf, gen))
             return finish(stopping.load() ? 1 : 0);
-        while (!pendingBatches.empty()) {
-            Frame batch = std::move(pendingBatches.front());
-            pendingBatches.pop_front();
-            if (!handleBatch(batch, fd, inBuf))
-                return finish(1);
-        }
 
         char chunk[4096];
         long n = recvSome(fd, chunk, sizeof(chunk), 0);
@@ -252,13 +269,22 @@ void
 Worker::shutdownNow()
 {
     stopping.store(true, std::memory_order_relaxed);
-    common::MutexLock lock(fdMutex);
+    common::MutexLock lock(linkMutex);
     if (linkFd >= 0)
         ::shutdown(linkFd, SHUT_RDWR);
 }
 
 bool
-Worker::drainFrames(std::string &inBuf, int fd)
+Worker::send(std::uint64_t link, const std::string &wire)
+{
+    common::MutexLock lock(linkMutex);
+    if (link != linkGen || linkFd < 0)
+        return false;
+    return serve::sendAll(linkFd, wire.data(), wire.size());
+}
+
+bool
+Worker::drainFrames(std::string &inBuf, std::uint64_t link)
 {
     while (true) {
         Frame frame;
@@ -284,18 +310,43 @@ Worker::drainFrames(std::string &inBuf, int fd)
                 warn("worker: malformed Ping payload");
                 return false;
             }
-            pong.emplace("queued",
-                         std::uint64_t(pendingBatches.size()));
-            pong.emplace("evictions", memoEvictions + cacheEvictions);
+            {
+                common::MutexLock lock(stateMutex);
+                pong.emplace("queued", std::uint64_t(queuedJobs));
+                pong.emplace("evictions", memoEvictions + cacheEvictions);
+            }
             pong.emplace("warmups", groupStats.warmups.load());
-            if (!sendFrame(fd, FrameType::Pong,
-                           json::Value(std::move(pong))))
+            if (!send(link, encodeFrame(FrameType::Pong,
+                                        json::Value(std::move(pong))
+                                            .dump())))
                 return false;
             break;
           }
-          case FrameType::Batch:
-            pendingBatches.push_back(std::move(frame));
+          case FrameType::Batch: {
+            auto batch = std::make_shared<Batch>();
+            batch->link = link;
+            try {
+                json::Value payload = json::Value::parse(frame.payload);
+                batch->id = payload.at("id").asUint();
+                for (const json::Value &spec :
+                     payload.at("jobs").asArray())
+                    batch->jobs.push_back(runner::jobFromJson(spec));
+                if (const json::Value *ms = payload.find("deadline_ms"))
+                    batch->deadline =
+                        Clock::now() +
+                        std::chrono::milliseconds(ms->asUint());
+            } catch (const std::exception &err) {
+                fail(*batch, 500, err.what());
+                sendResult(*batch);
+                break;
+            }
+            {
+                common::MutexLock lock(stateMutex);
+                moveJobs(long(batch->jobs.size()), 0);
+            }
+            pool->submit([this, batch] { startBatch(batch); });
             break;
+          }
           case FrameType::Goodbye:
             // Orderly coordinator shutdown: exit cleanly, never
             // reconnect.
@@ -311,168 +362,296 @@ Worker::drainFrames(std::string &inBuf, int fd)
     }
 }
 
-bool
-Worker::handleBatch(const Frame &frame, int fd, std::string &inBuf)
+void
+Worker::startBatch(const std::shared_ptr<Batch> &batch)
 {
-    std::uint64_t id = 0;
-    std::vector<RawEntry> entries;
-    std::string error;
-    try {
-        json::Value payload = json::Value::parse(frame.payload);
-        id = payload.at("id").asUint();
-        const json::Array &specs = payload.at("jobs").asArray();
-        std::vector<runner::Job> jobs;
-        jobs.reserve(specs.size());
-        for (const json::Value &spec : specs)
-            jobs.push_back(runner::jobFromJson(spec));
-        entries.resize(jobs.size());
+    Batch &b = *batch;
+    if (expired(b, b.jobs.size())) {
+        sendResult(b);
+        return;
+    }
+    b.entries.resize(b.jobs.size());
+    b.outcomes.resize(b.jobs.size());
 
-        // Tier 1+2: memo and disk cache, recording the misses.
-        std::vector<std::size_t> missIdx;
-        for (std::size_t i = 0; i < jobs.size(); i++) {
-            if (std::optional<RawEntry> hit = cachedEntry(jobs[i]))
-                entries[i] = std::move(*hit);
+    // Tier 1: the memo, in one pass under the lock.
+    std::vector<std::size_t> missIdx;
+    {
+        common::MutexLock lock(stateMutex);
+        for (std::size_t i = 0; i < b.jobs.size(); i++) {
+            if (const std::string *frag = memoGet(b.jobs[i].hashHex()))
+                b.entries[i] = RawEntry{cache.enabled(), *frag};
             else
                 missIdx.push_back(i);
         }
-
-        // Partition the misses into fork groups — the coordinator
-        // shards by fork-group hash, so a group's members all land in
-        // this batch and warm once here (possibly straight from the
-        // snapshot cache). The executeFn test seam replaces the
-        // simulator, so when it is set every job runs individually.
-        std::vector<std::vector<std::size_t>> units;
-        // Canonical miss order (matching Runner::runAll): sort by job
-        // hash before partitioning so fork-group member order — and the
-        // warmup representative — is independent of the coordinator's
-        // batch order. Entries still land by original index.
-        std::sort(missIdx.begin(), missIdx.end(),
-                  [&](std::size_t a, std::size_t b) {
-                      const std::uint64_t ha = jobs[a].hash();
-                      const std::uint64_t hb = jobs[b].hash();
-                      if (ha != hb)
-                          return ha < hb;
-                      const std::string ka = jobs[a].key();
-                      const std::string kb = jobs[b].key();
-                      if (ka != kb)
-                          return ka < kb;
-                      return a < b;
-                  });
-        std::map<std::string, std::size_t> groupOf;
+    }
+    // Tier 2: the disk cache; a hit is memoized for the next repeat.
+    std::size_t hits = b.jobs.size() - missIdx.size();
+    if (cache.enabled()) {
+        std::vector<std::size_t> stillMissing;
         for (std::size_t i : missIdx) {
-            if (customExecute || jobs[i].warmupInsts == 0) {
-                units.push_back({i});
+            std::optional<sim::RunResult> cached = cache.load(b.jobs[i]);
+            if (!cached) {
+                stillMissing.push_back(i);
                 continue;
             }
-            auto [it, fresh] = groupOf.try_emplace(
-                runner::forkGroupKey(jobs[i]), units.size());
-            if (fresh)
-                units.emplace_back();
-            units[it->second].push_back(i);
+            std::string fragment = renderEntry(
+                runner::JobOutcome{b.jobs[i], std::move(*cached), true});
+            {
+                common::MutexLock lock(stateMutex);
+                memoPut(b.jobs[i].hashHex(), fragment);
+            }
+            b.entries[i] = RawEntry{true, std::move(fragment)};
+            hits++;
         }
+        missIdx = std::move(stillMissing);
+    }
+    {
+        common::MutexLock lock(stateMutex);
+        moveJobs(-long(hits), 0);
+    }
 
-        std::vector<runner::JobOutcome> outcomes(jobs.size());
-        for (const std::vector<std::size_t> &unit : units) {
-            const std::size_t front = unit.front();
-            if (unit.size() == 1 &&
-                (customExecute || jobs[front].warmupInsts == 0)) {
-                sim::RunResult result = options.executeFn(jobs[front]);
+    // Partition the misses into units — fork groups warm once, here
+    // (possibly straight from the snapshot cache); the coordinator
+    // shards by fork-group hash, so a group's members all land in this
+    // batch. The executeFn test seam replaces the simulator, so when it
+    // is set every job runs individually.
+    // Canonical miss order (matching Runner::runAll): sort by job hash
+    // before partitioning so fork-group member order — and the warmup
+    // representative — is independent of the coordinator's batch
+    // order. Entries still land by original index.
+    std::sort(missIdx.begin(), missIdx.end(),
+              [&](std::size_t x, std::size_t y) {
+                  const std::uint64_t hx = b.jobs[x].hash();
+                  const std::uint64_t hy = b.jobs[y].hash();
+                  if (hx != hy)
+                      return hx < hy;
+                  const std::string kx = b.jobs[x].key();
+                  const std::string ky = b.jobs[y].key();
+                  if (kx != ky)
+                      return kx < ky;
+                  return x < y;
+              });
+    std::map<std::string, std::size_t> groupOf;
+    for (std::size_t i : missIdx) {
+        if (customExecute || b.jobs[i].warmupInsts == 0) {
+            b.units.push_back({i});
+            continue;
+        }
+        auto [it, fresh] = groupOf.try_emplace(
+            runner::forkGroupKey(b.jobs[i]), b.units.size());
+        if (fresh)
+            b.units.emplace_back();
+        b.units[it->second].push_back(i);
+    }
+
+    if (b.units.empty()) {
+        sendResult(b);
+        return;
+    }
+    b.unitsLeft = b.units.size();
+    for (std::size_t u = 0; u < b.units.size(); u++)
+        pool->submit([this, batch, u] { runUnit(batch, u); });
+}
+
+void
+Worker::runUnit(const std::shared_ptr<Batch> &batch, std::size_t unit)
+{
+    Batch &b = *batch;
+    if (!expired(b, b.units[unit].size())) {
+        const std::string error = executeUnit(b, b.units[unit]);
+        if (!error.empty())
+            fail(b, 500, error);
+    }
+    if (b.unitsLeft.fetch_sub(1) == 1)
+        sendResult(b);
+}
+
+std::string
+Worker::executeUnit(Batch &b, std::vector<std::size_t> todo)
+{
+    const long claimed = long(todo.size());
+    std::vector<std::size_t> run;
+    struct Mine
+    {
+        std::size_t index;
+        std::map<std::string, std::shared_ptr<Flight>>::iterator it;
+    };
+    std::vector<Mine> mine;
+    std::string error;
+    {
+        common::MutexLock lock(stateMutex);
+        moveJobs(-claimed, claimed);
+        // Another thread may have finished (memo) or be executing
+        // (inFlight) a job since the batch was probed. Wait for the
+        // flights holding no registration, then look again: the rest
+        // may have changed hands meanwhile.
+        while (true) {
+            std::vector<std::pair<std::size_t, std::shared_ptr<Flight>>>
+                waits;
+            run.clear();
+            for (std::size_t i : todo) {
+                const std::string hash = b.jobs[i].hashHex();
+                if (const std::string *frag = memoGet(hash))
+                    b.entries[i] = RawEntry{cache.enabled(), *frag};
+                else if (auto it = inFlight.find(hash);
+                         it != inFlight.end())
+                    waits.emplace_back(i, it->second);
+                else
+                    run.push_back(i);
+            }
+            if (waits.empty())
+                break;
+            for (auto &[i, flight] : waits) {
+                while (!flight->done)
+                    flightDone.wait(stateMutex);
+                if (!flight->error.empty())
+                    error = flight->error;
+                b.entries[i] = RawEntry{false, flight->fragment};
+            }
+            todo = std::move(run);
+        }
+        if (!error.empty())
+            run.clear();
+        for (std::size_t i : run) {
+            auto [it, fresh] = inFlight.try_emplace(b.jobs[i].hashHex());
+            if (fresh) {
+                it->second = std::make_shared<Flight>();
+                mine.push_back(Mine{i, it});
+            }
+        }
+    }
+
+    const auto begin = Clock::now();
+    if (!run.empty()) {
+        try {
+            const std::size_t front = run.front();
+            if (run.size() == 1 &&
+                (customExecute || b.jobs[front].warmupInsts == 0)) {
+                sim::RunResult result = options.executeFn(b.jobs[front]);
                 if (cache.enabled())
-                    cache.store(jobs[front], result);
-                outcomes[front] = runner::JobOutcome{
-                    jobs[front], std::move(result), false};
+                    cache.store(b.jobs[front], result);
+                b.outcomes[front] = runner::JobOutcome{
+                    b.jobs[front], std::move(result), false};
             } else {
                 runner::runForkGroup(
-                    jobs, unit, outcomes,
+                    b.jobs, run, b.outcomes,
                     cache.enabled() ? &cache : nullptr,
                     snapCache.enabled() ? &snapCache : nullptr,
                     &groupStats);
             }
-            if (cache.enabled())
-                maybeGcCache();
-            for (std::size_t i : unit)
-                entries[i] = freshEntry(jobs[i], outcomes[i]);
-
-            // Opportunistically answer pings that arrived while the
-            // unit simulated, so a busy worker is not declared dead.
-            char chunk[4096];
-            long n;
-            while ((n = recvSome(fd, chunk, sizeof(chunk),
-                                 MSG_DONTWAIT)) > 0)
-                inBuf.append(chunk, std::size_t(n));
-            if (!drainFrames(inBuf, fd))
-                return false;
-            if (n == 0 || n == -1)
-                return false;    // link gone mid-batch
+        } catch (const std::exception &err) {
+            error = err.what();
         }
-    } catch (const std::exception &err) {
-        error = err.what();
+    }
+    const double seconds =
+        std::chrono::duration<double>(Clock::now() - begin).count();
+
+    // Render outside the lock: the fresh entry for this request, and
+    // the fragment a repeat produces for the memo.
+    std::vector<std::string> repeats(run.size());
+    if (error.empty()) {
+        for (std::size_t k = 0; k < run.size(); k++) {
+            const runner::JobOutcome &outcome = b.outcomes[run[k]];
+            b.entries[run[k]] = RawEntry{false, renderEntry(outcome)};
+            repeats[k] = cache.enabled()
+                             ? renderEntry(runner::JobOutcome{
+                                   outcome.job, outcome.result, true})
+                             : b.entries[run[k]].fragment;
+        }
     }
 
-    if (!error.empty()) {
-        json::Object result;
-        result.emplace("id", id);
-        result.emplace("error", error);
-        return sendFrame(fd, FrameType::Result,
-                         json::Value(std::move(result)));
+    {
+        common::MutexLock lock(stateMutex);
+        for (const Mine &m : mine) {
+            Flight &flight = *m.it->second;
+            flight.done = true;
+            flight.error = error;
+            if (error.empty())
+                flight.fragment = b.entries[m.index].fragment;
+            inFlight.erase(m.it);
+        }
+        if (error.empty()) {
+            for (std::size_t k = 0; k < run.size(); k++)
+                memoPut(b.jobs[run[k]].hashHex(), std::move(repeats[k]));
+            if (!run.empty() && cache.enabled() && options.cacheMaxBytes &&
+                ++storesSinceGc % kGcStoreInterval == 0)
+                gcCaches(false);
+        }
+        moveJobs(0, -claimed);
     }
-    const std::string wire =
-        encodeFrame(FrameType::ResultRaw, encodeResultRaw(id, entries));
-    return serve::sendAll(fd, wire.data(), wire.size());
+    flightDone.notifyAll();
+
+    if (error.empty() && !run.empty()) {
+        metrics.inc("dynaspam_jobs_executed_total", double(run.size()));
+        // A fork group's wall time is split evenly over its members.
+        const double perJob = seconds / double(run.size());
+        if (perJob > 0)
+            for (std::size_t i : run)
+                metrics.observe("dynaspam_sim_kips",
+                                double(b.outcomes[i].result.instsTotal) /
+                                    1000.0 / perJob);
+    }
+    return error;
 }
 
-namespace
+bool
+Worker::expired(Batch &b, std::size_t jobs)
 {
-
-std::string
-renderEntry(const runner::JobOutcome &outcome)
-{
-    return runner::sweepEntryJson(outcome).dumpAt(kReportIndent,
-                                                  kEntryFragmentDepth);
+    if (!b.deadline || Clock::now() < *b.deadline)
+        return false;
+    fail(b, 503, "request deadline passed before the batch started");
+    common::MutexLock lock(stateMutex);
+    moveJobs(-long(jobs), 0);
+    metrics.inc("dynaspam_jobs_cancelled_total", double(jobs));
+    return true;
 }
 
-} // namespace
-
-std::optional<RawEntry>
-Worker::cachedEntry(const runner::Job &job)
+void
+Worker::fail(Batch &b, int status, const std::string &error)
 {
-    const std::string hash = job.hashHex();
+    common::MutexLock lock(stateMutex);
+    if (b.error.empty()) {
+        b.errorStatus = status;
+        b.error = error;
+    }
+}
+
+void
+Worker::sendResult(Batch &b)
+{
+    std::string wire;
+    {
+        common::MutexLock lock(stateMutex);
+        if (!b.error.empty()) {
+            json::Object result;
+            result.emplace("id", b.id);
+            result.emplace("error", b.error);
+            result.emplace("status", std::uint64_t(b.errorStatus));
+            wire = encodeFrame(FrameType::Result,
+                               json::Value(std::move(result)).dump());
+        }
+    }
+    if (wire.empty())
+        wire = encodeFrame(FrameType::ResultRaw,
+                           encodeResultRaw(b.id, b.entries));
+    send(b.link, wire);
+}
+
+const std::string *
+Worker::memoGet(const std::string &hash)
+{
     auto it = memoMap.find(hash);
-    if (it != memoMap.end()) {
-        // Touch: move to the front of the LRU order.
-        memoOrder.splice(memoOrder.begin(), memoOrder, it->second);
-        return RawEntry{true, it->second->second};
-    }
-
-    if (cache.enabled()) {
-        if (auto cached = cache.load(job)) {
-            std::string fragment = renderEntry(
-                runner::JobOutcome{job, std::move(*cached), true});
-            memoPut(hash, fragment);
-            return RawEntry{true, std::move(fragment)};
-        }
-    }
-    return std::nullopt;
-}
-
-RawEntry
-Worker::freshEntry(const runner::Job &job,
-                   const runner::JobOutcome &outcome)
-{
-    RawEntry entry{false, renderEntry(runner::JobOutcome{
-                              job, outcome.result, false})};
-    // Future requests for this hash are cache hits: memo the
-    // from_cache=true twin, matching what a disk-cache probe would
-    // render next time.
-    memoPut(job.hashHex(),
-            renderEntry(runner::JobOutcome{job, outcome.result, true}));
-    return entry;
+    if (it == memoMap.end())
+        return nullptr;
+    // Touch: move to the front of the LRU order.
+    memoOrder.splice(memoOrder.begin(), memoOrder, it->second);
+    return &it->second->second;
 }
 
 void
 Worker::memoPut(const std::string &hash, std::string fragment)
 {
-    if (options.memoCapacity == 0)
+    if (options.memoEntries == 0)
         return;
     auto it = memoMap.find(hash);
     if (it != memoMap.end()) {
@@ -482,7 +661,7 @@ Worker::memoPut(const std::string &hash, std::string fragment)
     }
     memoOrder.emplace_front(hash, std::move(fragment));
     memoMap[hash] = memoOrder.begin();
-    while (memoOrder.size() > options.memoCapacity) {
+    while (memoOrder.size() > options.memoEntries) {
         memoMap.erase(memoOrder.back().first);
         memoOrder.pop_back();
         memoEvictions++;
@@ -490,12 +669,24 @@ Worker::memoPut(const std::string &hash, std::string fragment)
 }
 
 void
-Worker::maybeGcCache()
+Worker::moveJobs(long queued, long running)
 {
-    if (!options.cacheMaxBytes)
-        return;
-    if (++storesSinceGc % kGcStoreInterval == 0) {
+    queuedJobs = std::size_t(long(queuedJobs) + queued);
+    runningJobs = std::size_t(long(runningJobs) + running);
+    metrics.set("dynaspam_queue_depth", double(queuedJobs));
+    metrics.set("dynaspam_jobs_inflight", double(runningJobs));
+}
+
+void
+Worker::gcCaches(bool snapshots)
+{
+    if (cache.enabled()) {
         runner::CacheGcStats gc = cache.gc(options.cacheMaxBytes);
+        cacheEvictions += gc.staleEvicted + gc.lruEvicted;
+    }
+    if (snapshots && snapCache.enabled()) {
+        runner::CacheGcStats gc =
+            snapCache.gc(options.snapshotCacheMaxBytes);
         cacheEvictions += gc.staleEvicted + gc.lruEvicted;
     }
 }

@@ -2,30 +2,47 @@
  * @file
  * Cluster worker: one shard of the distributed sweep fabric.
  *
- * A worker is a standalone process (`dynaspam worker --connect
- * host:port`) that dials the coordinator's worker port, joins the
- * cluster with a Hello/Welcome handshake, and then executes the job
- * batches the coordinator assigns to its shard. It wraps the exact
- * execution stack the single-process daemon uses — runner::execute
- * behind a runner::ResultCache — so a job computed by a worker produces
- * the same bytes it would have produced anywhere else.
+ * A worker either runs as its own process (`dynaspam worker --connect
+ * host:port`), dialing the coordinator's worker port and joining with a
+ * Hello/Welcome handshake, or in-process behind `dynaspam serve`, where
+ * the coordinator hands it one end of a socketpair already enrolled in
+ * slot 0. Either way it executes the job batches the coordinator
+ * assigns to its shard through runner::execute behind a
+ * runner::ResultCache, so a job computed by a worker produces the same
+ * bytes it would have produced anywhere else.
  *
- * Shard-local caching, two tiers:
+ * Threads: the thread that reads the coordinator link answers Ping and
+ * Goodbye at once and queues every Batch on a runner::ThreadPool, so
+ * liveness never depends on how long a job runs. Each Pong reports the
+ * queued jobs, evictions and warm passes, which the coordinator
+ * republishes as per-worker gauges. A pool thread takes
+ * batches first in, first out: it answers the batch's hits, splits the
+ * misses into units (single jobs, or fork groups that warm once) and
+ * queues each unit on the pool. The batch's Result is sent when its
+ * last unit finishes.
+ *
+ * Single-flight: a unit that reaches a job another pool thread is
+ * executing waits for that result instead of running it again. A
+ * thread registers only the jobs of the unit it is executing, so a
+ * waiting thread holds no registration and waits cannot form a cycle.
+ *
+ * Shard-local results, two tiers:
  *  - the on-disk ResultCache (per-worker --cache-dir), same format and
  *    epoch as the CLI's, surviving worker restarts;
- *  - an in-memory LRU memo of *pre-rendered* sweep-report entry bytes
- *    (from_cache=true form, serialized once at the report's splice
- *    depth), so a repeat job is answered with a string copy — no cache
- *    file read, no JSON parse, and no re-serialization, on the worker
- *    or on the coordinator (which splices the fragment via json::Raw).
+ *  - an in-memory LRU memo of *pre-rendered* sweep-report entry bytes,
+ *    holding the fragment a repeat of the job produces: from_cache=true
+ *    when the disk cache is enabled, the fresh fragment when it is not.
+ *    Report bytes therefore depend only on the disk-cache state, as for
+ *    `dynaspam sweep`. A repeat job is a string copy — no cache file
+ *    read, no JSON parse, no re-serialization, on the worker or on the
+ *    coordinator (which splices the fragment via json::Raw).
  * Because the coordinator routes each job hash to a fixed owner slot,
- * hits concentrate in the owning worker's memo and never require
- * cross-worker traffic.
+ * hits concentrate in the owning worker's memo.
  *
- * Health and liveness: the worker answers coordinator Pings between job
- * executions (never mid-job), reporting its queued-batch depth and
- * cumulative cache evictions — the coordinator republishes both as
- * per-worker Prometheus gauges.
+ * Deadlines: each Batch carries its request's remaining time. A batch
+ * or unit whose deadline passed before a pool thread picked it up is
+ * skipped and counted as cancelled; the coordinator has already
+ * answered that request with 503.
  *
  * Failure semantics: a deterministic job failure (execute throws) is
  * reported as a Result {"error": ...} — the coordinator fails that
@@ -38,14 +55,16 @@
 #define DYNASPAM_CLUSTER_WORKER_HH
 
 #include <atomic>
+#include <chrono>
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <list>
 #include <map>
+#include <memory>
 #include <optional>
 #include <string>
 #include <utility>
+#include <vector>
 
 #include "cluster/wire.hh"
 #include "common/annotations.hh"
@@ -56,6 +75,8 @@
 #include "runner/result_cache.hh"
 #include "runner/runner.hh"
 #include "runner/snapshot_cache.hh"
+#include "runner/thread_pool.hh"
+#include "serve/metrics.hh"
 
 namespace dynaspam::cluster
 {
@@ -94,13 +115,25 @@ struct WorkerOptions
     /** LRU size budget for the cache directory; 0 = unbounded. */
     std::uint64_t cacheMaxBytes = 0;
     /** In-memory memo capacity, in entries. */
-    std::size_t memoCapacity = 4096;
+    std::size_t memoEntries = 4096;
 
     /** Shard-local snapshot cache (warmed fork-group state); empty
      *  disables on-disk snapshots. */
     std::string snapshotCacheDir;
     /** LRU size budget for the snapshot cache; 0 = unbounded. */
     std::uint64_t snapshotCacheMaxBytes = 0;
+
+    /** Pool threads executing batches; 0 = ThreadPool::defaultWorkers()
+     *  (`dynaspam worker` passes DYNASPAM_JOBS, else 1). */
+    unsigned threads = 0;
+
+    /**
+     * Registry for the job metrics (dynaspam_jobs_*, dynaspam_queue_depth,
+     * dynaspam_sim_kips). The in-process serve worker publishes into the
+     * coordinator's, so /metrics exports them; nullptr keeps them in a
+     * registry of the worker's own.
+     */
+    serve::Metrics *metrics = nullptr;
 
     /** Log a line per lifecycle event (suppressed in tests). */
     bool verbose = true;
@@ -128,10 +161,12 @@ class Worker
     int run();
 
     /**
-     * Serve an already-connected coordinator link (handshake included).
-     * Exposed for tests driving a socketpair. @return same as run().
+     * Serve an already-connected coordinator link; takes ownership of
+     * @p fd. With @p handshake false the link is already enrolled (the
+     * in-process serve worker): no Hello/Welcome, slot 0.
+     * @return same as run()
      */
-    int serveConnection(int fd);
+    int serveConnection(int fd, bool handshake = true);
 
     /**
      * Async kill switch: shut the coordinator link down so the serve
@@ -141,33 +176,82 @@ class Worker
     void shutdownNow();
 
     /** Slot assigned by the last Welcome (for logs/tests). Readable
-     *  from any thread; the serve thread writes it at handshake. */
+     *  from any thread; the link thread writes it at handshake. */
     unsigned slot() const { return slot_.load(std::memory_order_relaxed); }
 
   private:
+    using Clock = std::chrono::steady_clock;
+
+    /** One received batch, shared by the pool tasks working on it. */
+    struct Batch
+    {
+        /** Link generation it arrived on; a Result for an older link
+         *  is dropped, never sent down a newer one. */
+        std::uint64_t link = 0;
+        std::optional<Clock::time_point> deadline;
+        std::uint64_t id = 0;
+        std::vector<runner::Job> jobs;
+        /** Filled by index; units write disjoint indices. */
+        std::vector<RawEntry> entries;
+        std::vector<runner::JobOutcome> outcomes;
+        std::vector<std::vector<std::size_t>> units;
+        std::atomic<std::size_t> unitsLeft{0};
+        /** First failure (guarded by Worker::stateMutex: a nested
+         *  struct cannot name the enclosing object's mutex). */
+        int errorStatus = 0;
+        std::string error;
+    };
+
+    /** A job a pool thread is executing; members guarded by
+     *  Worker::stateMutex, like Batch::error. */
+    struct Flight
+    {
+        bool done = false;
+        std::string fragment;    ///< fresh (from_cache=false) entry
+        std::string error;
+    };
+
     /**
-     * Drain every decodable frame out of @p inBuf: answer Pings
-     * immediately, queue Batches. @return false on protocol error.
+     * Drain every decodable frame out of @p inBuf: answer Pings, queue
+     * Batches on the pool. @return false on Goodbye or protocol error.
      */
-    bool drainFrames(std::string &inBuf, int fd);
+    bool drainFrames(std::string &inBuf, std::uint64_t link);
+    /** Pool task: parse, answer hits, queue the miss units. */
+    void startBatch(const std::shared_ptr<Batch> &batch);
+    /** Pool task: run one unit; the last one sends the Result. */
+    void runUnit(const std::shared_ptr<Batch> &batch, std::size_t unit);
     /**
-     * Execute one batch and send its Result frame. Bytes arriving
-     * mid-batch (pings, more batches) are picked up into @p inBuf
-     * between job executions.
+     * Claim the jobs at @p todo (memo, another thread's flight, or
+     * ours to run), execute ours and publish them.
+     * @return the execution error, empty on success
      */
-    bool handleBatch(const Frame &frame, int fd, std::string &inBuf);
+    std::string executeUnit(Batch &batch, std::vector<std::size_t> todo)
+        EXCLUDES(stateMutex);
+    /** @return true when @p batch is past its deadline; its @p jobs
+     *  skipped jobs are then counted as cancelled. */
+    bool expired(Batch &batch, std::size_t jobs) EXCLUDES(stateMutex);
+    void fail(Batch &batch, int status, const std::string &error)
+        EXCLUDES(stateMutex);
+    void sendResult(Batch &batch) EXCLUDES(stateMutex);
+    /** Send one frame on link generation @p link; dropped (false) when
+     *  that link is gone. */
+    bool send(std::uint64_t link, const std::string &wire)
+        EXCLUDES(linkMutex);
     /** One dial attempt. @return the connected fd, or -1 (retryable
      *  failure; terminal errors also set `terminal`). */
     int dialCoordinator();
-    /** Memo -> disk-cache probe. @return the entry on a hit. */
-    std::optional<RawEntry> cachedEntry(const runner::Job &job);
-    /** Render a freshly executed outcome and memo its cached twin. */
-    RawEntry freshEntry(const runner::Job &job,
-                        const runner::JobOutcome &outcome);
-    void memoPut(const std::string &hash, std::string fragment);
-    void maybeGcCache();
+    /** Memo lookup (refreshes LRU order). */
+    const std::string *memoGet(const std::string &hash)
+        REQUIRES(stateMutex);
+    void memoPut(const std::string &hash, std::string fragment)
+        REQUIRES(stateMutex);
+    /** Move the queue/inflight gauges by the given deltas. */
+    void moveJobs(long queued, long running) REQUIRES(stateMutex);
+    void gcCaches(bool snapshots) REQUIRES(stateMutex);
 
     WorkerOptions options;
+    serve::Metrics ownMetrics;
+    serve::Metrics &metrics;
     runner::ResultCache cache;
     runner::SnapshotCache snapCache;
     runner::ForkGroupStats groupStats;
@@ -182,25 +266,35 @@ class Worker
     std::atomic<bool> terminal{false};
 
     /**
-     * The live coordinator link, guarded so shutdownNow() can never
-     * call ::shutdown on a descriptor the serve thread already closed
-     * (and the kernel possibly recycled): the serve thread clears
-     * linkFd under the lock before closing the socket.
+     * The live coordinator link. Every frame is written under the lock,
+     * and the reader thread clears linkFd under it before closing the
+     * socket, so neither a pool thread nor shutdownNow() can touch a
+     * descriptor the kernel may already have recycled.
      */
-    common::Mutex fdMutex;
-    int linkFd GUARDED_BY(fdMutex) = -1;
+    common::Mutex linkMutex;
+    int linkFd GUARDED_BY(linkMutex) = -1;
+    std::uint64_t linkGen GUARDED_BY(linkMutex) = 0;
 
-    std::deque<Frame> pendingBatches;
-
-    /** LRU memo: hash -> pre-rendered entry fragment (from_cache=true
-     *  form, serialized at the report's splice depth). */
-    std::list<std::pair<std::string, std::string>> memoOrder;
+    /** Memo, in-flight map, job gauges and cache GC bookkeeping. */
+    common::Mutex stateMutex;
+    common::CondVar flightDone;
+    /** LRU memo: hash -> the entry fragment a repeat produces. */
+    std::list<std::pair<std::string, std::string>> memoOrder
+        GUARDED_BY(stateMutex);
     std::map<std::string,
              std::list<std::pair<std::string, std::string>>::iterator>
-        memoMap;
-    std::uint64_t memoEvictions = 0;
-    std::uint64_t cacheEvictions = 0;
-    std::uint64_t storesSinceGc = 0;
+        memoMap GUARDED_BY(stateMutex);
+    std::map<std::string, std::shared_ptr<Flight>> inFlight
+        GUARDED_BY(stateMutex);
+    std::size_t queuedJobs GUARDED_BY(stateMutex) = 0;
+    std::size_t runningJobs GUARDED_BY(stateMutex) = 0;
+    std::uint64_t memoEvictions GUARDED_BY(stateMutex) = 0;
+    std::uint64_t cacheEvictions GUARDED_BY(stateMutex) = 0;
+    std::uint64_t storesSinceGc GUARDED_BY(stateMutex) = 0;
+
+    /** Declared last so it is destroyed first: destruction runs every
+     *  queued task (they use the members above), then joins. */
+    std::unique_ptr<runner::ThreadPool> pool;
 };
 
 } // namespace dynaspam::cluster

@@ -22,9 +22,10 @@
  * file whose writer just renamed it away (ENOENT, ignored) — never a
  * truncated visible cache entry.
  *
- * The serve daemon does NOT use this handler: it installs its own
- * self-pipe drain handler (serve::Server) so in-flight requests finish
- * before exit.
+ * The serving commands do NOT use this handler: the coordinator
+ * (cluster::Coordinator, behind both `dynaspam serve` and `dynaspam
+ * coordinator`) installs its own self-pipe drain handler so in-flight
+ * requests finish before exit.
  */
 
 #ifndef DYNASPAM_COMMON_INTERRUPT_HH

@@ -18,7 +18,7 @@
  * Parsing errors throw FatalError with the offending line/column and
  * byte offset; callers that read untrusted files (e.g. a corrupted
  * result cache) catch it and fall back. The parser sits on a network
- * boundary (serve::Server request bodies), so it is strict about
+ * boundary (cluster::Coordinator request bodies), so it is strict about
  * adversarial input: nesting depth is capped at kMaxParseDepth,
  * duplicate object keys are rejected, and unescaped control characters
  * inside strings are syntax errors.

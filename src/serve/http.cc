@@ -49,22 +49,6 @@ trim(const std::string &s)
     return s.substr(b, e - b + 1);
 }
 
-/** recv() with EINTR retry. @return bytes, 0 on EOF, -1 error, -2 timeout */
-long
-recvSome(int fd, char *buf, std::size_t len)
-{
-    while (true) {
-        ssize_t n = ::recv(fd, buf, len, 0);
-        if (n >= 0)
-            return long(n);
-        if (errno == EINTR)
-            continue;
-        if (errno == EAGAIN || errno == EWOULDBLOCK)
-            return -2;
-        return -1;
-    }
-}
-
 } // namespace
 
 const std::string &
@@ -72,12 +56,6 @@ HttpRequest::header(const std::string &name) const
 {
     auto it = headers.find(name);
     return it == headers.end() ? kEmpty : it->second;
-}
-
-bool
-HttpRequest::wantsKeepAlive() const
-{
-    return toLower(header("connection")) == "keep-alive";
 }
 
 HttpParseOutcome
@@ -141,47 +119,6 @@ parseHttpRequest(const std::string &buf, std::size_t max_bytes,
     return HttpParseOutcome::Ok;
 }
 
-HttpReadOutcome
-readHttpRequestBuffered(int fd, std::size_t max_bytes, HttpRequest &out,
-                        std::string &carry)
-{
-    char chunk[4096];
-    bool had_bytes = !carry.empty();
-    while (true) {
-        std::size_t consumed = 0;
-        switch (parseHttpRequest(carry, max_bytes, out, consumed)) {
-          case HttpParseOutcome::Ok:
-            carry.erase(0, consumed);
-            return HttpReadOutcome::Ok;
-          case HttpParseOutcome::Malformed:
-            return HttpReadOutcome::Malformed;
-          case HttpParseOutcome::TooLarge:
-            return HttpReadOutcome::TooLarge;
-          case HttpParseOutcome::NeedMore:
-            break;
-        }
-        long n = recvSome(fd, chunk, sizeof(chunk));
-        if (n == 0)
-            return had_bytes ? HttpReadOutcome::Malformed
-                             : HttpReadOutcome::Closed;
-        if (n == -2)
-            return HttpReadOutcome::Timeout;
-        if (n < 0)
-            return HttpReadOutcome::Malformed;
-        carry.append(chunk, std::size_t(n));
-        had_bytes = true;
-    }
-}
-
-HttpReadOutcome
-readHttpRequest(int fd, std::size_t max_bytes, HttpRequest &out)
-{
-    // One-shot form: pipelined trailing bytes are dropped, as a
-    // close-per-request server never reads a second request.
-    std::string carry;
-    return readHttpRequestBuffered(fd, max_bytes, out, carry);
-}
-
 bool
 sendAll(int fd, const char *data, std::size_t len)
 {
@@ -226,13 +163,6 @@ serializeHttpResponse(const HttpResponse &resp, bool keep_alive)
         os << kv.first << ": " << kv.second << "\r\n";
     os << "\r\n" << resp.body;
     return os.str();
-}
-
-bool
-writeHttpResponse(int fd, const HttpResponse &resp, bool keep_alive)
-{
-    const std::string wire = serializeHttpResponse(resp, keep_alive);
-    return sendAll(fd, wire.data(), wire.size());
 }
 
 std::string

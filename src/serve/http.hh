@@ -4,24 +4,16 @@
  *
  * Implements exactly the subset the simulation service needs: parsing
  * one request (request line, headers, Content-Length body) out of a
- * byte buffer with a hard size cap, reading one from a connected
- * socket, and writing one response with Content-Length. Responses may
+ * byte buffer with a hard size cap, and serializing one response with
+ * Content-Length. Responses may
  * alternatively stream with `Transfer-Encoding: chunked` (the /explore
  * NDJSON stream); requests may not. No TLS.
  *
- * Two front ends share the parser:
- *  - the thread-per-connection daemon (serve::Server) reads blocking
- *    sockets via readHttpRequest, optionally keeping the connection
- *    alive across requests (readHttpRequestBuffered carries pipelined
- *    leftover bytes between calls);
- *  - the epoll coordinator (cluster::Coordinator) accumulates bytes
- *    non-blockingly and calls parseHttpRequest on its own buffers.
- *
- * Keep-alive: a response advertises `Connection: keep-alive` or
- * `Connection: close` depending on the flag the caller passes;
- * serve::Server grants keep-alive only when the client asked for it
- * explicitly, the epoll front end defaults to HTTP/1.1 persistent
- * connections.
+ * The epoll coordinator (cluster::Coordinator) accumulates bytes
+ * non-blockingly and calls parseHttpRequest on its own buffers. A
+ * response advertises `Connection: keep-alive` or `Connection: close`
+ * depending on the flag the caller passes; the coordinator defaults to
+ * HTTP/1.1 persistent connections.
  *
  * Header names are lower-cased on parse so lookups are
  * case-insensitive per RFC 9110. Bodies require an explicit
@@ -63,10 +55,6 @@ struct HttpRequest
     /** @return header value or empty string when absent (name must be
      *  given lower-case). */
     const std::string &header(const std::string &name) const;
-
-    /** @return true when the client explicitly asked for keep-alive
-     *  (`Connection: keep-alive`, case-insensitive). */
-    bool wantsKeepAlive() const;
 };
 
 /** Outcome of one incremental parse attempt over a byte buffer. */
@@ -89,35 +77,6 @@ HttpParseOutcome parseHttpRequest(const std::string &buf,
                                   std::size_t max_bytes, HttpRequest &out,
                                   std::size_t &consumed);
 
-/** Why readHttpRequest stopped. */
-enum class HttpReadOutcome
-{
-    Ok,        ///< request fully parsed
-    Closed,    ///< peer closed before sending anything (not an error)
-    Malformed, ///< syntactically invalid request -> 400
-    TooLarge,  ///< exceeds the size cap -> 413
-    Timeout,   ///< socket read timed out mid-request -> 408
-};
-
-/**
- * Read and parse one request from @p fd. Respects the socket's
- * SO_RCVTIMEO (a slow or stalled client surfaces as Timeout).
- * @param max_bytes hard cap on total request size (line+headers+body)
- */
-HttpReadOutcome readHttpRequest(int fd, std::size_t max_bytes,
-                                HttpRequest &out);
-
-/**
- * Keep-alive variant: like readHttpRequest, but pipelined bytes after
- * the parsed request stay in @p carry and seed the next call on the
- * same connection. Timeout with an empty @p carry means the connection
- * idled between requests (close silently); with buffered bytes it means
- * a stalled mid-request client (408).
- */
-HttpReadOutcome readHttpRequestBuffered(int fd, std::size_t max_bytes,
-                                        HttpRequest &out,
-                                        std::string &carry);
-
 /** One response to serialize. */
 struct HttpResponse
 {
@@ -135,14 +94,6 @@ struct HttpResponse
  */
 std::string serializeHttpResponse(const HttpResponse &resp,
                                   bool keep_alive = false);
-
-/**
- * Serialize and send @p resp on @p fd. @return false if the peer
- * vanished or stalled past the send-stall budget mid-write; the caller
- * just closes the socket either way.
- */
-bool writeHttpResponse(int fd, const HttpResponse &resp,
-                       bool keep_alive = false);
 
 /**
  * Serialize the head of a chunked (streaming) response: status line,

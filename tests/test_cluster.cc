@@ -40,7 +40,6 @@
 #include "cluster/worker.hh"
 #include "common/logging.hh"
 #include "runner/runner.hh"
-#include "serve/server.hh"
 
 using namespace dynaspam;
 using cluster::Coordinator;
@@ -402,7 +401,7 @@ TEST(Cluster, SweepReportByteIdenticalToSingleProcess)
     for (unsigned i = 0; i < 3; i++) {
         workers.push_back(std::make_unique<Worker>(quietWorker(
             coordinator, tmp.path() + "/worker" + std::to_string(i))));
-        threads.emplace_back([&, i] { workers[i]->run(); });
+        threads.emplace_back([w = workers.back().get()] { w->run(); });
     }
     ASSERT_TRUE(eventually([&] {
         return coordinator.metrics().value(
@@ -439,23 +438,25 @@ TEST(Cluster, SweepReportByteIdenticalToSingleProcess)
         t.join();
 }
 
-TEST(Cluster, RunQueryStringMatchesSingleProcessServe)
+TEST(Cluster, RunQueryStringMatchesCliReport)
 {
-    // /run takes ?fidelity=...&warmup_insts=... on both front ends, so
-    // the coordinator must route by path, not by the whole target.
+    // /run takes ?fidelity=...&warmup_insts=..., so the coordinator must
+    // route by path, not by the whole target, and apply the query.
     const std::string target = "/run?fidelity=sampled&warmup_insts=1000";
     const std::string spec = "{\"workload\": \"bfs\", \"trace_length\": 16}";
 
-    serve::ServerOptions serve_opts;
-    serve_opts.port = 0;
-    serve_opts.verbose = false;
-    serve::Server server(serve_opts);
-    server.start();
-    Reply single = request(server.port(), "POST", target, spec);
-    server.beginDrain();
-    server.waitUntilDrained();
-    ASSERT_EQ(single.status, 200);
-    EXPECT_NE(single.body.find("\"sampled\""), std::string::npos);
+    // What `dynaspam run --fidelity sampled --warmup-insts 1000
+    // --no-cache --out` writes for the same spec.
+    Job job{"bfs", SystemMode::AccelSpec, 16, 1, 1};
+    job.warmupInsts = 1000;
+    job.fidelity = runner::Fidelity::Sampled;
+    runner::RunnerOptions ropts;
+    ropts.jobs = 1;
+    runner::Runner cli(ropts);
+    std::ostringstream expected;
+    runner::writeSweepReport(expected, "run", cli.runAll({job}),
+                             &cli.stats());
+    EXPECT_NE(expected.str().find("\"sampled\""), std::string::npos);
 
     Coordinator coordinator(quietCoordinator(1));
     coordinator.start();
@@ -467,11 +468,101 @@ TEST(Cluster, RunQueryStringMatchesSingleProcessServe)
     }));
     Reply clustered = request(coordinator.httpPort(), "POST", target, spec);
     EXPECT_EQ(clustered.status, 200);
-    EXPECT_EQ(clustered.body, single.body);
+    EXPECT_EQ(clustered.body, expected.str());
 
     Reply bad = request(coordinator.httpPort(), "POST", "/run?speed=max",
                         spec);
     EXPECT_EQ(bad.status, 400);
+
+    coordinator.beginDrain();
+    coordinator.waitUntilDrained();
+    thread.join();
+}
+
+TEST(Cluster, BusyWorkerAnswersPingsThroughALongJob)
+{
+    // Liveness must not depend on how long one job runs: a worker held
+    // in a job well past the ping timeout keeps its slot, and its batch
+    // is never re-sent.
+    CoordinatorOptions copts = quietCoordinator(1);
+    copts.pingIntervalMs = 50;
+    copts.pingTimeoutMs = 300;
+    Coordinator coordinator(copts);
+    coordinator.start();
+
+    std::mutex gate_mutex;
+    std::condition_variable gate_cv;
+    bool gate_open = false;
+    std::atomic<unsigned> calls{0};
+    WorkerOptions wopts = quietWorker(coordinator, "");
+    wopts.executeFn = [&](const Job &) {
+        calls++;
+        std::unique_lock<std::mutex> lock(gate_mutex);
+        gate_cv.wait(lock, [&] { return gate_open; });
+        sim::RunResult result;
+        result.cycles = 1000;
+        result.instsTotal = 500;
+        result.functionallyCorrect = true;
+        return result;
+    };
+    Worker worker(wopts);
+    std::thread worker_thread([&] { worker.run(); });
+    ASSERT_TRUE(eventually([&] {
+        return coordinator.metrics().value(
+                   "dynaspam_cluster_workers_connected") == 1;
+    }));
+
+    Reply reply;
+    std::thread client([&] {
+        reply = request(coordinator.httpPort(), "POST", "/run",
+                        "{\"workload\": \"bfs\", \"trace_length\": 16}");
+    });
+    EXPECT_TRUE(eventually([&] { return calls.load() == 1; }));
+    // Three ping timeouts with the job still running.
+    std::this_thread::sleep_for(std::chrono::milliseconds(900));
+    EXPECT_EQ(coordinator.metrics().value(
+                  "dynaspam_cluster_workers_connected"),
+              1);
+    {
+        std::lock_guard<std::mutex> lock(gate_mutex);
+        gate_open = true;
+    }
+    gate_cv.notify_all();
+    client.join();
+
+    EXPECT_EQ(reply.status, 200);
+    EXPECT_EQ(calls.load(), 1u);
+    EXPECT_EQ(coordinator.metrics().value(
+                  "dynaspam_cluster_batch_retries_total", "worker=\"0\""),
+              0);
+
+    coordinator.beginDrain();
+    coordinator.waitUntilDrained();
+    worker_thread.join();
+}
+
+TEST(Cluster, CachelessWorkerRepeatSweepMatchesNoCacheCli)
+{
+    // Report bytes depend only on the disk-cache state: a worker without
+    // a disk cache answers the repeat from its memo, but never calls it
+    // a cache hit, exactly like `dynaspam sweep --no-cache`.
+    Coordinator coordinator(quietCoordinator(1));
+    coordinator.start();
+    Worker worker(quietWorker(coordinator, ""));
+    std::thread thread([&] { worker.run(); });
+    ASSERT_TRUE(eventually([&] {
+        return coordinator.metrics().value(
+                   "dynaspam_cluster_workers_connected") == 1;
+    }));
+
+    Reply first = request(coordinator.httpPort(), "POST", "/sweep",
+                          kSweepBody);
+    Reply again = request(coordinator.httpPort(), "POST", "/sweep",
+                          kSweepBody);
+    EXPECT_EQ(first.status, 200);
+    EXPECT_EQ(again.status, 200);
+    EXPECT_EQ(again.body, first.body);
+    EXPECT_EQ(again.body, cliReport(""));
 
     coordinator.beginDrain();
     coordinator.waitUntilDrained();
@@ -921,57 +1012,4 @@ TEST(Cluster, EnrollmentTokenGatesWorkers)
     coordinator.beginDrain();
     coordinator.waitUntilDrained();
     enrolled_thread.join();
-}
-
-TEST(Cluster, CoordinatorMemoServesRepeatSweeps)
-{
-    TempDir tmp("memo");
-    CoordinatorOptions copts = quietCoordinator(2);
-    copts.memoCapacity = 64;
-    Coordinator coordinator(copts);
-    coordinator.start();
-
-    Worker worker(quietWorker(coordinator, tmp.path() + "/w"));
-    std::thread worker_thread([&] { worker.run(); });
-    ASSERT_TRUE(eventually([&] {
-        return coordinator.metrics().value(
-                   "dynaspam_cluster_workers_connected") == 1;
-    }));
-
-    Reply cold = request(coordinator.httpPort(), "POST", "/sweep",
-                         kSweepBody);
-    ASSERT_EQ(cold.status, 200);
-    EXPECT_EQ(cold.body.find("\"from_cache\": true"), std::string::npos);
-    EXPECT_EQ(coordinator.metrics().value(
-                  "dynaspam_cluster_coordinator_memo_hits"),
-              0);
-
-    // The repeat sweep is answered from the coordinator-side memo:
-    // every entry is marked from_cache and no worker round-trip adds
-    // cache hits beyond the first pass.
-    Reply warm = request(coordinator.httpPort(), "POST", "/sweep",
-                         kSweepBody);
-    ASSERT_EQ(warm.status, 200);
-    EXPECT_NE(warm.body.find("\"from_cache\": true"), std::string::npos);
-    EXPECT_EQ(coordinator.metrics().value(
-                  "dynaspam_cluster_coordinator_memo_hits"),
-              4);
-
-    // Memo-served requests need no workers at all: kill the only
-    // worker and the same sweep still answers 200 entirely from memo.
-    worker.shutdownNow();
-    worker_thread.join();
-    ASSERT_TRUE(eventually([&] {
-        return coordinator.metrics().value(
-                   "dynaspam_cluster_workers_connected") == 0;
-    }));
-    Reply orphan = request(coordinator.httpPort(), "POST", "/sweep",
-                           kSweepBody);
-    EXPECT_EQ(orphan.status, 200);
-    EXPECT_EQ(coordinator.metrics().value(
-                  "dynaspam_cluster_coordinator_memo_hits"),
-              8);
-
-    coordinator.beginDrain();
-    coordinator.waitUntilDrained();
 }

@@ -5,9 +5,9 @@
  * byte-determinism of the NDJSON stream, the successive-halving
  * guarantee that pruning never discards a true frontier point when the
  * scouts are exact, byte-identity across thread counts with the real
- * simulator, and byte-identity of the chunked /explore stream — on the
- * serve daemon and on the cluster coordinator — against an in-process
- * engine drive.
+ * simulator, and byte-identity of the chunked /explore stream — through
+ * `dynaspam serve` (the coordinator with one in-process worker) and
+ * through a two-worker cluster — against an in-process engine drive.
  *
  * Transport tests use the executeFn seam with a hand-shaped,
  * deterministic objective landscape so they are fast and the expected
@@ -38,7 +38,6 @@
 #include "explore/space.hh"
 #include "runner/runner.hh"
 #include "serve/http.hh"
-#include "serve/server.hh"
 
 using namespace dynaspam;
 using cluster::Coordinator;
@@ -46,8 +45,6 @@ using cluster::CoordinatorOptions;
 using cluster::Worker;
 using cluster::WorkerOptions;
 using runner::Job;
-using serve::Server;
-using serve::ServerOptions;
 
 namespace
 {
@@ -477,13 +474,18 @@ TEST(ExploreEngine, RealRunnerByteIdenticalAcrossThreadCounts)
 namespace
 {
 
-ServerOptions
+/** `dynaspam serve`'s stack over the fake objective landscape. */
+CoordinatorOptions
 fakeServeOptions()
 {
-    ServerOptions opts;
-    opts.port = 0;
+    CoordinatorOptions opts;
+    opts.httpPort = 0;
+    opts.workerSlots = 1;
     opts.verbose = false;
-    opts.executeFn = fakeResult;
+    WorkerOptions worker;
+    worker.verbose = false;
+    worker.executeFn = fakeResult;
+    opts.localWorker = worker;
     return opts;
 }
 
@@ -491,9 +493,9 @@ fakeServeOptions()
 
 TEST(ExploreServe, StreamIsChunkedAndByteIdenticalToInProcess)
 {
-    Server server(fakeServeOptions());
+    Coordinator server(fakeServeOptions());
     server.start();
-    Reply reply = request(server.port(), "POST", "/explore", kSpaceBody);
+    Reply reply = request(server.httpPort(), "POST", "/explore", kSpaceBody);
     ASSERT_EQ(reply.status, 200);
     EXPECT_NE(reply.head.find("Transfer-Encoding: chunked"),
               std::string::npos);
@@ -515,15 +517,15 @@ TEST(ExploreServe, StreamIsChunkedAndByteIdenticalToInProcess)
 
 TEST(ExploreServe, RejectsMalformedSpacesAndMethods)
 {
-    Server server(fakeServeOptions());
+    Coordinator server(fakeServeOptions());
     server.start();
-    EXPECT_EQ(request(server.port(), "GET", "/explore").status, 405);
-    EXPECT_EQ(request(server.port(), "POST", "/explore", "ribbit")
+    EXPECT_EQ(request(server.httpPort(), "GET", "/explore").status, 405);
+    EXPECT_EQ(request(server.httpPort(), "POST", "/explore", "ribbit")
                   .status,
               400);
-    EXPECT_EQ(request(server.port(), "POST", "/explore", "{}").status,
+    EXPECT_EQ(request(server.httpPort(), "POST", "/explore", "{}").status,
               400);
-    EXPECT_EQ(request(server.port(), "POST", "/explore",
+    EXPECT_EQ(request(server.httpPort(), "POST", "/explore",
                       "{\"workloads\": [\"bfs\"], \"bogus\": 1}")
                   .status,
               400);
@@ -568,7 +570,7 @@ TEST(ExploreCluster, StreamByteIdenticalToInProcess)
     for (unsigned i = 0; i < 2; i++) {
         workers.push_back(
             std::make_unique<Worker>(quietFakeWorker(coordinator)));
-        threads.emplace_back([&, i] { workers[i]->run(); });
+        threads.emplace_back([w = workers.back().get()] { w->run(); });
     }
     ASSERT_TRUE(eventually([&] {
         return coordinator.metrics().value(

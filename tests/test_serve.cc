@@ -1,13 +1,14 @@
 /**
  * @file
  * Tests for the serve subsystem: the HTTP message layer, the Prometheus
- * metrics registry, and the Server itself — single-flight deduplication
- * under concurrency, bounded-queue 429 backpressure, request-timeout
+ * metrics registry, and `dynaspam serve` itself — the coordinator with
+ * one in-process worker: single-flight deduplication under
+ * concurrency, bounded-admission 429 backpressure, request-timeout
  * 503s, graceful drain with in-flight work, strict request validation,
  * and byte-identity between a POST /run response and the CLI report for
  * the same job.
  *
- * Servers under test bind port 0 (ephemeral) and most use an injected
+ * Services under test bind port 0 (ephemeral) and most use an injected
  * executeFn — a gated or counting fake — so queue and cancellation
  * states are reached deterministically without multi-second
  * simulations. One end-to-end test runs the real simulator.
@@ -20,6 +21,7 @@
 #include <condition_variable>
 #include <cstring>
 #include <filesystem>
+#include <functional>
 #include <map>
 #include <mutex>
 #include <sstream>
@@ -33,17 +35,17 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include "cluster/coordinator.hh"
 #include "common/logging.hh"
 #include "common/stats.hh"
 #include "runner/runner.hh"
 #include "serve/http.hh"
 #include "serve/metrics.hh"
-#include "serve/server.hh"
 
 using namespace dynaspam;
+using cluster::Coordinator;
+using cluster::CoordinatorOptions;
 using runner::Job;
-using serve::Server;
-using serve::ServerOptions;
 using sim::SystemMode;
 
 namespace fs = std::filesystem;
@@ -152,7 +154,8 @@ rawRequest(unsigned port, const std::string &wire)
     return reply;
 }
 
-/** Minimal well-formed HTTP/1.1 client request. */
+/** Minimal well-formed HTTP/1.1 client request on its own connection
+ *  (`Connection: close`: the server keeps connections open otherwise). */
 Reply
 request(unsigned port, const std::string &method, const std::string &target,
         const std::string &body = "")
@@ -160,6 +163,7 @@ request(unsigned port, const std::string &method, const std::string &target,
     std::ostringstream os;
     os << method << ' ' << target << " HTTP/1.1\r\n"
        << "Host: 127.0.0.1\r\n"
+       << "Connection: close\r\n"
        << "Content-Length: " << body.size() << "\r\n\r\n"
        << body;
     return rawRequest(port, os.str());
@@ -214,14 +218,27 @@ eventually(Pred predicate, unsigned timeout_ms = 5000)
     return predicate();
 }
 
-ServerOptions
+/** `dynaspam serve`'s stack: the coordinator with one worker slot held
+ *  by an in-process worker running @p execute (empty: the simulator). */
+CoordinatorOptions
+serveOptions(std::function<sim::RunResult(const Job &)> execute = {})
+{
+    CoordinatorOptions opts;
+    opts.httpPort = 0;
+    opts.workerSlots = 1;
+    opts.queueCapacity = 64;
+    opts.verbose = false;
+    cluster::WorkerOptions worker;
+    worker.verbose = false;
+    worker.executeFn = std::move(execute);
+    opts.localWorker = worker;
+    return opts;
+}
+
+CoordinatorOptions
 fakeOptions(GatedExecutor &gate)
 {
-    ServerOptions opts;
-    opts.port = 0;
-    opts.verbose = false;
-    opts.executeFn = [&gate](const Job &job) { return gate(job); };
-    return opts;
+    return serveOptions([&gate](const Job &job) { return gate(job); });
 }
 
 std::string
@@ -342,16 +359,16 @@ TEST(ServeHttp, SendAllReportsVanishedPeer)
     ::close(fds[0]);
 }
 
-// --- Keep-alive (opt-in on the blocking server) ---------------------------
+// --- Keep-alive -----------------------------------------------------------
 
-TEST(Serve, KeepAliveIsOptInAndServesSequentialRequests)
+TEST(Serve, KeepAliveServesSequentialRequestsUntilClose)
 {
     GatedExecutor gate;
     gate.release();
-    Server server(fakeOptions(gate));
+    Coordinator server(fakeOptions(gate));
     server.start();
 
-    int fd = connectTo(server.port());
+    int fd = connectTo(server.httpPort());
     ASSERT_GE(fd, 0);
 
     auto exchange = [&](const std::string &wire) {
@@ -417,9 +434,9 @@ TEST(Serve, KeepAliveIsOptInAndServesSequentialRequests)
         EXPECT_EQ(reply.headers.at("Connection"), "keep-alive");
     }
 
-    // Without the opt-in header the server closes after responding —
-    // the pre-keep-alive contract existing clients rely on.
-    exchange("GET /healthz HTTP/1.1\r\nHost: x\r\n\r\n");
+    // `Connection: close` ends it: the response says close, then EOF.
+    exchange("GET /healthz HTTP/1.1\r\nHost: x\r\n"
+             "Connection: close\r\n\r\n");
     Reply final_reply = read_reply();
     EXPECT_EQ(final_reply.status, 200);
     EXPECT_EQ(final_reply.headers.at("Connection"), "close");
@@ -436,16 +453,16 @@ TEST(Serve, KeepAliveIsOptInAndServesSequentialRequests)
 TEST(Serve, HealthzAndRoutingErrors)
 {
     GatedExecutor gate;
-    Server server(fakeOptions(gate));
+    Coordinator server(fakeOptions(gate));
     server.start();
 
-    Reply ok = request(server.port(), "GET", "/healthz");
+    Reply ok = request(server.httpPort(), "GET", "/healthz");
     EXPECT_EQ(ok.status, 200);
     EXPECT_NE(ok.body.find("\"status\": \"ok\""), std::string::npos);
 
-    EXPECT_EQ(request(server.port(), "GET", "/nope").status, 404);
-    EXPECT_EQ(request(server.port(), "POST", "/healthz").status, 405);
-    EXPECT_EQ(request(server.port(), "GET", "/run").status, 405);
+    EXPECT_EQ(request(server.httpPort(), "GET", "/nope").status, 404);
+    EXPECT_EQ(request(server.httpPort(), "POST", "/healthz").status, 405);
+    EXPECT_EQ(request(server.httpPort(), "GET", "/run").status, 405);
 
     server.beginDrain();
     server.waitUntilDrained();
@@ -454,9 +471,9 @@ TEST(Serve, HealthzAndRoutingErrors)
 TEST(Serve, RejectsBadRequestsWithoutExecuting)
 {
     GatedExecutor gate;
-    ServerOptions opts = fakeOptions(gate);
+    CoordinatorOptions opts = fakeOptions(gate);
     opts.maxRequestBytes = 2048;
-    Server server(opts);
+    Coordinator server(opts);
     server.start();
 
     struct BadCase
@@ -479,13 +496,13 @@ TEST(Serve, RejectsBadRequestsWithoutExecuting)
          std::string(200, '[') + std::string(200, ']')},
     };
     for (const BadCase &c : cases) {
-        Reply reply = request(server.port(), "POST", "/run", c.body);
+        Reply reply = request(server.httpPort(), "POST", "/run", c.body);
         EXPECT_EQ(reply.status, 400) << c.name << ": " << reply.body;
     }
 
     // Not HTTP at all, and an oversize body: rejected at the HTTP layer.
-    EXPECT_EQ(rawRequest(server.port(), "ribbit\r\n\r\n").status, 400);
-    Reply huge = request(server.port(), "POST", "/run",
+    EXPECT_EQ(rawRequest(server.httpPort(), "ribbit\r\n\r\n").status, 400);
+    Reply huge = request(server.httpPort(), "POST", "/run",
                          std::string(4096, 'x'));
     EXPECT_EQ(huge.status, 413);
 
@@ -499,7 +516,7 @@ TEST(Serve, RejectsBadRequestsWithoutExecuting)
 TEST(Serve, ConcurrentSameJobRunsOnceAndAnswersAll)
 {
     GatedExecutor gate;
-    Server server(fakeOptions(gate));
+    Coordinator server(fakeOptions(gate));
     server.start();
 
     // The acceptance bar: 64 concurrent clients, none dropped, none
@@ -509,7 +526,7 @@ TEST(Serve, ConcurrentSameJobRunsOnceAndAnswersAll)
     std::vector<Reply> replies(kClients);
     for (unsigned i = 0; i < kClients; i++)
         clients.emplace_back([&, i] {
-            replies[i] = request(server.port(), "POST", "/run", bfsSpec());
+            replies[i] = request(server.httpPort(), "POST", "/run", bfsSpec());
         });
 
     ASSERT_TRUE(eventually([&] { return gate.calls.load() == 1; }));
@@ -534,31 +551,31 @@ TEST(Serve, ConcurrentSameJobRunsOnceAndAnswersAll)
 TEST(Serve, QueueFullReturns429WithRetryAfter)
 {
     GatedExecutor gate;
-    ServerOptions opts = fakeOptions(gate);
-    opts.jobs = 1;
-    opts.queueCapacity = 2;
-    Server server(opts);
+    CoordinatorOptions opts = fakeOptions(gate);
+    opts.localWorker->threads = 1;
+    opts.queueCapacity = 3;    // the running job plus two queued ones
+    Coordinator server(opts);
     server.start();
 
-    // Occupy the single worker, then fill both queue slots.
+    // Occupy the single worker thread, then fill both queue slots.
     std::vector<std::thread> clients;
     clients.emplace_back([&] {
-        request(server.port(), "POST", "/run", bfsSpec(16));
+        request(server.httpPort(), "POST", "/run", bfsSpec(16));
     });
     ASSERT_TRUE(eventually([&] {
         return server.metrics().value("dynaspam_jobs_inflight") == 1;
     }));
     clients.emplace_back([&] {
-        request(server.port(), "POST", "/run", bfsSpec(24));
+        request(server.httpPort(), "POST", "/run", bfsSpec(24));
     });
     clients.emplace_back([&] {
-        request(server.port(), "POST", "/run", bfsSpec(32));
+        request(server.httpPort(), "POST", "/run", bfsSpec(32));
     });
     ASSERT_TRUE(eventually([&] {
         return server.metrics().value("dynaspam_queue_depth") == 2;
     }));
 
-    Reply overflow = request(server.port(), "POST", "/run", bfsSpec(40));
+    Reply overflow = request(server.httpPort(), "POST", "/run", bfsSpec(40));
     EXPECT_EQ(overflow.status, 429);
     EXPECT_EQ(overflow.headers.at("Retry-After"), "2");
     EXPECT_NE(overflow.body.find("admission queue full"),
@@ -578,27 +595,30 @@ TEST(Serve, QueueFullReturns429WithRetryAfter)
 TEST(Serve, TimeoutCancelsQueuedJobAndReturns503)
 {
     GatedExecutor gate;
-    ServerOptions opts = fakeOptions(gate);
-    opts.jobs = 1;
+    CoordinatorOptions opts = fakeOptions(gate);
+    opts.localWorker->threads = 1;
     opts.requestTimeoutMs = 100;
-    Server server(opts);
+    Coordinator server(opts);
     server.start();
 
     // First job occupies the worker; the second stays queued past its
     // deadline and must be cancelled without ever executing.
     std::thread first([&] {
-        request(server.port(), "POST", "/run", bfsSpec(16));
+        request(server.httpPort(), "POST", "/run", bfsSpec(16));
     });
     ASSERT_TRUE(eventually([&] {
         return server.metrics().value("dynaspam_jobs_inflight") == 1;
     }));
 
-    Reply queued = request(server.port(), "POST", "/run", bfsSpec(24));
+    Reply queued = request(server.httpPort(), "POST", "/run", bfsSpec(24));
     EXPECT_EQ(queued.status, 503);
-    EXPECT_EQ(server.metrics().value("dynaspam_jobs_cancelled_total"), 1);
 
+    // The worker skips the expired batch once its thread frees up.
     gate.release();
     first.join();
+    EXPECT_TRUE(eventually([&] {
+        return server.metrics().value("dynaspam_jobs_cancelled_total") == 1;
+    }));
     server.beginDrain();
     server.waitUntilDrained();
 
@@ -609,38 +629,38 @@ TEST(Serve, TimeoutCancelsQueuedJobAndReturns503)
 
 TEST(Serve, RunningJobSurvivesClientTimeout)
 {
+    TempDir cache("survive");
     GatedExecutor gate;
-    ServerOptions opts = fakeOptions(gate);
-    opts.jobs = 1;
+    CoordinatorOptions opts = fakeOptions(gate);
+    opts.localWorker->threads = 1;
+    opts.localWorker->cacheDir = cache.path();
     opts.requestTimeoutMs = 100;
-    Server server(opts);
+    Coordinator server(opts);
     server.start();
 
     const std::string hash = Job{"BFS", SystemMode::AccelSpec, 16, 1, 1}
                                  .hashHex();
 
     // The client gives up at its deadline, but the simulation is
-    // already running and must complete for later requests.
-    Reply abandoned = request(server.port(), "POST", "/run", bfsSpec(16));
+    // already running and must complete for later requests. Until it
+    // lands in the result cache there is nothing to fetch.
+    Reply abandoned = request(server.httpPort(), "POST", "/run", bfsSpec(16));
     EXPECT_EQ(abandoned.status, 503);
-
-    Reply pending = request(server.port(), "GET", "/results/" + hash);
-    EXPECT_EQ(pending.status, 202);
-    EXPECT_NE(pending.body.find("\"status\": \"pending\""),
-              std::string::npos);
+    EXPECT_EQ(request(server.httpPort(), "GET", "/results/" + hash).status,
+              404);
 
     gate.release();
     ASSERT_TRUE(eventually([&] {
         return server.metrics().value("dynaspam_jobs_executed_total") == 1;
     }));
 
-    Reply done = request(server.port(), "GET", "/results/" + hash);
+    Reply done = request(server.httpPort(), "GET", "/results/" + hash);
     EXPECT_EQ(done.status, 200);
     EXPECT_NE(done.body.find("\"hash\": \"" + hash + "\""),
               std::string::npos);
-    EXPECT_EQ(request(server.port(), "GET",
+    EXPECT_EQ(request(server.httpPort(), "GET",
                       "/results/0123456789abcdef").status, 404);
-    EXPECT_EQ(request(server.port(), "GET",
+    EXPECT_EQ(request(server.httpPort(), "GET",
                       "/results/not-a-hash").status, 404);
 
     server.beginDrain();
@@ -653,10 +673,10 @@ TEST(Serve, SweepExpandsNamedSweepAndDedupsJobs)
 {
     GatedExecutor gate;
     gate.release();    // run immediately
-    Server server(fakeOptions(gate));
+    Coordinator server(fakeOptions(gate));
     server.start();
 
-    Reply sweep = request(server.port(), "POST", "/sweep",
+    Reply sweep = request(server.httpPort(), "POST", "/sweep",
                           "{\"sweep\": \"fig8\", \"workloads\": [\"bfs\"],"
                           " \"trace_length\": 16}");
     EXPECT_EQ(sweep.status, 200);
@@ -664,20 +684,21 @@ TEST(Serve, SweepExpandsNamedSweepAndDedupsJobs)
     EXPECT_NE(sweep.body.find("\"num_jobs\": 4"), std::string::npos);
     EXPECT_EQ(gate.calls.load(), 4u);
 
-    // Same sweep again: all four results come from the in-memory table.
-    Reply again = request(server.port(), "POST", "/sweep",
+    // Same sweep again: all four results come from the worker memo, and
+    // with no disk cache the bytes are those of the first pass.
+    Reply again = request(server.httpPort(), "POST", "/sweep",
                           "{\"sweep\": \"fig8\", \"workloads\": [\"bfs\"],"
                           " \"trace_length\": 16}");
     EXPECT_EQ(again.status, 200);
     EXPECT_EQ(again.body, sweep.body);
     EXPECT_EQ(gate.calls.load(), 4u);
 
-    EXPECT_EQ(request(server.port(), "POST", "/sweep",
+    EXPECT_EQ(request(server.httpPort(), "POST", "/sweep",
                       "{\"sweep\": \"fig99\"}").status, 400);
-    EXPECT_EQ(request(server.port(), "POST", "/sweep",
+    EXPECT_EQ(request(server.httpPort(), "POST", "/sweep",
                       "{\"jobs\": []}").status, 400);
 
-    Reply custom = request(server.port(), "POST", "/sweep",
+    Reply custom = request(server.httpPort(), "POST", "/sweep",
                            "{\"jobs\": [{\"workload\": \"bfs\","
                            " \"trace_length\": 16}]}");
     EXPECT_EQ(custom.status, 200);
@@ -693,9 +714,9 @@ TEST(Serve, SweepExpandsNamedSweepAndDedupsJobs)
 TEST(Serve, DrainFinishesInFlightWorkThenRefusesConnections)
 {
     GatedExecutor gate;
-    Server server(fakeOptions(gate));
+    Coordinator server(fakeOptions(gate));
     server.start();
-    const unsigned port = server.port();
+    const unsigned port = server.httpPort();
 
     std::thread client([&] {
         Reply reply = request(port, "POST", "/run", bfsSpec());
@@ -726,17 +747,17 @@ TEST(Serve, MetricsReconcileWithServedTraffic)
 {
     GatedExecutor gate;
     gate.release();
-    Server server(fakeOptions(gate));
+    Coordinator server(fakeOptions(gate));
     server.start();
 
-    EXPECT_EQ(request(server.port(), "POST", "/run", bfsSpec()).status,
+    EXPECT_EQ(request(server.httpPort(), "POST", "/run", bfsSpec()).status,
               200);
-    EXPECT_EQ(request(server.port(), "POST", "/run", bfsSpec()).status,
+    EXPECT_EQ(request(server.httpPort(), "POST", "/run", bfsSpec()).status,
               200);
-    EXPECT_EQ(request(server.port(), "GET", "/healthz").status, 200);
-    EXPECT_EQ(request(server.port(), "GET", "/nope").status, 404);
+    EXPECT_EQ(request(server.httpPort(), "GET", "/healthz").status, 200);
+    EXPECT_EQ(request(server.httpPort(), "GET", "/nope").status, 404);
 
-    Reply scrape = request(server.port(), "GET", "/metrics");
+    Reply scrape = request(server.httpPort(), "GET", "/metrics");
     EXPECT_EQ(scrape.status, 200);
     EXPECT_NE(scrape.headers.at("Content-Type").find("text/plain"),
               std::string::npos);
@@ -767,17 +788,15 @@ TEST(Serve, MetricsReconcileWithServedTraffic)
 TEST(Serve, RunResponseIsByteIdenticalToCliReport)
 {
     TempDir cache("cli-bytes");
-    ServerOptions opts;
-    opts.port = 0;
-    opts.verbose = false;
-    opts.cacheDir = cache.path() + "/server";
-    Server server(opts);    // real executeFn: runs the simulator
+    CoordinatorOptions opts = serveOptions();    // runs the simulator
+    opts.localWorker->cacheDir = cache.path() + "/server";
+    Coordinator server(opts);
     server.start();
 
     const std::string spec = bfsSpec(16);
-    Reply cold = request(server.port(), "POST", "/run", spec);
+    Reply cold = request(server.httpPort(), "POST", "/run", spec);
     ASSERT_EQ(cold.status, 200);
-    Reply warm = request(server.port(), "POST", "/run", spec);
+    Reply warm = request(server.httpPort(), "POST", "/run", spec);
     ASSERT_EQ(warm.status, 200);
 
     // What `dynaspam run --no-cache --out` writes for the same spec.
@@ -794,7 +813,7 @@ TEST(Serve, RunResponseIsByteIdenticalToCliReport)
     // by the run above... use a fresh runner against the server's cache).
     runner::RunnerOptions warm_opts;
     warm_opts.jobs = 1;
-    warm_opts.cacheDir = opts.cacheDir;
+    warm_opts.cacheDir = opts.localWorker->cacheDir;
     runner::Runner warm_runner(warm_opts);
     std::ostringstream warm_cli;
     runner::writeSweepReport(warm_cli, "run", warm_runner.runAll({job}),
