@@ -24,6 +24,8 @@
  * exit with the conventional 128+signal code.
  */
 
+#include <cerrno>
+#include <climits>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -185,8 +187,9 @@ class Args
     {
         std::string v = value(flag);
         char *end = nullptr;
+        errno = 0;
         long n = std::strtol(v.c_str(), &end, 10);
-        if (!end || *end || n < 0)
+        if (!end || *end || n < 0 || errno == ERANGE || n > long(UINT_MAX))
             fatal("bad value for ", flag, ": ", v);
         return unsigned(n);
     }
@@ -209,32 +212,74 @@ splitCommas(const std::string &s)
     return out;
 }
 
-struct CommonOptions
+/** The cache flags shared by run, sweep, explore, serve and worker. */
+struct CacheFlags
 {
-    std::string cacheDir = ".dynaspam-cache";
-    unsigned jobs = 0;          ///< 0 = ThreadPool::defaultWorkers()
-    unsigned scale = 1;
-    unsigned cacheMaxMb = 0;    ///< 0 = no LRU size budget
+    std::string dir = ".dynaspam-cache";
+    bool use = true;
+    unsigned maxMb = 0;         ///< 0 = no LRU size budget
     std::string snapshotDir;    ///< empty = snapshot cache off
     unsigned snapshotMaxMb = 0; ///< 0 = no LRU size budget
+
+    /** Consume @p flag (and its value) if it is a cache flag. */
+    bool
+    parse(const std::string &flag, Args &args)
+    {
+        if (flag == "--cache")
+            dir = args.value(flag);
+        else if (flag == "--no-cache")
+            use = false;
+        else if (flag == "--cache-max-mb")
+            maxMb = args.uvalue(flag);
+        else if (flag == "--snapshot-cache")
+            snapshotDir = args.value(flag);
+        else if (flag == "--snapshot-cache-max-mb")
+            snapshotMaxMb = args.uvalue(flag);
+        else
+            return false;
+        return true;
+    }
+
+    /** The result-cache directory; empty under --no-cache. */
+    std::string resultDir() const { return use ? dir : std::string(); }
+
+    static std::uint64_t
+    bytes(unsigned mb)
+    {
+        return std::uint64_t(mb) * 1024 * 1024;
+    }
+
+    /** Point a worker at these caches. */
+    void
+    apply(cluster::WorkerOptions &worker) const
+    {
+        worker.cacheDir = resultDir();
+        worker.cacheMaxBytes = bytes(maxMb);
+        worker.snapshotCacheDir = snapshotDir;
+        worker.snapshotCacheMaxBytes = bytes(snapshotMaxMb);
+    }
+};
+
+struct CommonOptions
+{
+    CacheFlags cache;
+    unsigned jobs = 0;          ///< 0 = ThreadPool::defaultWorkers()
+    unsigned scale = 1;
     std::string out;
 };
 
-/**
- * Post-run cache maintenance for run/sweep: GC stale epochs and apply
- * the --cache-max-mb LRU budget when one was given.
- */
+/** GC one cache down to @p max_mb after a run; print what it removed. */
+template <class Cache>
 void
-maintainCache(const std::string &cache_dir, unsigned cache_max_mb)
+maintainCache(const char *label, const std::string &dir, unsigned max_mb)
 {
-    if (cache_dir.empty() || !cache_max_mb)
+    if (dir.empty() || !max_mb)
         return;
-    runner::ResultCache cache(cache_dir);
-    runner::CacheGcStats stats =
-        cache.gc(std::uint64_t(cache_max_mb) * 1024 * 1024);
+    runner::CacheGcStats stats = Cache(dir).gc(CacheFlags::bytes(max_mb));
     if (stats.staleEvicted || stats.lruEvicted || stats.tmpRemoved)
-        std::printf("cache gc: %llu stale, %llu lru-evicted, %llu temp "
+        std::printf("%s: %llu stale, %llu lru-evicted, %llu temp "
                     "files removed (%llu -> %llu bytes)\n",
+                    label,
                     static_cast<unsigned long long>(stats.staleEvicted),
                     static_cast<unsigned long long>(stats.lruEvicted),
                     static_cast<unsigned long long>(stats.tmpRemoved),
@@ -242,23 +287,28 @@ maintainCache(const std::string &cache_dir, unsigned cache_max_mb)
                     static_cast<unsigned long long>(stats.bytesAfter));
 }
 
-/** Same maintenance for the snapshot cache (--snapshot-cache-max-mb). */
+/**
+ * Post-run maintenance for run/sweep/explore: GC stale entries and
+ * apply the --cache-max-mb / --snapshot-cache-max-mb LRU budgets.
+ */
 void
-maintainSnapshotCache(const std::string &dir, unsigned max_mb)
+maintainCaches(const CacheFlags &flags)
 {
-    if (dir.empty() || !max_mb)
-        return;
-    runner::SnapshotCache cache(dir);
-    runner::CacheGcStats stats =
-        cache.gc(std::uint64_t(max_mb) * 1024 * 1024);
-    if (stats.staleEvicted || stats.lruEvicted || stats.tmpRemoved)
-        std::printf("snapshot gc: %llu stale, %llu lru-evicted, %llu "
-                    "temp files removed (%llu -> %llu bytes)\n",
-                    static_cast<unsigned long long>(stats.staleEvicted),
-                    static_cast<unsigned long long>(stats.lruEvicted),
-                    static_cast<unsigned long long>(stats.tmpRemoved),
-                    static_cast<unsigned long long>(stats.bytesBefore),
-                    static_cast<unsigned long long>(stats.bytesAfter));
+    maintainCache<runner::ResultCache>("cache gc", flags.resultDir(),
+                                       flags.maxMb);
+    maintainCache<runner::SnapshotCache>("snapshot gc", flags.snapshotDir,
+                                         flags.snapshotMaxMb);
+}
+
+/** Runner options for @p common's thread count and caches. */
+runner::RunnerOptions
+runnerOptions(const CommonOptions &common)
+{
+    runner::RunnerOptions opts;
+    opts.jobs = common.jobs;
+    opts.cacheDir = common.cache.resultDir();
+    opts.snapshotCacheDir = common.cache.snapshotDir;
+    return opts;
 }
 
 int
@@ -267,7 +317,6 @@ cmdRun(Args &args)
     Job job;
     job.mode = SystemMode::AccelSpec;
     CommonOptions common;
-    bool use_cache = true;
 
     std::string flag;
     while (args.next(flag)) {
@@ -287,17 +336,7 @@ cmdRun(Args &args)
             job.fidelity = runner::parseFidelity(args.value(flag));
         else if (flag == "--out")
             common.out = args.value(flag);
-        else if (flag == "--cache")
-            common.cacheDir = args.value(flag);
-        else if (flag == "--no-cache")
-            use_cache = false;
-        else if (flag == "--cache-max-mb")
-            common.cacheMaxMb = args.uvalue(flag);
-        else if (flag == "--snapshot-cache")
-            common.snapshotDir = args.value(flag);
-        else if (flag == "--snapshot-cache-max-mb")
-            common.snapshotMaxMb = args.uvalue(flag);
-        else
+        else if (!common.cache.parse(flag, args))
             fatal("unknown option ", flag);
     }
     if (job.workload.empty())
@@ -307,14 +346,10 @@ cmdRun(Args &args)
     // exits 128+SIGINT instead of stranding a temp file.
     interrupt::installCleanupSignalHandlers();
 
-    runner::RunnerOptions opts;
-    opts.jobs = 1;
-    opts.cacheDir = use_cache ? common.cacheDir : "";
-    opts.snapshotCacheDir = common.snapshotDir;
-    runner::Runner r(opts);
+    common.jobs = 1;
+    runner::Runner r(runnerOptions(common));
     auto outcomes = r.runAll({job});
-    maintainCache(opts.cacheDir, common.cacheMaxMb);
-    maintainSnapshotCache(common.snapshotDir, common.snapshotMaxMb);
+    maintainCaches(common.cache);
     const runner::JobOutcome &outcome = outcomes.at(0);
     const sim::RunResult &res = outcome.result;
 
@@ -360,7 +395,6 @@ int
 cmdSweep(Args &args)
 {
     CommonOptions common;
-    bool use_cache = true;
     bool fork_sweeps = true;
     std::string sweep;
     unsigned trace_length = 32;
@@ -392,17 +426,7 @@ cmdSweep(Args &args)
             fork_sweeps = false;
         else if (flag == "--workloads")
             names = splitCommas(args.value(flag));
-        else if (flag == "--cache")
-            common.cacheDir = args.value(flag);
-        else if (flag == "--no-cache")
-            use_cache = false;
-        else if (flag == "--cache-max-mb")
-            common.cacheMaxMb = args.uvalue(flag);
-        else if (flag == "--snapshot-cache")
-            common.snapshotDir = args.value(flag);
-        else if (flag == "--snapshot-cache-max-mb")
-            common.snapshotMaxMb = args.uvalue(flag);
-        else
+        else if (!common.cache.parse(flag, args))
             fatal("unknown option ", flag);
     }
     if (sweep.empty())
@@ -421,15 +445,11 @@ cmdSweep(Args &args)
 
     interrupt::installCleanupSignalHandlers();
 
-    runner::RunnerOptions opts;
-    opts.jobs = common.jobs;
-    opts.cacheDir = use_cache ? common.cacheDir : "";
+    runner::RunnerOptions opts = runnerOptions(common);
     opts.forkSweeps = fork_sweeps;
-    opts.snapshotCacheDir = common.snapshotDir;
     runner::Runner r(opts);
     auto outcomes = r.runAll(jobs);
-    maintainCache(opts.cacheDir, common.cacheMaxMb);
-    maintainSnapshotCache(common.snapshotDir, common.snapshotMaxMb);
+    maintainCaches(common.cache);
 
     std::ofstream os(common.out);
     if (!os)
@@ -452,7 +472,6 @@ int
 cmdExplore(Args &args)
 {
     CommonOptions common;
-    bool use_cache = true;
     std::string spaceFile;
 
     std::string flag;
@@ -463,17 +482,7 @@ cmdExplore(Args &args)
             common.jobs = args.uvalue(flag);
         else if (flag == "--out")
             common.out = args.value(flag);
-        else if (flag == "--cache")
-            common.cacheDir = args.value(flag);
-        else if (flag == "--no-cache")
-            use_cache = false;
-        else if (flag == "--cache-max-mb")
-            common.cacheMaxMb = args.uvalue(flag);
-        else if (flag == "--snapshot-cache")
-            common.snapshotDir = args.value(flag);
-        else if (flag == "--snapshot-cache-max-mb")
-            common.snapshotMaxMb = args.uvalue(flag);
-        else
+        else if (!common.cache.parse(flag, args))
             fatal("unknown option ", flag);
     }
     if (spaceFile.empty())
@@ -497,11 +506,7 @@ cmdExplore(Args &args)
 
     interrupt::installCleanupSignalHandlers();
 
-    runner::RunnerOptions opts;
-    opts.jobs = common.jobs;
-    opts.cacheDir = use_cache ? common.cacheDir : "";
-    opts.snapshotCacheDir = common.snapshotDir;
-    runner::Runner r(opts);
+    runner::Runner r(runnerOptions(common));
 
     // stdout carries ONLY the engine's NDJSON lines — byte-identical
     // to the body a POST /explore stream delivers, so the two can be
@@ -519,8 +524,7 @@ cmdExplore(Args &args)
         const std::vector<Job> &batch = engine.nextBatch();
         emit(engine.feed(r.runAll(batch)));
     }
-    maintainCache(opts.cacheDir, common.cacheMaxMb);
-    maintainSnapshotCache(common.snapshotDir, common.snapshotMaxMb);
+    maintainCaches(common.cache);
 
     if (!common.out.empty()) {
         std::ofstream os(common.out);
@@ -664,13 +668,11 @@ int
 cmdWorker(Args &args)
 {
     cluster::WorkerOptions opts;
-    opts.cacheDir = ".dynaspam-cache";
     opts.clusterToken = envClusterToken();
     // One shard of a fleet: DYNASPAM_JOBS threads, one by default, so
     // N workers sharing a host do not each claim every core.
     opts.threads = runner::ThreadPool::defaultWorkers(1);
-    bool use_cache = true;
-    unsigned cache_max_mb = 0;
+    CacheFlags caches;
 
     std::string flag;
     while (args.next(flag)) {
@@ -688,24 +690,11 @@ cmdWorker(Args &args)
             if (!end || *end || port <= 0 || port > 65535)
                 fatal("bad port in --connect ", endpoint);
             opts.connectPort = unsigned(port);
-        } else if (flag == "--cache") {
-            opts.cacheDir = args.value(flag);
-        } else if (flag == "--no-cache") {
-            use_cache = false;
-        } else if (flag == "--cache-max-mb") {
-            cache_max_mb = args.uvalue(flag);
-        } else if (flag == "--snapshot-cache") {
-            opts.snapshotCacheDir = args.value(flag);
-        } else if (flag == "--snapshot-cache-max-mb") {
-            opts.snapshotCacheMaxBytes =
-                std::uint64_t(args.uvalue(flag)) * 1024 * 1024;
-        } else {
+        } else if (!caches.parse(flag, args)) {
             fatal("unknown option ", flag);
         }
     }
-    if (!use_cache)
-        opts.cacheDir.clear();
-    opts.cacheMaxBytes = std::uint64_t(cache_max_mb) * 1024 * 1024;
+    caches.apply(opts);
 
     cluster::Worker worker(std::move(opts));
     return worker.run();
@@ -720,10 +709,8 @@ cmdServe(Args &args)
     opts.workerSlots = 1;
     opts.queueCapacity = 64;
     cluster::WorkerOptions worker;
-    worker.cacheDir = ".dynaspam-cache";
     worker.verbose = false;
-    bool use_cache = true;
-    unsigned cache_max_mb = 0;
+    CacheFlags caches;
 
     std::string flag;
     while (args.next(flag)) {
@@ -737,25 +724,12 @@ cmdServe(Args &args)
             opts.queueCapacity = args.uvalue(flag);
         else if (flag == "--timeout-ms")
             opts.requestTimeoutMs = args.uvalue(flag);
-        else if (flag == "--cache")
-            worker.cacheDir = args.value(flag);
-        else if (flag == "--no-cache")
-            use_cache = false;
-        else if (flag == "--cache-max-mb")
-            cache_max_mb = args.uvalue(flag);
-        else if (flag == "--snapshot-cache")
-            worker.snapshotCacheDir = args.value(flag);
-        else if (flag == "--snapshot-cache-max-mb")
-            worker.snapshotCacheMaxBytes =
-                std::uint64_t(args.uvalue(flag)) * 1024 * 1024;
         else if (flag == "--warmup-insts")
             opts.defaultWarmupInsts = args.uvalue(flag);
-        else
+        else if (!caches.parse(flag, args))
             fatal("unknown option ", flag);
     }
-    if (!use_cache)
-        worker.cacheDir.clear();
-    worker.cacheMaxBytes = std::uint64_t(cache_max_mb) * 1024 * 1024;
+    caches.apply(worker);
     if (opts.httpPort > 65535)
         fatal("serve: --port must be <= 65535");
     opts.localWorker = std::move(worker);

@@ -1,6 +1,5 @@
 #include "cluster/worker.hh"
 
-#include <algorithm>
 #include <cerrno>
 #include <chrono>
 #include <cstring>
@@ -22,8 +21,8 @@ namespace dynaspam::cluster
 namespace
 {
 
-/** Cache GC every this many stores when a size budget is configured. */
-constexpr std::uint64_t kGcStoreInterval = 32;
+/** Budgeted caches are collected every this many executed jobs. */
+constexpr std::uint64_t kGcJobInterval = 32;
 
 /**
  * SO_RCVTIMEO on the coordinator link. The coordinator pings every few
@@ -178,7 +177,6 @@ Worker::serveConnection(int fd, bool handshake)
             common::MutexLock lock(linkMutex);
             linkFd = -1;
         }
-        common::MutexLock lock(stateMutex);
         gcCaches(true);
         return code;
     };
@@ -410,39 +408,12 @@ Worker::startBatch(const std::shared_ptr<Batch> &batch)
         moveJobs(-long(hits), 0);
     }
 
-    // Partition the misses into units — fork groups warm once, here
-    // (possibly straight from the snapshot cache); the coordinator
-    // shards by fork-group hash, so a group's members all land in this
-    // batch. The executeFn test seam replaces the simulator, so when it
-    // is set every job runs individually.
-    // Canonical miss order (matching Runner::runAll): sort by job hash
-    // before partitioning so fork-group member order — and the warmup
-    // representative — is independent of the coordinator's batch
-    // order. Entries still land by original index.
-    std::sort(missIdx.begin(), missIdx.end(),
-              [&](std::size_t x, std::size_t y) {
-                  const std::uint64_t hx = b.jobs[x].hash();
-                  const std::uint64_t hy = b.jobs[y].hash();
-                  if (hx != hy)
-                      return hx < hy;
-                  const std::string kx = b.jobs[x].key();
-                  const std::string ky = b.jobs[y].key();
-                  if (kx != ky)
-                      return kx < ky;
-                  return x < y;
-              });
-    std::map<std::string, std::size_t> groupOf;
-    for (std::size_t i : missIdx) {
-        if (customExecute || b.jobs[i].warmupInsts == 0) {
-            b.units.push_back({i});
-            continue;
-        }
-        auto [it, fresh] = groupOf.try_emplace(
-            runner::forkGroupKey(b.jobs[i]), b.units.size());
-        if (fresh)
-            b.units.emplace_back();
-        b.units[it->second].push_back(i);
-    }
+    // Plan the misses into units: fork groups warm once, here (possibly
+    // straight from the snapshot cache), since the coordinator shards
+    // by fork-group hash and a group's members all land in this batch.
+    // The executeFn test seam replaces the simulator, so it plans with
+    // forking off and every job runs through the seam.
+    b.units = runner::planUnits(b.jobs, std::move(missIdx), !customExecute);
 
     if (b.units.empty()) {
         sendResult(b);
@@ -478,6 +449,7 @@ Worker::executeUnit(Batch &b, std::vector<std::size_t> todo)
     };
     std::vector<Mine> mine;
     std::string error;
+    bool gcDue = false;
     {
         common::MutexLock lock(stateMutex);
         moveJobs(-claimed, claimed);
@@ -524,21 +496,9 @@ Worker::executeUnit(Batch &b, std::vector<std::size_t> todo)
     const auto begin = Clock::now();
     if (!run.empty()) {
         try {
-            const std::size_t front = run.front();
-            if (run.size() == 1 &&
-                (customExecute || b.jobs[front].warmupInsts == 0)) {
-                sim::RunResult result = options.executeFn(b.jobs[front]);
-                if (cache.enabled())
-                    cache.store(b.jobs[front], result);
-                b.outcomes[front] = runner::JobOutcome{
-                    b.jobs[front], std::move(result), false};
-            } else {
-                runner::runForkGroup(
-                    b.jobs, run, b.outcomes,
-                    cache.enabled() ? &cache : nullptr,
-                    snapCache.enabled() ? &snapCache : nullptr,
-                    &groupStats);
-            }
+            runner::runUnit(b.jobs, run, b.outcomes, &cache,
+                            customExecute ? nullptr : &snapCache,
+                            &groupStats, options.executeFn);
         } catch (const std::exception &err) {
             error = err.what();
         }
@@ -573,13 +533,15 @@ Worker::executeUnit(Batch &b, std::vector<std::size_t> todo)
         if (error.empty()) {
             for (std::size_t k = 0; k < run.size(); k++)
                 memoPut(b.jobs[run[k]].hashHex(), std::move(repeats[k]));
-            if (!run.empty() && cache.enabled() && options.cacheMaxBytes &&
-                ++storesSinceGc % kGcStoreInterval == 0)
-                gcCaches(false);
+            const std::uint64_t before = jobsSinceGc;
+            jobsSinceGc += run.size();
+            gcDue = jobsSinceGc / kGcJobInterval != before / kGcJobInterval;
         }
         moveJobs(0, -claimed);
     }
     flightDone.notifyAll();
+    if (gcDue)
+        gcCaches(false);
 
     if (error.empty() && !run.empty()) {
         metrics.inc("dynaspam_jobs_executed_total", double(run.size()));
@@ -678,17 +640,19 @@ Worker::moveJobs(long queued, long running)
 }
 
 void
-Worker::gcCaches(bool snapshots)
+Worker::gcCaches(bool all)
 {
-    if (cache.enabled()) {
-        runner::CacheGcStats gc = cache.gc(options.cacheMaxBytes);
-        cacheEvictions += gc.staleEvicted + gc.lruEvicted;
-    }
-    if (snapshots && snapCache.enabled()) {
-        runner::CacheGcStats gc =
-            snapCache.gc(options.snapshotCacheMaxBytes);
-        cacheEvictions += gc.staleEvicted + gc.lruEvicted;
-    }
+    std::uint64_t evicted = 0;
+    const auto collect = [&](const auto &store, std::uint64_t max_bytes) {
+        if (store.enabled() && (all || max_bytes)) {
+            runner::CacheGcStats gc = store.gc(max_bytes);
+            evicted += gc.staleEvicted + gc.lruEvicted;
+        }
+    };
+    collect(cache, options.cacheMaxBytes);
+    collect(snapCache, options.snapshotCacheMaxBytes);
+    common::MutexLock lock(stateMutex);
+    cacheEvictions += evicted;
 }
 
 } // namespace dynaspam::cluster

@@ -7,16 +7,18 @@
  * Hello/Welcome handshake, or in-process behind `dynaspam serve`, where
  * the coordinator hands it one end of a socketpair already enrolled in
  * slot 0. Either way it executes the job batches the coordinator
- * assigns to its shard through runner::execute behind a
- * runner::ResultCache, so a job computed by a worker produces the same
- * bytes it would have produced anywhere else.
+ * assigns to its shard with the CLI's own execution core: the misses
+ * are planned by runner::planUnits and each unit runs through
+ * runner::runUnit, behind a runner::ResultCache and SnapshotCache, so a
+ * job computed by a worker produces the same bytes it would have
+ * produced anywhere else.
  *
  * Threads: the thread that reads the coordinator link answers Ping and
  * Goodbye at once and queues every Batch on a runner::ThreadPool, so
  * liveness never depends on how long a job runs. Each Pong reports the
  * queued jobs, evictions and warm passes, which the coordinator
  * republishes as per-worker gauges. A pool thread takes
- * batches first in, first out: it answers the batch's hits, splits the
+ * batches first in, first out: it answers the batch's hits, plans the
  * misses into units (single jobs, or fork groups that warm once) and
  * queues each unit on the pool. The batch's Result is sent when its
  * last unit finishes.
@@ -37,7 +39,10 @@
  *    read, no JSON parse, no re-serialization, on the worker or on the
  *    coordinator (which splices the fragment via json::Raw).
  * Because the coordinator routes each job hash to a fixed owner slot,
- * hits concentrate in the owning worker's memo.
+ * hits concentrate in the owning worker's memo. Caches with a size
+ * budget are collected every 32 executed jobs and every cache when the
+ * link closes, always outside the state lock, so a gc pass never
+ * stalls pings or memo lookups.
  *
  * Deadlines: each Batch carries its request's remaining time. A batch
  * or unit whose deadline passed before a pool thread picked it up is
@@ -139,8 +144,8 @@ struct WorkerOptions
     bool verbose = true;
 
     /** Simulation function; defaults to runner::execute (test seam).
-     *  Supplying one disables fork-group execution — every job runs
-     *  through the seam individually. */
+     *  Supplying one plans with forking off — every job runs through
+     *  the seam individually. */
     std::function<sim::RunResult(const runner::Job &)> executeFn;
 };
 
@@ -247,7 +252,12 @@ class Worker
         REQUIRES(stateMutex);
     /** Move the queue/inflight gauges by the given deltas. */
     void moveJobs(long queued, long running) REQUIRES(stateMutex);
-    void gcCaches(bool snapshots) REQUIRES(stateMutex);
+    /**
+     * Garbage-collect the caches that have a size budget, or with
+     * @p all every enabled cache (stale entries too). Scans and reads
+     * whole directories, so never under stateMutex.
+     */
+    void gcCaches(bool all) EXCLUDES(stateMutex);
 
     WorkerOptions options;
     serve::Metrics ownMetrics;
@@ -256,7 +266,7 @@ class Worker
     runner::SnapshotCache snapCache;
     runner::ForkGroupStats groupStats;
     /** True when the options carried a custom executeFn: the test seam
-     *  replaces the simulator, so fork-group execution is disabled. */
+     *  replaces the simulator, so units are planned with forking off. */
     bool customExecute = false;
 
     std::atomic<unsigned> slot_{0};
@@ -290,7 +300,7 @@ class Worker
     std::size_t runningJobs GUARDED_BY(stateMutex) = 0;
     std::uint64_t memoEvictions GUARDED_BY(stateMutex) = 0;
     std::uint64_t cacheEvictions GUARDED_BY(stateMutex) = 0;
-    std::uint64_t storesSinceGc GUARDED_BY(stateMutex) = 0;
+    std::uint64_t jobsSinceGc GUARDED_BY(stateMutex) = 0;
 
     /** Declared last so it is destroyed first: destruction runs every
      *  queued task (they use the members above), then joins. */

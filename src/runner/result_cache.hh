@@ -18,18 +18,11 @@
  *
  * Robustness: any unreadable, unparsable or schema-mismatched cache
  * file is treated as a miss — the job is simply re-simulated and the
- * entry rewritten. Writes go to a temp file first and are renamed into
- * place, so concurrent writers (pool workers, parallel processes)
- * never expose half-written entries; the temp path is additionally
- * registered with the interrupt cleanup registry so a SIGINT mid-write
- * unlinks it instead of stranding it.
- *
- * Growth control: a long-lived process (the serve daemon, repeated
- * sweeps) would otherwise grow the directory without bound as epochs
- * roll and parameter spaces widen. gc() garbage-collects entries from
- * stale epochs plus any orphaned temp files, then applies an LRU size
- * budget: load() refreshes an entry's mtime on every hit, and gc()
- * evicts least-recently-used entries until the directory fits.
+ * entry rewritten. The entry lifecycle — atomic temp+rename writes,
+ * mtime refresh on every hit, and gc() of stale-epoch entries, old
+ * temp litter and least-recently-used entries over a size budget — is
+ * the FileStore's (runner/file_store.hh), shared with SnapshotCache;
+ * this class owns only the JSON framing.
  */
 
 #ifndef DYNASPAM_RUNNER_RESULT_CACHE_HH
@@ -40,6 +33,7 @@
 #include <string>
 #include <utility>
 
+#include "runner/file_store.hh"
 #include "runner/job.hh"
 #include "sim/system.hh"
 
@@ -51,24 +45,6 @@ namespace dynaspam::runner
  * change that alters simulation results.
  */
 inline constexpr const char *kResultCacheEpoch = "dynaspam-sim-6";
-
-/**
- * Temp files younger than this are presumed to belong to a live writer
- * and are skipped by gc(); only older litter (crashed/killed writers)
- * is reaped. Shared by ResultCache and SnapshotCache.
- */
-inline constexpr std::uint64_t kCacheTmpGraceSeconds = 60;
-
-/** What one ResultCache::gc pass scanned and removed. */
-struct CacheGcStats
-{
-    std::uint64_t scanned = 0;      ///< entry files examined
-    std::uint64_t staleEvicted = 0; ///< wrong-epoch / unparsable entries
-    std::uint64_t lruEvicted = 0;   ///< evicted to meet the size budget
-    std::uint64_t tmpRemoved = 0;   ///< orphaned *.tmp.* writer litter
-    std::uint64_t bytesBefore = 0;  ///< directory size before the pass
-    std::uint64_t bytesAfter = 0;   ///< directory size after the pass
-};
 
 /** File-per-job result store. */
 class ResultCache
@@ -82,8 +58,8 @@ class ResultCache
     explicit ResultCache(std::string dir,
                          std::string epoch = kResultCacheEpoch);
 
-    bool enabled() const { return !dir.empty(); }
-    const std::string &directory() const { return dir; }
+    bool enabled() const { return files.enabled(); }
+    const std::string &directory() const { return files.directory(); }
 
     /** @return the cache file path for @p job (even when disabled). */
     std::string pathFor(const Job &job) const;
@@ -112,18 +88,15 @@ class ResultCache
     void store(const Job &job, const sim::RunResult &result) const;
 
     /**
-     * Garbage-collect the cache directory: remove orphaned temp files
-     * and entries whose epoch is not this cache's epoch (stale
-     * simulator versions), then — when @p max_bytes is nonzero — evict
-     * least-recently-used entries (by mtime; load() hits refresh it)
-     * until the remaining entries total at most @p max_bytes.
-     * Concurrent-writer safe: eviction losers are re-simulated misses,
-     * never corruption. No-op when the cache is disabled.
+     * Garbage-collect the cache directory (FileStore::gc): entries
+     * whose epoch is not this cache's epoch are stale. Concurrent-writer
+     * safe: eviction losers are re-simulated misses, never corruption.
+     * No-op when the cache is disabled.
      */
     CacheGcStats gc(std::uint64_t max_bytes = 0) const;
 
   private:
-    std::string dir;
+    FileStore files;
     std::string epoch;
 };
 

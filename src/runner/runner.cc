@@ -66,8 +66,12 @@ snapshotGroupKey(const Job &rep, const core::WarmupGuard &guard)
     return os.str();
 }
 
-} // namespace
-
+/**
+ * Execute one fork group: warm the shared prefix once under the
+ * representative (front) configuration, loading it from @p snap_cache
+ * when a valid entry exists and storing it after a fresh warm, then
+ * fork every member from the snapshot.
+ */
 void
 runForkGroup(const std::vector<Job> &jobs,
              const std::vector<std::size_t> &group,
@@ -168,10 +172,63 @@ runForkGroup(const std::vector<Job> &jobs,
             check::auditSnapshotRoundTrip(safe, echo, vsink, fork.now());
         }
         sim::RunResult result = finishSimulation(job, fork);
-        if (cache && cache->enabled())
+        if (cache)
             cache->store(job, result);
         outcomes[idx] = JobOutcome{job, std::move(result), false};
     }
+}
+
+} // namespace
+
+std::vector<std::vector<std::size_t>>
+planUnits(const std::vector<Job> &jobs, std::vector<std::size_t> misses,
+          bool fork)
+{
+    std::sort(misses.begin(), misses.end(),
+              [&](std::size_t a, std::size_t b) {
+                  const std::uint64_t ha = jobs[a].hash();
+                  const std::uint64_t hb = jobs[b].hash();
+                  if (ha != hb)
+                      return ha < hb;
+                  const std::string ka = jobs[a].key();
+                  const std::string kb = jobs[b].key();
+                  if (ka != kb)
+                      return ka < kb;
+                  return a < b;
+              });
+    std::vector<std::vector<std::size_t>> units;
+    std::map<std::string, std::size_t> groupOf;
+    for (std::size_t i : misses) {
+        if (!fork || jobs[i].warmupInsts == 0) {
+            units.push_back({i});
+            continue;
+        }
+        auto [it, fresh] =
+            groupOf.try_emplace(forkGroupKey(jobs[i]), units.size());
+        if (fresh)
+            units.emplace_back();
+        units[it->second].push_back(i);
+    }
+    return units;
+}
+
+void
+runUnit(const std::vector<Job> &jobs, const std::vector<std::size_t> &unit,
+        std::vector<JobOutcome> &outcomes, const ResultCache *cache,
+        const SnapshotCache *snap_cache, ForkGroupStats *stats,
+        const ExecuteFn &straight)
+{
+    if (snap_cache && !snap_cache->enabled())
+        snap_cache = nullptr;
+    const Job &front = jobs[unit.front()];
+    if (unit.size() > 1 || (front.warmupInsts > 0 && snap_cache)) {
+        runForkGroup(jobs, unit, outcomes, cache, snap_cache, stats);
+        return;
+    }
+    sim::RunResult result = straight ? straight(front) : execute(front);
+    if (cache)
+        cache->store(front, result);
+    outcomes[unit.front()] = JobOutcome{front, std::move(result), false};
 }
 
 Runner::Runner(RunnerOptions options_)
@@ -207,75 +264,24 @@ Runner::runAll(const std::vector<Job> &jobs)
         }
     });
 
-    // Partition the misses into work units — fork groups plus
-    // straight-through singles — in job-list order, so the outcome
-    // vector (and the cache bookkeeping) is identical for any worker
-    // count and for fork vs no-fork execution.
-    std::vector<std::vector<std::size_t>> units;
-    {
-        // Canonical miss order: sort by job hash (key, then index, as
-        // tiebreaks) before partitioning, so a fork group's member
-        // order — and therefore its warmup representative and fork
-        // sequence — does not depend on the caller's job-list order.
-        // Outcomes still land by original index, so reports are
-        // byte-identical either way.
-        std::vector<std::size_t> missOrder;
-        for (std::size_t i = 0; i < jobs.size(); i++)
-            if (isMiss[i])
-                missOrder.push_back(i);
-        std::sort(missOrder.begin(), missOrder.end(),
-                  [&](std::size_t a, std::size_t b) {
-                      const std::uint64_t ha = jobs[a].hash();
-                      const std::uint64_t hb = jobs[b].hash();
-                      if (ha != hb)
-                          return ha < hb;
-                      const std::string ka = jobs[a].key();
-                      const std::string kb = jobs[b].key();
-                      if (ka != kb)
-                          return ka < kb;
-                      return a < b;
-                  });
-        std::map<std::string, std::size_t> groupOf;
-        for (std::size_t i : missOrder) {
-            if (!options.forkSweeps || tracing ||
-                jobs[i].warmupInsts == 0) {
-                units.push_back({i});
-                continue;
-            }
-            auto [it, fresh] =
-                groupOf.try_emplace(forkGroupKey(jobs[i]), units.size());
-            if (fresh)
-                units.emplace_back();
-            units[it->second].push_back(i);
-        }
-    }
+    // Misses only, in canonical units, so the outcome vector (and the
+    // cache bookkeeping) is identical for any worker count and for fork
+    // vs no-fork execution.
+    std::vector<std::size_t> missIdx;
+    for (std::size_t i = 0; i < jobs.size(); i++)
+        if (isMiss[i])
+            missIdx.push_back(i);
+    const bool fork = options.forkSweeps && !tracing;
+    const std::vector<std::vector<std::size_t>> units =
+        planUnits(jobs, std::move(missIdx), fork);
 
     const std::uint64_t warmupsBefore = groupStats.warmups.load();
     const std::uint64_t snapHitsBefore = groupStats.snapshotHits.load();
 
     pool.parallelFor(units.size(), [&](std::size_t u) {
-        const std::vector<std::size_t> &unit = units[u];
-        // A one-member warmup unit still routes through the fork path
-        // when the snapshot cache is on: the warm prefix is then loaded
-        // from / persisted to disk exactly like a multi-member group.
-        const bool grouped =
-            unit.size() > 1 ||
-            (snapCache.enabled() && !tracing && options.forkSweeps &&
-             jobs[unit.front()].warmupInsts > 0);
-        if (!grouped) {
-            const Job &job = jobs[unit.front()];
-            sim::RunResult result = execute(job);
-            if (!tracing)
-                resultCache.store(job, result);
-            outcomes[unit.front()] =
-                JobOutcome{job, std::move(result), false};
-        } else {
-            runForkGroup(jobs, unit, outcomes,
-                         tracing ? nullptr : &resultCache,
-                         snapCache.enabled() ? &snapCache : nullptr,
-                         &groupStats);
-        }
-        misses += unit.size();
+        runUnit(jobs, units[u], outcomes, tracing ? nullptr : &resultCache,
+                fork ? &snapCache : nullptr, &groupStats);
+        misses += units[u].size();
     });
 
     registry.counter("runner.jobs_total").inc(jobs.size());

@@ -3,13 +3,15 @@
  * The experiment runner: jobs in, deterministic results out.
  *
  * Runner ties the pieces together: each job is first probed against the
- * ResultCache; misses are simulated on the work-stealing ThreadPool;
- * results land in a slot owned by the job's index, so the returned
- * vector is identical for any worker count. Cache bookkeeping is
- * exposed through a StatRegistry ("runner.cache_hits",
- * "runner.cache_misses", "runner.jobs_executed", "runner.jobs_total"),
- * which tests and the CLI use to prove that a warm-cache rerun performs
- * zero simulations.
+ * ResultCache; the misses are planned into units (planUnits: single
+ * jobs and fork groups, in canonical order) and each unit runs
+ * (runUnit) on the work-stealing ThreadPool; results land in a slot
+ * owned by the job's index, so the returned vector is identical for any
+ * worker count. The cluster worker plans and runs its misses through
+ * the same two functions. Cache bookkeeping is exposed through a
+ * StatRegistry ("runner.cache_hits", "runner.cache_misses",
+ * "runner.jobs_executed", "runner.jobs_total"), which tests and the CLI
+ * use to prove that a warm-cache rerun performs zero simulations.
  */
 
 #ifndef DYNASPAM_RUNNER_RUNNER_HH
@@ -17,6 +19,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -50,8 +53,6 @@ struct RunnerOptions
      * warm pass entirely. Empty disables on-disk snapshots.
      */
     std::string snapshotCacheDir;
-    /** LRU size budget for the snapshot cache (0 = unbounded). */
-    std::uint64_t snapshotCacheMaxBytes = 0;
 };
 
 /**
@@ -70,26 +71,42 @@ struct ForkGroupStats
 };
 
 /**
- * Execute one fork group: warm the shared prefix once under the
- * representative (front) configuration — loading the warmed state from
- * @p snap_cache when a valid entry exists, storing it after a fresh
- * warm — then fork every member from the snapshot. Byte-identical to
- * running each job straight through. Shared by Runner::runAll and the
- * cluster worker so both execute groups the exact same way.
+ * Plan a batch's cache misses into work units, the one plan the runner
+ * and the cluster worker both execute. The misses (indices into
+ * @p jobs) are sorted into canonical order — job hash, then key, then
+ * index — so a fork group's member order, and with it the warmup
+ * representative, never depends on the caller's job-list order. With
+ * @p fork, warmup jobs are then partitioned by forkGroupKey, one unit
+ * per group in canonical order of its first member; every other job is
+ * a unit of its own.
+ */
+std::vector<std::vector<std::size_t>>
+planUnits(const std::vector<Job> &jobs, std::vector<std::size_t> misses,
+          bool fork);
+
+/** A straight-through job executor (runner::execute, or a test seam). */
+using ExecuteFn = std::function<sim::RunResult(const Job &)>;
+
+/**
+ * Execute one planned unit, writing each member's outcome at its index
+ * and storing it into @p cache (nullptr = skip storing). A single job
+ * with no warmup runs straight through @p straight (empty =
+ * runner::execute), and so does a single warmup job when there is no
+ * snapshot cache. Every other unit runs as a fork group: warm the
+ * shared prefix once under the front member's configuration — loaded
+ * from @p snap_cache when it holds a valid entry, stored there after a
+ * fresh warm — then fork every member from the warmed snapshot, byte-
+ * identical to running each straight through.
  *
- * @param jobs the full job list the indices in @p group refer to
- * @param group member indices, front = representative
- * @param outcomes outcome slots, written at each member's index
- * @param cache result cache to store finished members into (nullptr or
- *              disabled = skip storing)
- * @param snap_cache snapshot cache (nullptr or disabled = warm inline)
+ * @param snap_cache snapshot cache (nullptr or disabled = none; a fork
+ *                   group then warms inline)
  * @param stats fork-group counters (nullptr = not collected)
  */
-void runForkGroup(const std::vector<Job> &jobs,
-                  const std::vector<std::size_t> &group,
-                  std::vector<JobOutcome> &outcomes,
-                  const ResultCache *cache,
-                  const SnapshotCache *snap_cache, ForkGroupStats *stats);
+void runUnit(const std::vector<Job> &jobs,
+             const std::vector<std::size_t> &unit,
+             std::vector<JobOutcome> &outcomes, const ResultCache *cache,
+             const SnapshotCache *snap_cache, ForkGroupStats *stats,
+             const ExecuteFn &straight = {});
 
 /** Executes batches of jobs with caching and parallelism. */
 class Runner

@@ -1,48 +1,18 @@
 #include "runner/snapshot_cache.hh"
 
-#include <algorithm>
-#include <chrono>
 #include <cstdio>
-#include <filesystem>
-#include <fstream>
-#include <sstream>
-#include <thread>
-#include <vector>
-
-#include <unistd.h>
+#include <cstring>
 
 #include "common/binio.hh"
-#include "common/interrupt.hh"
-#include "common/logging.hh"
 #include "sim/snapshot_io.hh"
 
 namespace dynaspam::runner
 {
 
-namespace fs = std::filesystem;
-
 namespace
 {
 
 constexpr char kSnapshotMagic[4] = {'D', 'S', 'N', 'P'};
-
-std::optional<std::string>
-slurp(const std::string &path)
-{
-    std::ifstream in(path, std::ios::binary);
-    if (!in)
-        return std::nullopt;
-    std::ostringstream buffer;
-    buffer << in.rdbuf();
-    return buffer.str();
-}
-
-void
-touch(const std::string &path)
-{
-    std::error_code ec;
-    fs::last_write_time(path, fs::file_time_type::clock::now(), ec);
-}
 
 /**
  * Parse a snapshot file's frame. @return the body on success; nullopt
@@ -78,21 +48,29 @@ parseFrame(const std::string &bytes, const std::string &epoch,
     return body;
 }
 
+/** Entry file stem: the FNV-1a of the group key, in hex. */
+std::string
+stemFor(const std::string &group_key)
+{
+    char hex[17];
+    std::snprintf(hex, sizeof(hex), "%016llx",
+                  (unsigned long long)bits::fnv1a(group_key.data(),
+                                                  group_key.size()));
+    return hex;
+}
+
 } // namespace
 
 SnapshotCache::SnapshotCache(std::string dir_, std::string epoch_)
-    : dir(std::move(dir_)), epoch(std::move(epoch_))
+    : files(std::move(dir_), ".snap", "snapshot cache"),
+      epoch(std::move(epoch_))
 {
 }
 
 std::string
 SnapshotCache::pathFor(const std::string &group_key) const
 {
-    char hex[17];
-    std::snprintf(hex, sizeof(hex), "%016llx",
-                  (unsigned long long)bits::fnv1a(group_key.data(),
-                                                  group_key.size()));
-    return (fs::path(dir) / (std::string(hex) + ".snap")).string();
+    return files.pathFor(stemFor(group_key));
 }
 
 std::optional<std::string>
@@ -101,19 +79,13 @@ SnapshotCache::load(const std::string &group_key,
 {
     if (rejected)
         *rejected = false;
-    if (!enabled())
-        return std::nullopt;
-    const std::string path = pathFor(group_key);
-    std::optional<std::string> bytes = slurp(path);
-    if (!bytes)
-        return std::nullopt;
-    std::optional<std::string> body =
-        parseFrame(*bytes, epoch, &group_key, &input_hash);
-    if (body)
-        touch(path);
-    else if (rejected)
-        *rejected = true;
-    return body;
+    return files.load(stemFor(group_key), [&](const std::string &bytes) {
+        std::optional<std::string> body =
+            parseFrame(bytes, epoch, &group_key, &input_hash);
+        if (!body && rejected)
+            *rejected = true;
+        return body;
+    });
 }
 
 void
@@ -124,13 +96,6 @@ SnapshotCache::store(const std::string &group_key,
     if (!enabled())
         return;
 
-    std::error_code ec;
-    fs::create_directories(dir, ec);
-    if (ec) {
-        warn("snapshot cache: cannot create ", dir, ": ", ec.message());
-        return;
-    }
-
     binio::Writer frame;
     frame.raw(kSnapshotMagic, 4);
     frame.u32(sim::kSnapshotFormatVersion);
@@ -139,115 +104,15 @@ SnapshotCache::store(const std::string &group_key,
     frame.u64(input_hash);
     frame.u64(bits::fnv1a(body.data(), body.size()));
     frame.str(body);
-
-    const std::string final_path = pathFor(group_key);
-    std::ostringstream tmp_name;
-    tmp_name << final_path << ".tmp." << ::getpid() << "."
-             << std::hash<std::thread::id>{}(std::this_thread::get_id());
-    const std::string tmp_path = tmp_name.str();
-
-    const int cleanup = interrupt::registerCleanupFile(tmp_path.c_str());
-    {
-        std::ofstream out(tmp_path, std::ios::binary);
-        if (!out) {
-            warn("snapshot cache: cannot write ", tmp_path);
-            interrupt::unregisterCleanupFile(cleanup);
-            return;
-        }
-        out.write(frame.bytes().data(),
-                  std::streamsize(frame.bytes().size()));
-    }
-    fs::rename(tmp_path, final_path, ec);
-    interrupt::unregisterCleanupFile(cleanup);
-    if (ec) {
-        warn("snapshot cache: rename to ", final_path, " failed: ",
-             ec.message());
-        fs::remove(tmp_path, ec);
-    }
+    files.write(stemFor(group_key), frame.bytes());
 }
 
 CacheGcStats
 SnapshotCache::gc(std::uint64_t max_bytes) const
 {
-    CacheGcStats stats;
-    if (!enabled())
-        return stats;
-
-    std::error_code ec;
-    fs::directory_iterator it(dir, ec);
-    if (ec)
-        return stats;
-
-    struct Entry
-    {
-        std::string path;
-        std::uint64_t size;
-        fs::file_time_type mtime;
-    };
-    std::vector<Entry> live;
-
-    for (const fs::directory_entry &de : it) {
-        if (!de.is_regular_file(ec) || ec)
-            continue;
-        const std::string path = de.path().string();
-        const std::string name = de.path().filename().string();
-        const std::uint64_t size = de.file_size(ec);
-        if (ec)
-            continue;
-
-        // Same tmp rule as ResultCache::gc: only litter older than the
-        // grace window is reaped; fresh temp files belong to a live
-        // writer racing this pass.
-        if (name.find(".tmp.") != std::string::npos) {
-            const fs::file_time_type mtime = de.last_write_time(ec);
-            if (ec)
-                continue;
-            const auto age = fs::file_time_type::clock::now() - mtime;
-            if (age < std::chrono::seconds(kCacheTmpGraceSeconds))
-                continue;
-            if (fs::remove(path, ec))
-                stats.tmpRemoved++;
-            continue;
-        }
-        if (name.size() < 5 || name.substr(name.size() - 5) != ".snap")
-            continue;
-
-        stats.scanned++;
-        stats.bytesBefore += size;
-
-        bool keep = false;
-        if (std::optional<std::string> bytes = slurp(path))
-            keep = parseFrame(*bytes, epoch, nullptr, nullptr).has_value();
-        if (!keep) {
-            if (fs::remove(path, ec))
-                stats.staleEvicted++;
-            continue;
-        }
-        live.push_back(Entry{path, size, de.last_write_time(ec)});
-    }
-
-    std::uint64_t total = 0;
-    for (const Entry &e : live)
-        total += e.size;
-
-    if (max_bytes && total > max_bytes) {
-        std::sort(live.begin(), live.end(),
-                  [](const Entry &a, const Entry &b) {
-                      if (a.mtime != b.mtime)
-                          return a.mtime < b.mtime;
-                      return a.path < b.path;
-                  });
-        for (const Entry &e : live) {
-            if (total <= max_bytes)
-                break;
-            if (fs::remove(e.path, ec)) {
-                stats.lruEvicted++;
-                total -= e.size;
-            }
-        }
-    }
-    stats.bytesAfter = total;
-    return stats;
+    return files.gc(max_bytes, [&](const std::string &bytes) {
+        return parseFrame(bytes, epoch, nullptr, nullptr).has_value();
+    });
 }
 
 } // namespace dynaspam::runner

@@ -24,10 +24,11 @@
  * checksum — and any mismatch is a miss: the caller re-warms, counts a
  * reject, and overwrites the entry. Never UB, never silent divergence.
  *
- * Writes are atomic (unique temp + rename, interrupt-cleanup
- * registered) and gc() shares ResultCache's rules: stale-frame entries
- * and orphaned temp litter older than the grace window are reaped, then
- * an LRU size budget (`--snapshot-cache-max-mb`) is applied by mtime.
+ * The entry lifecycle is the FileStore's (runner/file_store.hh),
+ * shared with ResultCache: atomic temp+rename writes, mtime refresh on
+ * every hit, and a gc() that reaps old temp litter and entries whose
+ * frame fails validation, then applies an LRU size budget
+ * (`--snapshot-cache-max-mb`). This class owns only the DSNP frame.
  */
 
 #ifndef DYNASPAM_RUNNER_SNAPSHOT_CACHE_HH
@@ -54,8 +55,8 @@ class SnapshotCache
     explicit SnapshotCache(std::string dir,
                            std::string epoch = kResultCacheEpoch);
 
-    bool enabled() const { return !dir.empty(); }
-    const std::string &directory() const { return dir; }
+    bool enabled() const { return files.enabled(); }
+    const std::string &directory() const { return files.directory(); }
 
     /** @return the cache file path for @p group_key (even disabled). */
     std::string pathFor(const std::string &group_key) const;
@@ -84,14 +85,13 @@ class SnapshotCache
                const std::string &body) const;
 
     /**
-     * Garbage-collect: remove temp litter older than the grace window
-     * and entries whose frame fails validation (wrong magic/version/
-     * epoch), then apply an LRU size budget like ResultCache::gc.
+     * Garbage-collect (FileStore::gc): entries whose frame fails
+     * validation (wrong magic/version/epoch, bad checksum) are stale.
      */
     CacheGcStats gc(std::uint64_t max_bytes = 0) const;
 
   private:
-    std::string dir;
+    FileStore files;
     std::string epoch;
 };
 

@@ -826,6 +826,56 @@ TEST(Cluster, SnapshotCacheSkipsRewarmAcrossWorkerRestart)
     second_thread.join();
 }
 
+TEST(Cluster, SnapshotBudgetAppliesWhileServing)
+{
+    // Regression: a worker applied its snapshot-cache budget only when
+    // its coordinator link closed, and collected on the store path only
+    // with a result-cache budget. A long-lived serve without a result
+    // cache therefore grew its snapshot directory until it drained.
+    TempDir tmp("snapshot-budget");
+    Coordinator coordinator(quietCoordinator(1));
+    coordinator.start();
+
+    const std::string snap_dir = tmp.path() + "/snaps";
+    WorkerOptions opts = quietWorker(coordinator, "");
+    opts.snapshotCacheDir = snap_dir;
+    opts.snapshotCacheMaxBytes = 1;    // smaller than any .snap file
+    opts.threads = 4;
+    Worker worker(opts);
+    std::thread worker_thread([&] { worker.run(); });
+    ASSERT_TRUE(eventually([&] {
+        return coordinator.metrics().value(
+                   "dynaspam_cluster_workers_connected") == 1;
+    }));
+
+    // Eight fork groups (one per warmup length) of four members each:
+    // 32 executed jobs, one full GC interval.
+    constexpr unsigned kGroups = 8;
+    std::string body = "{\"jobs\": [";
+    for (unsigned g = 0; g < kGroups; g++)
+        for (const char *mode :
+             {"mapping-only", "accel-nospec", "accel-spec", "accel-naive"}) {
+            if (body.back() == '}')
+                body += ",";
+            body += std::string("{\"workload\": \"bfs\", \"mode\": \"") +
+                    mode + "\", \"trace_length\": 16, \"warmup_insts\": " +
+                    std::to_string(1000 * (g + 1)) + "}";
+        }
+    body += "]}";
+    Reply reply = request(coordinator.httpPort(), "POST", "/sweep", body);
+    ASSERT_EQ(reply.status, 200) << reply.body;
+
+    // Still connected: only a store-path collection can have run.
+    std::size_t snap_files = 0;
+    for (const auto &de : fs::directory_iterator(snap_dir))
+        snap_files += de.path().extension() == ".snap";
+    EXPECT_LT(snap_files, kGroups);
+
+    coordinator.beginDrain();
+    coordinator.waitUntilDrained();
+    worker_thread.join();
+}
+
 TEST(Cluster, GarbageOnWorkerPortDoesNotDisturbService)
 {
     TempDir tmp("garbage");

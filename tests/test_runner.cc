@@ -20,6 +20,7 @@
 #include <limits>
 #include <sstream>
 #include <thread>
+#include <type_traits>
 
 #include <sys/wait.h>
 #include <unistd.h>
@@ -564,18 +565,65 @@ TEST(ResultCache, LoadByHashRoundTripsJobAndResult)
     EXPECT_FALSE(cache.loadByHash("../../etc/passwd").has_value());
 }
 
-TEST(ResultCache, GcRemovesStaleEpochsAndTempLitter)
-{
-    TempDir dir("cache-gc-stale");
-    const Job fresh{"BFS", SystemMode::AccelSpec, 16, 1, 1};
-    const Job stale{"PF", SystemMode::AccelSpec, 16, 1, 1};
+// --- Cache entry lifecycle, run against both caches -----------------------
 
-    runner::ResultCache current(dir.path());
-    current.store(fresh, sim::RunResult{});
-    runner::ResultCache old_epoch(dir.path(), "ancient-epoch");
-    old_epoch.store(stale, sim::RunResult{});
+/** How the lifecycle tests store and probe entry @p i of each cache. */
+struct ResultCacheCase
+{
+    using Cache = runner::ResultCache;
+    static constexpr const char *kExt = ".json";
+    static Job
+    job(int i)
+    {
+        return Job{"BFS", SystemMode::AccelSpec, 8u * unsigned(i + 1), 1, 1};
+    }
+    static void store(const Cache &c, int i) { c.store(job(i), {}); }
+    static bool has(const Cache &c, int i)
+    {
+        return c.load(job(i)).has_value();
+    }
+};
+
+struct SnapshotCacheCase
+{
+    using Cache = runner::SnapshotCache;
+    static constexpr const char *kExt = ".snap";
+    static std::string key(int i) { return "group-" + std::to_string(i); }
+    static void store(const Cache &c, int i) { c.store(key(i), 1, "body"); }
+    static bool has(const Cache &c, int i)
+    {
+        return c.load(key(i), 1).has_value();
+    }
+};
+
+template <class Case>
+class CacheLifecycle : public ::testing::Test
+{};
+
+struct CacheCaseNames
+{
+    template <class Case>
+    static std::string
+    GetName(int)
+    {
+        return std::is_same_v<Case, ResultCacheCase> ? "ResultCache"
+                                                     : "SnapshotCache";
+    }
+};
+
+using CacheCases = ::testing::Types<ResultCacheCase, SnapshotCacheCase>;
+TYPED_TEST_SUITE(CacheLifecycle, CacheCases, CacheCaseNames);
+
+TYPED_TEST(CacheLifecycle, GcRemovesStaleEpochsAndTempLitter)
+{
+    using Case = TypeParam;
+    TempDir dir("cache-gc-stale");
+    typename Case::Cache current(dir.path());
+    Case::store(current, 0);
+    typename Case::Cache old_epoch(dir.path(), "ancient-epoch");
+    Case::store(old_epoch, 1);
     const std::string litter_path =
-        dir.path() + "/deadbeef.json.tmp.1234";
+        dir.path() + "/deadbeef" + Case::kExt + ".tmp.1234";
     {
         std::ofstream litter(litter_path);
         litter << "half-written";
@@ -588,23 +636,26 @@ TEST(ResultCache, GcRemovesStaleEpochsAndTempLitter)
             std::chrono::seconds(runner::kCacheTmpGraceSeconds + 5));
 
     runner::CacheGcStats stats = current.gc();
+    EXPECT_EQ(stats.scanned, 2u);
     EXPECT_EQ(stats.staleEvicted, 1u);
     EXPECT_EQ(stats.tmpRemoved, 1u);
     EXPECT_EQ(stats.lruEvicted, 0u);
-    EXPECT_TRUE(current.load(fresh).has_value());
-    EXPECT_FALSE(old_epoch.load(stale).has_value());
+    EXPECT_FALSE(fs::exists(litter_path));
+    EXPECT_TRUE(Case::has(current, 0));
+    EXPECT_FALSE(Case::has(old_epoch, 1));
 }
 
-TEST(ResultCache, GcSparesFreshTempFiles)
+TYPED_TEST(CacheLifecycle, GcSparesFreshTempFiles)
 {
     // A temp file younger than the grace window belongs to a live
     // writer racing the gc pass: reaping it would yank a half-written
     // entry out from under the rename. Regression test — gc used to
     // remove ALL temp litter unconditionally.
+    using Case = TypeParam;
     TempDir dir("cache-gc-fresh-tmp");
-    runner::ResultCache cache(dir.path());
+    typename Case::Cache cache(dir.path());
     const std::string fresh_tmp =
-        dir.path() + "/cafecafe.json.tmp.9999";
+        dir.path() + "/cafecafe" + Case::kExt + ".tmp.9999";
     {
         std::ofstream litter(fresh_tmp);
         litter << "being-written-right-now";
@@ -847,6 +898,23 @@ TEST(Runner, ForkGroupSnapshotKeyIgnoresJobListOrder)
         {"bfs", SystemMode::AccelSpec, 16, 1, 1, 3000},
     };
 
+    // The plan itself, shared by the runner and the cluster worker:
+    // the same units with the same member order for either list order.
+    const auto plannedKeys = [](const std::vector<Job> &list) {
+        std::vector<std::vector<std::string>> keys;
+        for (const auto &unit :
+             runner::planUnits(list, {2, 0, 1}, /*fork=*/true)) {
+            keys.emplace_back();
+            for (std::size_t i : unit)
+                keys.back().push_back(list[i].key());
+        }
+        return keys;
+    };
+    const auto forward = plannedKeys(jobs);
+    ASSERT_EQ(forward.size(), 1u);
+    EXPECT_EQ(forward.front().size(), 3u);
+    EXPECT_EQ(plannedKeys({jobs.rbegin(), jobs.rend()}), forward);
+
     runner::RunnerOptions opts;
     opts.jobs = 1;
     opts.snapshotCacheDir = tmp.path();
@@ -863,4 +931,23 @@ TEST(Runner, ForkGroupSnapshotKeyIgnoresJobListOrder)
     EXPECT_EQ(second.forkStats().warmups.load(), 0u);
     for (const auto &outcome : outcomes)
         EXPECT_TRUE(outcome.result.functionallyCorrect);
+}
+
+TEST(Runner, LoneWarmupUnitForksOnlyWithASnapshotCache)
+{
+    // A one-member warmup unit has nothing to share a warm pass with:
+    // it runs straight unless a snapshot cache can persist the prefix.
+    // Either way the result is the same bytes.
+    TempDir tmp("lone-warmup");
+    const std::vector<Job> jobs = {
+        {"bfs", SystemMode::AccelSpec, 16, 1, 1, 3000}};
+    std::vector<runner::JobOutcome> straight(1), forked(1);
+    runner::ForkGroupStats stats;
+    runner::runUnit(jobs, {0}, straight, nullptr, nullptr, &stats);
+    EXPECT_EQ(stats.warmups.load(), 0u);
+
+    const runner::SnapshotCache snaps(tmp.path());
+    runner::runUnit(jobs, {0}, forked, nullptr, &snaps, &stats);
+    EXPECT_EQ(stats.warmups.load(), 1u);
+    EXPECT_EQ(reportFor(forked, nullptr), reportFor(straight, nullptr));
 }

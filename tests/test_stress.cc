@@ -20,6 +20,7 @@
 
 #include "runner/job.hh"
 #include "runner/result_cache.hh"
+#include "runner/snapshot_cache.hh"
 #include "runner/thread_pool.hh"
 #include "sim/system.hh"
 
@@ -157,6 +158,43 @@ TEST(ResultCacheStress, ConcurrentWritersSameJob)
     ASSERT_TRUE(final_entry.has_value());
     EXPECT_GE(final_entry->cycles, 1000u);
     EXPECT_LE(final_entry->cycles, 1006u);
+    std::filesystem::remove_all(dir);
+}
+
+TEST(SnapshotCacheStress, ConcurrentWritersSameGroup)
+{
+    // The snapshot cache shares the result cache's write protocol: many
+    // threads storing the same fork group's frame must never expose a
+    // torn one. Every load is a miss or one complete body, and a body
+    // is only ever returned for the input hash it was stored with.
+    const std::string dir = scratchDir("samegroup");
+    runner::SnapshotCache cache(dir);
+    ThreadPool pool(8);
+    const auto bodyFor = [](std::size_t v) {
+        return std::string(4096 + v * 512, char('a' + v));
+    };
+
+    std::atomic<std::uint64_t> badLoads{0};
+    pool.parallelFor(256, [&](std::size_t i) {
+        const std::size_t v = i % 7;
+        cache.store("contended-group", v, bodyFor(v));
+        bool rejected = false;
+        const auto back = cache.load("contended-group", v, &rejected);
+        if (back.has_value() && *back != bodyFor(v))
+            badLoads.fetch_add(1);
+    });
+    EXPECT_EQ(badLoads.load(), 0u);
+
+    std::size_t found = 0;
+    for (std::size_t v = 0; v < 7; v++)
+        if (const auto back = cache.load("contended-group", v)) {
+            EXPECT_EQ(*back, bodyFor(v));
+            found++;
+        }
+    EXPECT_EQ(found, 1u) << "exactly one complete frame survives";
+    for (const auto &de : std::filesystem::directory_iterator(dir))
+        EXPECT_EQ(de.path().extension(), ".snap")
+            << "temp file left behind: " << de.path();
     std::filesystem::remove_all(dir);
 }
 
