@@ -44,6 +44,7 @@
 #include "explore/engine.hh"
 #include "explore/space.hh"
 #include "runner/runner.hh"
+#include "runner/spec.hh"
 #include "runner/thread_pool.hh"
 #include "trace/trace.hh"
 #include "workloads/workload.hh"
@@ -260,11 +261,45 @@ struct CacheFlags
     }
 };
 
+/** The job flags shared by run and trace. */
+struct JobFlags
+{
+    Job job{"", SystemMode::AccelSpec};
+
+    /** Consume @p flag (and its value) if it is a job flag. */
+    bool
+    parse(const std::string &flag, Args &args)
+    {
+        if (flag == "--workload")
+            job.workload = args.value(flag);
+        else if (flag == "--mode")
+            job.mode = runner::parseMode(args.value(flag));
+        else if (flag == "--trace-length")
+            job.traceLength = args.uvalue(flag);
+        else if (flag == "--fabrics")
+            job.numFabrics = args.uvalue(flag);
+        else if (flag == "--scale")
+            job.scale = args.uvalue(flag);
+        else
+            return false;
+        return true;
+    }
+
+    /** The parsed job, checked against the job schema. */
+    const Job &
+    checked(const char *command) const
+    {
+        if (job.workload.empty())
+            fatal(command, ": a workload is required (--workload NAME)");
+        runner::checkJob(job);
+        return job;
+    }
+};
+
 struct CommonOptions
 {
     CacheFlags cache;
     unsigned jobs = 0;          ///< 0 = ThreadPool::defaultWorkers()
-    unsigned scale = 1;
     std::string out;
 };
 
@@ -314,33 +349,23 @@ runnerOptions(const CommonOptions &common)
 int
 cmdRun(Args &args)
 {
-    Job job;
-    job.mode = SystemMode::AccelSpec;
+    JobFlags flags;
     CommonOptions common;
 
     std::string flag;
     while (args.next(flag)) {
-        if (flag == "--workload")
-            job.workload = args.value(flag);
-        else if (flag == "--mode")
-            job.mode = runner::parseMode(args.value(flag));
-        else if (flag == "--trace-length")
-            job.traceLength = args.uvalue(flag);
-        else if (flag == "--fabrics")
-            job.numFabrics = args.uvalue(flag);
-        else if (flag == "--scale")
-            job.scale = args.uvalue(flag);
-        else if (flag == "--warmup-insts")
-            job.warmupInsts = args.uvalue(flag);
+        if (flags.parse(flag, args) || common.cache.parse(flag, args))
+            continue;
+        if (flag == "--warmup-insts")
+            flags.job.warmupInsts = args.uvalue(flag);
         else if (flag == "--fidelity")
-            job.fidelity = runner::parseFidelity(args.value(flag));
+            flags.job.fidelity = runner::parseFidelity(args.value(flag));
         else if (flag == "--out")
             common.out = args.value(flag);
-        else if (!common.cache.parse(flag, args))
+        else
             fatal("unknown option ", flag);
     }
-    if (job.workload.empty())
-        fatal("run: --workload is required");
+    const Job &job = flags.checked("run");
 
     // A SIGINT mid-simulation unlinks any half-written cache entry and
     // exits 128+SIGINT instead of stranding a temp file.
@@ -397,9 +422,7 @@ cmdSweep(Args &args)
     CommonOptions common;
     bool fork_sweeps = true;
     std::string sweep;
-    unsigned trace_length = 32;
-    unsigned warmup_insts = 0;
-    runner::Fidelity fidelity = runner::Fidelity::Full;
+    Job params;     ///< the per-job sweep parameters
     std::vector<std::string> names = workloads::allWorkloadNames();
 
     std::string flag;
@@ -415,13 +438,13 @@ cmdSweep(Args &args)
         else if (flag == "--out")
             common.out = args.value(flag);
         else if (flag == "--scale")
-            common.scale = args.uvalue(flag);
+            params.scale = args.uvalue(flag);
         else if (flag == "--trace-length")
-            trace_length = args.uvalue(flag);
+            params.traceLength = args.uvalue(flag);
         else if (flag == "--warmup-insts")
-            warmup_insts = args.uvalue(flag);
+            params.warmupInsts = args.uvalue(flag);
         else if (flag == "--fidelity")
-            fidelity = runner::parseFidelity(args.value(flag));
+            params.fidelity = runner::parseFidelity(args.value(flag));
         else if (flag == "--no-fork")
             fork_sweeps = false;
         else if (flag == "--workloads")
@@ -431,17 +454,12 @@ cmdSweep(Args &args)
     }
     if (sweep.empty())
         fatal("sweep: one of --figure, --table or --ablation is required");
-    if (names.empty())
-        fatal("sweep: empty workload list");
     if (common.out.empty())
         common.out = sweep + ".json";
 
-    std::vector<Job> jobs =
-        runner::sweepJobs(sweep, names, common.scale, trace_length);
-    for (Job &job : jobs) {
-        job.warmupInsts = warmup_insts;
-        job.fidelity = fidelity;
-    }
+    const std::vector<Job> jobs = runner::namedSweepJobs(
+        sweep, names, params.scale, params.traceLength, params.warmupInsts,
+        params.fidelity);
 
     interrupt::installCleanupSignalHandlers();
 
@@ -546,24 +564,15 @@ cmdExplore(Args &args)
 int
 cmdTrace(Args &args)
 {
-    Job job;
-    job.mode = SystemMode::AccelSpec;
+    JobFlags flags;
     trace::TraceSink::Options sink_opts;
     std::string out = "trace.json";
 
     std::string flag;
     while (args.next(flag)) {
-        if (flag == "--workload")
-            job.workload = args.value(flag);
-        else if (flag == "--mode")
-            job.mode = runner::parseMode(args.value(flag));
-        else if (flag == "--trace-length")
-            job.traceLength = args.uvalue(flag);
-        else if (flag == "--fabrics")
-            job.numFabrics = args.uvalue(flag);
-        else if (flag == "--scale")
-            job.scale = args.uvalue(flag);
-        else if (flag == "--cycles") {
+        if (flags.parse(flag, args)) {
+            continue;
+        } else if (flag == "--cycles") {
             const std::string range = args.value(flag);
             const auto colon = range.find(':');
             if (colon == std::string::npos)
@@ -581,15 +590,14 @@ cmdTrace(Args &args)
                 fatal("--cycles range is backwards: ", range);
         } else if (flag == "--out") {
             out = args.value(flag);
-        } else if (job.workload.empty() && !flag.empty() &&
+        } else if (flags.job.workload.empty() && !flag.empty() &&
                    flag[0] != '-') {
-            job.workload = flag;    // positional workload
+            flags.job.workload = flag;    // positional workload
         } else {
             fatal("unknown option ", flag);
         }
     }
-    if (job.workload.empty())
-        fatal("trace: a workload is required (positional or --workload)");
+    const Job &job = flags.checked("trace");
     if (!trace::compiledIn()) {
         fatal("this build has tracing compiled out "
               "(-DDYNASPAM_TRACE=OFF); rebuild with -DDYNASPAM_TRACE=ON");

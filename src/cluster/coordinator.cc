@@ -16,6 +16,7 @@
 #include "common/stats.hh"
 #include "runner/report.hh"
 #include "runner/spec.hh"
+#include "workloads/workload.hh"
 
 namespace dynaspam::cluster
 {
@@ -145,6 +146,11 @@ Coordinator::Coordinator(CoordinatorOptions options_)
 {
     if (options.workerSlots == 0)
         fatal("coordinator: --workers must be >= 1");
+    // The default warmup lands in jobs the schema already passed, so it
+    // must itself be a valid job field.
+    runner::Job probe{workloads::allWorkloadNames().front()};
+    probe.warmupInsts = options.defaultWarmupInsts;
+    runner::checkJob(probe);
     slotFd.assign(options.workerSlots, -1);
 
     metrics_.declareCounter("dynaspam_http_requests_total",
@@ -608,7 +614,7 @@ Coordinator::handleHttpRequest(ClientConn &conn,
         }
         runner::Job job;
         try {
-            job = runner::jobFromSpecJson(json::Value::parse(req.body));
+            job = runner::jobFromJson(json::Value::parse(req.body));
             runner::applyRunQuery(job, req.target);
         } catch (const FatalError &err) {
             queueResponse(conn, errorResponse(400, err.what()), keepAlive,

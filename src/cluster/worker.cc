@@ -13,6 +13,7 @@
 #include "common/logging.hh"
 #include "common/random.hh"
 #include "runner/report.hh"
+#include "runner/spec.hh"
 #include "serve/http.hh"
 
 namespace dynaspam::cluster

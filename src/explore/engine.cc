@@ -6,6 +6,7 @@
 
 #include "common/logging.hh"
 #include "common/types.hh"
+#include "runner/spec.hh"
 
 namespace dynaspam::explore
 {

@@ -1,20 +1,17 @@
 #include "explore/space.hh"
 
 #include <algorithm>
+#include <climits>
 #include <set>
 
 #include "common/logging.hh"
+#include "runner/spec.hh"
 
 namespace dynaspam::explore
 {
 namespace
 {
 
-/** Bounds for the numeric axes (mirrors the /run request validator). */
-constexpr unsigned kMaxTraceLength = 1024;
-constexpr unsigned kMaxNumFabrics = 64;
-constexpr unsigned kMaxScale = 64;
-constexpr std::uint64_t kMaxWarmupInsts = 1'000'000'000;
 constexpr unsigned kMaxGenerationSize = 256;
 constexpr unsigned kMaxMinRegionScouts = 4096;
 constexpr double kMaxMargin = 0.5;
@@ -49,10 +46,10 @@ specMargin(const json::Value &value, const std::string &key,
     return v;
 }
 
-/** Parse an axis of unsigned values: non-empty, in range, unique. */
+/** Parse an axis of unsigned values: non-empty, unique, sorted. */
 std::vector<unsigned>
 specAxis(const json::Value &value, const std::string &key,
-         std::vector<unsigned> fallback, unsigned lo, unsigned hi)
+         std::vector<unsigned> fallback)
 {
     const json::Value *field = value.find(key);
     if (!field)
@@ -61,18 +58,13 @@ specAxis(const json::Value &value, const std::string &key,
     if (arr.empty())
         fatal("space: \"", key, "\" must not be empty");
     std::vector<unsigned> out;
-    for (const json::Value &item : arr) {
-        std::uint64_t v = item.asUint();
-        if (v < lo || v > hi)
-            fatal("space: \"", key, "\" values must be in [", lo, ", ",
-                  hi, "]");
-        out.push_back(unsigned(v));
-    }
-    std::vector<unsigned> sorted = out;
-    std::sort(sorted.begin(), sorted.end());
-    if (std::adjacent_find(sorted.begin(), sorted.end()) != sorted.end())
+    for (const json::Value &item : arr)     // saturate: checkJob rejects
+        out.push_back(
+            unsigned(std::min<std::uint64_t>(item.asUint(), UINT_MAX)));
+    std::sort(out.begin(), out.end());
+    if (std::adjacent_find(out.begin(), out.end()) != out.end())
         fatal("space: \"", key, "\" values must be unique");
-    return sorted;
+    return out;
 }
 
 } // namespace
@@ -137,8 +129,6 @@ Space::fromJson(const json::Value &value)
         fatal("space: missing required field \"workloads\"");
     for (const json::Value &item : workloads->asArray()) {
         const std::string &tag = item.asString();
-        if (tag.empty())
-            fatal("space: workload tags must not be empty");
         if (std::count(space.workloads.begin(), space.workloads.end(),
                        tag))
             fatal("space: duplicate workload \"", tag, "\"");
@@ -163,11 +153,9 @@ Space::fromJson(const json::Value &value)
                        sim::SystemMode::AccelSpec};
     }
 
-    space.traceLengths =
-        specAxis(value, "trace_lengths", {32}, 1, kMaxTraceLength);
-    space.numFabrics =
-        specAxis(value, "num_fabrics", {1}, 1, kMaxNumFabrics);
-    space.scales = specAxis(value, "scales", {1}, 1, kMaxScale);
+    space.traceLengths = specAxis(value, "trace_lengths", {32});
+    space.numFabrics = specAxis(value, "num_fabrics", {1});
+    space.scales = specAxis(value, "scales", {1});
 
     if (const json::Value *objectives = value.find("objectives")) {
         for (const json::Value &item : objectives->asArray()) {
@@ -196,10 +184,22 @@ Space::fromJson(const json::Value &value)
         value, "min_region_scouts", 2, 1, kMaxMinRegionScouts));
     if (const json::Value *fidelity = value.find("scout_fidelity"))
         space.scoutFidelity = runner::parseFidelity(fidelity->asString());
-    space.warmupInsts =
-        specUint(value, "warmup_insts", 0, 0, kMaxWarmupInsts);
+    if (const json::Value *warmup = value.find("warmup_insts"))
+        space.warmupInsts = warmup->asUint();
     if (const json::Value *exhaustive = value.find("exhaustive"))
         space.exhaustive = exhaustive->asBool();
+
+    // Every candidate must be a valid job. The job bounds are intervals
+    // and the numeric axes are sorted, so each workload's two extreme
+    // corners cover the grid.
+    for (const std::string &tag : space.workloads) {
+        runner::checkJob({tag, sim::SystemMode::AccelSpec,
+                          space.traceLengths.front(), space.numFabrics.front(),
+                          space.scales.front(), space.warmupInsts});
+        runner::checkJob({tag, sim::SystemMode::AccelSpec,
+                          space.traceLengths.back(), space.numFabrics.back(),
+                          space.scales.back(), space.warmupInsts});
+    }
 
     // The baseline mode carries no trace-detection or fabric hardware,
     // so its candidates collapse onto the first value of those axes; the

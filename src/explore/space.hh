@@ -6,11 +6,12 @@
  * everything runner::Job encodes (workload, system mode, trace length,
  * fabric count, problem scale) — plus the objectives to optimize and
  * the knobs of the adaptive search (seed, generation size, scouting
- * fidelity, pruning margins). It is parsed from JSON with the same
- * strictness the serve daemon applies to /run bodies: unknown keys,
- * duplicate axis values, out-of-range numbers and malformed objective
- * lists are all fatal, so a request either describes exactly the space
- * the caller intended or is rejected up front with a clear message.
+ * fidelity, pruning margins). It is parsed from JSON strictly: unknown
+ * keys, duplicate axis values, out-of-range numbers and malformed
+ * objective lists are all fatal, so a request either describes exactly
+ * the space the caller intended or is rejected up front with a clear
+ * message. Every candidate must pass runner::checkJob, the same job
+ * schema POST /run applies.
  *
  * The candidate grid groups into *problems* — one per (workload, scale)
  * pair. Pareto frontiers, scouting decisions and region pruning are all
@@ -65,7 +66,7 @@ struct Space
     /** Report name echoed into the stream header and final report. */
     std::string name = "explore";
 
-    /** Workload axis (required, unique, non-empty tags). */
+    /** Workload axis (required, unique, registered tags). */
     std::vector<std::string> workloads;
 
     /** Mode axis; defaults to the fig8 four-point comparison. */

@@ -32,13 +32,12 @@ std::string
 Job::key() const
 {
     // The workload tag is canonicalized so "bfs" and "BFS" are the same
-    // cache entry.
-    std::ostringstream os;
-    os << workloads::canonicalWorkloadName(workload) << "|"
-       << sim::modeName(mode) << "|" << traceLength << "|" << numFabrics
-       << "|" << scale << "|" << warmupInsts << "|"
-       << fidelityName(fidelity);
-    return os.str();
+    // cache entry. Appends rather than a stream: every job decode checks
+    // its hash, so key() is on the request path.
+    return workloads::canonicalWorkloadName(workload) + "|" +
+           sim::modeName(mode) + "|" + std::to_string(traceLength) + "|" +
+           std::to_string(numFabrics) + "|" + std::to_string(scale) + "|" +
+           std::to_string(warmupInsts) + "|" + fidelityName(fidelity);
 }
 
 std::uint64_t

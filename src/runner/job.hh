@@ -118,9 +118,10 @@ std::uint64_t forkGroupHash(const Job &job);
 
 /**
  * Build the job list for one named sweep — "fig7", "fig8", "fig9",
- * "table5" or "ablation-mapper" — over @p workloads. Shared by the CLI
- * (`dynaspam sweep`) and the serve daemon (`POST /sweep`) so both
- * expand a sweep name to the exact same points.
+ * "table5" or "ablation-mapper" — over @p workloads. Unchecked: the
+ * CLI (`dynaspam sweep`) and POST /sweep both expand through
+ * runner::namedSweepJobs (runner/spec.hh), which checks the parameters
+ * first, so both expand a sweep name to the exact same points.
  * @throws FatalError on an unknown sweep name
  */
 std::vector<Job> sweepJobs(const std::string &sweep,

@@ -6,7 +6,7 @@
 #include <type_traits>
 
 #include "common/logging.hh"
-#include "workloads/workload.hh"
+#include "runner/spec.hh"
 
 namespace dynaspam::runner
 {
@@ -169,35 +169,6 @@ resultFromJson(const json::Value &v)
         r.sampledCycles = sampled->at("cycles").asUint();
     }
     return r;
-}
-
-json::Value
-jobToJson(const Job &job)
-{
-    json::Object o;
-    o.emplace("workload", workloads::canonicalWorkloadName(job.workload));
-    o.emplace("mode", std::string(sim::modeName(job.mode)));
-    o.emplace("trace_length", job.traceLength);
-    o.emplace("num_fabrics", job.numFabrics);
-    o.emplace("scale", job.scale);
-    o.emplace("warmup_insts", job.warmupInsts);
-    o.emplace("fidelity", std::string(fidelityName(job.fidelity)));
-    o.emplace("hash", job.hashHex());
-    return json::Value(std::move(o));
-}
-
-Job
-jobFromJson(const json::Value &v)
-{
-    Job job;
-    job.workload = v.at("workload").asString();
-    job.mode = parseMode(v.at("mode").asString());
-    job.traceLength = unsigned(v.at("trace_length").asUint());
-    job.numFabrics = unsigned(v.at("num_fabrics").asUint());
-    job.scale = unsigned(v.at("scale").asUint());
-    job.warmupInsts = v.at("warmup_insts").asUint();
-    job.fidelity = parseFidelity(v.at("fidelity").asString());
-    return job;
 }
 
 json::Value

@@ -47,12 +47,6 @@ json::Value resultToJson(const sim::RunResult &result);
  */
 sim::RunResult resultFromJson(const json::Value &value);
 
-/** Serialize a job spec (workload, mode, parameters, hash). */
-json::Value jobToJson(const Job &job);
-
-/** Parse a job spec serialized by jobToJson. @throws FatalError */
-Job jobFromJson(const json::Value &value);
-
 /**
  * One sweep-report results[] entry:
  * {"job": ..., "from_cache": ..., "result": ...}. Exposed so a cluster

@@ -4,6 +4,7 @@
 
 #include "common/logging.hh"
 #include "runner/report.hh"
+#include "runner/spec.hh"
 
 namespace dynaspam::runner
 {

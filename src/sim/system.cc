@@ -5,9 +5,7 @@
 
 #include "sim/system.hh"
 
-#include "common/logging.hh"
 #include "sim/simulation.hh"
-#include "sim/snapshot.hh"
 
 namespace dynaspam::sim
 {
@@ -58,56 +56,14 @@ SystemConfig::make(SystemMode mode, unsigned trace_length,
 }
 
 System::System(SystemConfig config) : cfg(std::move(config)) {}
-System::~System() = default;
 
 RunResult
 System::run(const isa::Program &program,
             const mem::FunctionalMemory &initial_memory)
 {
-    // One-shot runs use a local simulation so the System stays
-    // stateless between run() calls.
     Simulation local(cfg, SimInput::make(program, initial_memory));
     local.runToCompletion();
     return local.collectResult();
-}
-
-Simulation &
-System::start(const isa::Program &program,
-              const mem::FunctionalMemory &initial_memory)
-{
-    return start(SimInput::make(program, initial_memory));
-}
-
-Simulation &
-System::start(std::shared_ptr<const SimInput> input)
-{
-    simu = std::make_unique<Simulation>(cfg, std::move(input));
-    return *simu;
-}
-
-void
-System::snapshot(Snapshot &out) const
-{
-    if (!simu)
-        fatal("System::snapshot before start()");
-    simu->snapshot(out);
-}
-
-void
-System::restore(const Snapshot &snap)
-{
-    if (!simu)
-        fatal("System::restore before start()");
-    simu->restore(snap);
-}
-
-RunResult
-System::finish()
-{
-    if (!simu)
-        fatal("System::finish before start()");
-    simu->runToCompletion();
-    return simu->collectResult();
 }
 
 } // namespace dynaspam::sim

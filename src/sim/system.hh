@@ -21,7 +21,6 @@
 #define DYNASPAM_SIM_SYSTEM_HH
 
 #include <cstdint>
-#include <memory>
 #include <string>
 
 #include "common/stats.hh"
@@ -108,21 +107,16 @@ struct RunResult
     double energyTotal() const { return energy.total(); }
 };
 
-class SimInput;
-class Simulation;
-struct Snapshot;
-
 /**
- * Simulation driver for one configuration. run() is the classic
- * one-shot interface; start()/snapshot()/restore()/finish() expose the
- * same run as a pausable, forkable state machine (see sim/simulation.hh
- * and sim/snapshot.hh).
+ * One-shot simulation driver for one configuration: run() executes a
+ * program functionally, then simulates it to completion. A pausable,
+ * forkable run is a sim::Simulation (see sim/simulation.hh and
+ * sim/snapshot.hh).
  */
 class System
 {
   public:
     explicit System(SystemConfig config);
-    ~System();
 
     /**
      * Execute @p program functionally, then simulate it to completion.
@@ -139,34 +133,10 @@ class System
         return run(program, empty);
     }
 
-    /**
-     * Begin a stateful run: functional pass, then construct the paused
-     * timing simulation at cycle 0. Replaces any previous simulation.
-     */
-    Simulation &start(const isa::Program &program,
-                      const mem::FunctionalMemory &initial_memory);
-
-    /** Begin a stateful run over an already-built (shared) input. */
-    Simulation &start(std::shared_ptr<const SimInput> input);
-
-    /** The active simulation, or nullptr before start(). */
-    Simulation *simulation() { return simu.get(); }
-
-    /** Capture the active simulation's state (fatal before start()). */
-    void snapshot(Snapshot &out) const;
-
-    /** Restore the active simulation from @p snap (fatal before
-     *  start(); see Simulation::restore for the compatibility rules). */
-    void restore(const Snapshot &snap);
-
-    /** Run the active simulation to completion and assemble results. */
-    RunResult finish();
-
     const SystemConfig &config() const { return cfg; }
 
   private:
     SystemConfig cfg;
-    std::unique_ptr<Simulation> simu;
 };
 
 } // namespace dynaspam::sim

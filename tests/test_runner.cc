@@ -29,7 +29,9 @@
 #include "common/json.hh"
 #include "common/logging.hh"
 #include "common/stats.hh"
+#include "explore/space.hh"
 #include "runner/runner.hh"
+#include "runner/spec.hh"
 
 using namespace dynaspam;
 using runner::Job;
@@ -541,6 +543,126 @@ TEST(SweepJobs, ExpandsNamedSweepsAndRejectsUnknown)
         EXPECT_EQ(job.traceLength, 24u);
         EXPECT_EQ(job.scale, 2u);
     }
+
+    // The checked expansion behind `dynaspam sweep` and POST /sweep
+    // checks every parameter as a job field, also those a sweep ignores.
+    EXPECT_EQ(runner::namedSweepJobs("fig8", {"bfs"}, 1, 32).size(), 4u);
+    EXPECT_THROW(runner::namedSweepJobs("fig8", {"bfs"}, 0, 32),
+                 FatalError);
+    EXPECT_THROW(runner::namedSweepJobs("fig7", {"bfs"}, 1, 0),
+                 FatalError);
+    EXPECT_THROW(runner::namedSweepJobs("fig8", {"nope"}, 1, 32),
+                 FatalError);
+    EXPECT_THROW(runner::namedSweepJobs("fig8", {}, 1, 32), FatalError);
+}
+
+// --- The job schema: one decoder and one bounds check --------------------
+
+/** @return false when @p decode throws FatalError. */
+template <class Fn>
+bool
+accepts(Fn &&decode)
+{
+    try {
+        decode();
+        return true;
+    } catch (const FatalError &) {
+        return false;
+    }
+}
+
+TEST(JobSpec, EveryFrontEndAgreesOnEveryBound)
+{
+    struct Case
+    {
+        const char *field;      ///< job spec key
+        const char *spaceKey;   ///< the explore space key
+        const char *value;      ///< JSON literal
+        bool valid;
+    };
+    const Case cases[] = {
+        {"trace_length", "trace_lengths", "0", false},
+        {"trace_length", "trace_lengths", "1", true},
+        {"trace_length", "trace_lengths", "4096", true},
+        {"trace_length", "trace_lengths", "4097", false},
+        {"num_fabrics", "num_fabrics", "0", false},
+        {"num_fabrics", "num_fabrics", "1", true},
+        {"num_fabrics", "num_fabrics", "64", true},
+        {"num_fabrics", "num_fabrics", "65", false},
+        {"scale", "scales", "0", false},
+        {"scale", "scales", "1", true},
+        {"scale", "scales", "64", true},
+        {"scale", "scales", "65", false},
+        {"warmup_insts", "warmup_insts", "-1", false},
+        {"warmup_insts", "warmup_insts", "0", true},
+        {"warmup_insts", "warmup_insts", "1000000000", true},
+        {"warmup_insts", "warmup_insts", "1000000001", false},
+    };
+    for (const Case &c : cases) {
+        const std::string field = c.field;
+        const std::string value = c.value;
+        SCOPED_TRACE(field + " = " + value);
+
+        // POST /run, /sweep jobs[], the wire and the result cache.
+        EXPECT_EQ(accepts([&] {
+                      runner::jobFromJson(json::Value::parse(
+                          "{\"workload\": \"bfs\", \"" + field +
+                          "\": " + value + "}"));
+                  }),
+                  c.valid);
+
+        // explore: a one-value axis (warmup_insts is a scalar there).
+        const bool axis = field != "warmup_insts";
+        EXPECT_EQ(accepts([&] {
+                      explore::Space::fromJson(json::Value::parse(
+                          "{\"workloads\": [\"bfs\"], \"" +
+                          std::string(c.spaceKey) + "\": " +
+                          (axis ? "[" + value + "]" : value) + "}"));
+                  }),
+                  c.valid);
+
+        // The /run query string carries warmup_insts.
+        if (!axis) {
+            EXPECT_EQ(accepts([&] {
+                          Job job{"bfs", SystemMode::AccelSpec};
+                          runner::applyRunQuery(
+                              job, "/run?warmup_insts=" + value);
+                      }),
+                      c.valid);
+        }
+    }
+
+    // explore once capped trace lengths at 1024 while /run took 4096.
+    EXPECT_TRUE(accepts([] {
+        explore::Space::fromJson(json::Value::parse(
+            "{\"workloads\": [\"bfs\"], \"trace_lengths\": [2048]}"));
+    }));
+}
+
+TEST(JobSpec, DecodesWhatItEncodesAndChecksTheHash)
+{
+    Job job{"BFS", SystemMode::AccelNoSpec, 16, 2, 3, 3000};
+    job.fidelity = runner::Fidelity::Sampled;
+    EXPECT_EQ(runner::jobFromJson(runner::jobToJson(job)), job);
+
+    // Missing fields take the defaults; a "hash" must match the job.
+    const Job defaults{"BFS", SystemMode::AccelSpec};
+    auto withHash = [](const std::string &hash) {
+        return json::Value::parse(
+            "{\"workload\": \"bfs\", \"hash\": \"" + hash + "\"}");
+    };
+    EXPECT_EQ(runner::jobFromJson(withHash(defaults.hashHex())), defaults);
+    EXPECT_THROW(runner::jobFromJson(withHash("0123456789abcdef")),
+                 FatalError);
+}
+
+TEST(JobSpec, OutOfRangeCacheEntryIsAMiss)
+{
+    TempDir dir("cache-bad-job");
+    runner::ResultCache cache(dir.path());
+    const Job bad{"BFS", SystemMode::AccelSpec, 16, 1, 0};
+    cache.store(bad, {});
+    EXPECT_FALSE(cache.loadByHash(bad.hashHex()).has_value());
 }
 
 // --- Result cache: hash lookup and growth control ------------------------

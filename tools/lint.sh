@@ -97,10 +97,13 @@ for hh in $(find src apps tests bench -name '*.hh' | sort); do
 done
 
 # --- dynaspam-analyze (when built) ----------------------------------------
-# The project's own checker subsumes checks 2-4 above with real token-
-# level precision (and adds fd-raii, check-side-effects, and the
-# coordinator blocking rules); the grep forms stay as a zero-setup
-# fallback for trees with no build directory.
+# The project's own checker applies token-level versions of checks 2-4
+# (and adds fd-raii, check-side-effects, and the coordinator blocking
+# rules), but over narrower trees: its determinism rule covers only
+# src/{core,ooo,fabric,memory,sim,runner,explore} and its
+# header-hygiene rule only src/. Checks 2-3 above scan all of src/ and
+# apps/, and check 4 also the headers under tests/ and bench/, so the
+# grep forms stay; they also work in trees with no build directory.
 analyze_bin=""
 for d in build build-analyze build-checked; do
     if [ -x "$d/tools/analyze/dynaspam-analyze" ]; then
