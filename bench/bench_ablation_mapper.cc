@@ -14,7 +14,6 @@
 
 using namespace dynaspam;
 using namespace dynaspam::bench;
-using sim::SystemMode;
 
 int
 main()
@@ -27,13 +26,7 @@ main()
     rule(8);
 
     // Resource-aware and naive runs for all workloads, in parallel.
-    std::vector<runner::Job> jobs;
-    for (const auto &name : workloads::allWorkloadNames()) {
-        jobs.push_back(runner::Job{name, SystemMode::AccelSpec, 32, 1, 1});
-        jobs.push_back(
-            runner::Job{name, SystemMode::AccelNaive, 32, 1, 1});
-    }
-    const auto results = runJobs(jobs);
+    const auto results = runJobs(figureJobs("ablation-mapper"));
 
     std::vector<double> ratios;
     std::size_t row = 0;

@@ -17,34 +17,29 @@
 
 using namespace dynaspam;
 using namespace dynaspam::bench;
-using sim::SystemMode;
 
 int
 main()
 {
-    const unsigned lengths[] = {16, 24, 32, 40};
+    // 11 workloads x 4 trace lengths, executed in parallel.
+    const std::vector<runner::Job> jobs = figureJobs("fig7");
+    const std::size_t lengths =
+        jobs.size() / workloads::allWorkloadNames().size();
 
     std::printf("Figure 7: dynamic instruction distribution "
                 "(host / mapping / fabric %%)\n");
     std::printf("%-6s", "bench");
-    for (unsigned len : lengths)
-        std::printf("        len=%-2u        ", len);
+    for (std::size_t i = 0; i < lengths; i++)
+        std::printf("        len=%-2u        ", jobs[i].traceLength);
     std::printf("\n");
     rule(8);
 
-    // 11 workloads x 4 trace lengths, executed in parallel.
-    std::vector<runner::Job> jobs;
-    for (const auto &name : workloads::allWorkloadNames())
-        for (unsigned len : lengths)
-            jobs.push_back(
-                runner::Job{name, SystemMode::AccelSpec, len, 1, 1});
     const auto results = runJobs(jobs);
 
     std::size_t idx = 0;
     for (const auto &name : workloads::allWorkloadNames()) {
         std::printf("%-6s", name.c_str());
-        for (unsigned len : lengths) {
-            (void)len;
+        for (std::size_t i = 0; i < lengths; i++) {
             const auto &r = results[idx++];
             double total = double(r.instsTotal);
             std::printf("  %5.1f /%5.2f /%5.1f ",

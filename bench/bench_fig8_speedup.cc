@@ -17,7 +17,6 @@
 
 using namespace dynaspam;
 using namespace dynaspam::bench;
-using sim::SystemMode;
 
 int
 main()
@@ -29,15 +28,9 @@ main()
     rule(5);
 
     // All 44 simulation points up front, executed in parallel by the
-    // runner; results come back in enqueue order (4 modes per workload).
-    const SystemMode modes[] = {
-        SystemMode::BaselineOoo, SystemMode::MappingOnly,
-        SystemMode::AccelNoSpec, SystemMode::AccelSpec};
-    std::vector<runner::Job> jobs;
-    for (const auto &name : workloads::allWorkloadNames())
-        for (SystemMode mode : modes)
-            jobs.push_back(runner::Job{name, mode, 32, 1, 1});
-    const auto results = runJobs(jobs);
+    // runner; results come back in enqueue order (baseline, mapping-only,
+    // accel-nospec, accel-spec per workload).
+    const auto results = runJobs(figureJobs("fig8"));
 
     std::vector<double> sp_map, sp_nospec, sp_spec;
     std::size_t row = 0;

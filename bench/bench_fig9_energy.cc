@@ -18,7 +18,6 @@
 
 using namespace dynaspam;
 using namespace dynaspam::bench;
-using sim::SystemMode;
 
 namespace
 {
@@ -37,13 +36,7 @@ main()
                 "(%% of baseline total)\n\n");
 
     // One baseline + one accelerated run per workload, in parallel.
-    std::vector<runner::Job> jobs;
-    for (const auto &name : workloads::allWorkloadNames()) {
-        jobs.push_back(
-            runner::Job{name, SystemMode::BaselineOoo, 32, 1, 1});
-        jobs.push_back(runner::Job{name, SystemMode::AccelSpec, 32, 1, 1});
-    }
-    const auto results = runJobs(jobs);
+    const auto results = runJobs(figureJobs("fig9"));
 
     std::vector<double> reductions;
     std::size_t row = 0;

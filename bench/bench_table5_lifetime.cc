@@ -18,13 +18,10 @@
 
 using namespace dynaspam;
 using namespace dynaspam::bench;
-using sim::SystemMode;
 
 int
 main()
 {
-    const unsigned fabric_counts[] = {1, 2, 4, 8};
-
     std::printf("Table 5: mapped/offloaded traces and average "
                 "configuration lifetime (invocations)\n");
     std::printf("%-6s %8s %10s %12s %12s %12s %12s\n", "bench", "mapped",
@@ -32,13 +29,8 @@ main()
                 "8 fabrics");
     rule(8);
 
-    // 11 workloads x 4 fabric counts, executed in parallel.
-    std::vector<runner::Job> jobs;
-    for (const auto &name : workloads::allWorkloadNames())
-        for (unsigned fabrics : fabric_counts)
-            jobs.push_back(
-                runner::Job{name, SystemMode::AccelSpec, 32, fabrics, 1});
-    const auto results = runJobs(jobs);
+    // 11 workloads x 4 fabric counts (1, 2, 4, 8), executed in parallel.
+    const auto results = runJobs(figureJobs("table5"));
 
     std::size_t row = 0;
     for (const auto &name : workloads::allWorkloadNames()) {

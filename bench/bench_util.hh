@@ -20,8 +20,8 @@
  *   DYNASPAM_CACHE=DIR  enable the on-disk result cache at DIR
  */
 
-#ifndef DYNASPAM_BENCH_UTIL_HH
-#define DYNASPAM_BENCH_UTIL_HH
+#ifndef DYNASPAM_BENCH_BENCH_UTIL_HH
+#define DYNASPAM_BENCH_BENCH_UTIL_HH
 
 #include <cstdio>
 #include <cstdlib>
@@ -30,7 +30,6 @@
 
 #include "common/stats.hh"
 #include "runner/runner.hh"
-#include "sim/system.hh"
 #include "workloads/workload.hh"
 
 namespace dynaspam::bench
@@ -63,15 +62,16 @@ runJobs(const std::vector<runner::Job> &jobs)
     return results;
 }
 
-/** Run one workload under one configuration (one-off; sweeps should
- *  batch through runJobs instead). */
-inline sim::RunResult
-runWorkload(const std::string &name, sim::SystemMode mode,
-            unsigned trace_length = 32, unsigned num_fabrics = 1,
-            unsigned scale = 1)
+/**
+ * The jobs of the figure sweep @p sweep over every workload at scale 1
+ * and trace length 32, grouped by workload in runner::sweepJobs order.
+ * sweepJobs owns the grids, so the CLI, the service and the benches run
+ * the same points.
+ */
+inline std::vector<runner::Job>
+figureJobs(const std::string &sweep)
 {
-    return runner::execute(
-        runner::Job{name, mode, trace_length, num_fabrics, scale});
+    return runner::sweepJobs(sweep, workloads::allWorkloadNames(), 1, 32);
 }
 
 /** Print a horizontal rule sized for @p width columns of 10 chars. */
@@ -85,4 +85,4 @@ rule(unsigned width)
 
 } // namespace dynaspam::bench
 
-#endif // DYNASPAM_BENCH_UTIL_HH
+#endif // DYNASPAM_BENCH_BENCH_UTIL_HH

@@ -19,7 +19,7 @@
 #include "isa/executor.hh"
 #include "isa/program.hh"
 #include "memory/functional_mem.hh"
-#include "sim/system.hh"
+#include "sim/simulation.hh"
 
 using namespace dynaspam;
 using isa::intReg;
@@ -77,12 +77,15 @@ main()
         return 1;
 
     // --- Timing: baseline vs DynaSpAM ------------------------------------------
-    sim::System base_sys(
-        sim::SystemConfig::make(sim::SystemMode::BaselineOoo));
-    sim::System accel_sys(
-        sim::SystemConfig::make(sim::SystemMode::AccelSpec));
-    auto base = base_sys.run(program, init);
-    auto accel = accel_sys.run(program, init);
+    auto input = sim::SimInput::make(program, init);
+    sim::Simulation base_sim(
+        sim::SystemConfig::make(sim::SystemMode::BaselineOoo), input);
+    sim::Simulation accel_sim(
+        sim::SystemConfig::make(sim::SystemMode::AccelSpec), input);
+    base_sim.runToCompletion();
+    accel_sim.runToCompletion();
+    auto base = base_sim.collectResult();
+    auto accel = accel_sim.collectResult();
 
     std::printf("baseline         : %llu cycles\n",
                 static_cast<unsigned long long>(base.cycles));

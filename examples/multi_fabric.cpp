@@ -14,7 +14,7 @@
 
 #include <cstdio>
 
-#include "sim/system.hh"
+#include "sim/simulation.hh"
 #include "workloads/workload.hh"
 
 using namespace dynaspam;
@@ -31,10 +31,12 @@ sweep(const char *tag)
     std::printf("%s (%s):\n", wl.name.c_str(), wl.fullName.c_str());
     std::printf("  %-8s %10s %12s %14s %10s\n", "fabrics", "cycles",
                 "reconfigs", "avg lifetime", "squashes");
+    auto input = sim::SimInput::make(wl.program, wl.initialMemory);
     for (unsigned fabrics : {1u, 2u, 4u, 8u}) {
-        sim::System system(
-            SystemConfig::make(SystemMode::AccelSpec, 32, fabrics));
-        auto r = system.run(wl.program, wl.initialMemory);
+        sim::Simulation simulation(
+            SystemConfig::make(SystemMode::AccelSpec, 32, fabrics), input);
+        simulation.runToCompletion();
+        auto r = simulation.collectResult();
         std::printf("  %-8u %10llu %12llu %14.1f %10llu\n", fabrics,
                     static_cast<unsigned long long>(r.cycles),
                     static_cast<unsigned long long>(

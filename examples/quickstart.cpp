@@ -11,7 +11,8 @@
 #include <cstdio>
 
 #include "isa/program.hh"
-#include "sim/system.hh"
+#include "memory/functional_mem.hh"
+#include "sim/simulation.hh"
 
 using namespace dynaspam;
 using isa::intReg;
@@ -44,18 +45,23 @@ main()
     b.halt();
     isa::Program program = b.build();
 
+    // The functional (oracle) pass runs once; every timing run shares it.
+    auto input = sim::SimInput::make(program, mem::FunctionalMemory{});
+
     // --- 2. Run it on the baseline 8-issue OOO pipeline ------------------
-    sim::System baseline(
-        sim::SystemConfig::make(sim::SystemMode::BaselineOoo));
-    auto base = baseline.run(program);
+    sim::Simulation baseline(
+        sim::SystemConfig::make(sim::SystemMode::BaselineOoo), input);
+    baseline.runToCompletion();
+    auto base = baseline.collectResult();
     std::printf("baseline OOO : %8llu cycles  (IPC %.2f, %.1f nJ)\n",
                 static_cast<unsigned long long>(base.cycles), base.ipc(),
                 base.energyTotal() / 1e3);
 
     // --- 3. Run it with DynaSpAM attached ---------------------------------
-    sim::System dynaspam_sys(
-        sim::SystemConfig::make(sim::SystemMode::AccelSpec));
-    auto accel = dynaspam_sys.run(program);
+    sim::Simulation dynaspam_sim(
+        sim::SystemConfig::make(sim::SystemMode::AccelSpec), input);
+    dynaspam_sim.runToCompletion();
+    auto accel = dynaspam_sim.collectResult();
     std::printf("with DynaSpAM: %8llu cycles  (IPC %.2f, %.1f nJ)\n",
                 static_cast<unsigned long long>(accel.cycles), accel.ipc(),
                 accel.energyTotal() / 1e3);

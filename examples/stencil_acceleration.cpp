@@ -13,7 +13,7 @@
 
 #include <cstdio>
 
-#include "sim/system.hh"
+#include "sim/simulation.hh"
 #include "workloads/workload.hh"
 
 using namespace dynaspam;
@@ -28,14 +28,16 @@ main()
                 hs.name.c_str(), hs.fullName.c_str(), hs.kernel.c_str(),
                 hs.program.size());
 
+    auto input = sim::SimInput::make(hs.program, hs.initialMemory);
     sim::RunResult base;
     std::printf("%-14s %10s %7s %10s %9s %9s\n", "config", "cycles",
                 "IPC", "energy(nJ)", "speedup", "E-saving");
     for (auto mode :
          {SystemMode::BaselineOoo, SystemMode::MappingOnly,
           SystemMode::AccelNoSpec, SystemMode::AccelSpec}) {
-        sim::System system(SystemConfig::make(mode));
-        auto r = system.run(hs.program, hs.initialMemory);
+        sim::Simulation simulation(SystemConfig::make(mode), input);
+        simulation.runToCompletion();
+        auto r = simulation.collectResult();
         if (mode == SystemMode::BaselineOoo)
             base = r;
         std::printf("%-14s %10llu %7.2f %10.1f %8.2fx %8.1f%%\n",
@@ -47,8 +49,10 @@ main()
     }
 
     // Energy breakdown of baseline vs accelerated.
-    sim::System accel_sys(SystemConfig::make(SystemMode::AccelSpec));
-    auto accel = accel_sys.run(hs.program, hs.initialMemory);
+    sim::Simulation accel_sim(SystemConfig::make(SystemMode::AccelSpec),
+                              input);
+    accel_sim.runToCompletion();
+    auto accel = accel_sim.collectResult();
     std::printf("\nper-component energy (nJ):\n");
     std::printf("%-14s %10s %10s\n", "component", "baseline", "dynaspam");
     for (const auto &[comp, value] : base.energy.component) {
@@ -63,9 +67,10 @@ main()
     // Trace-length knob.
     std::printf("\ntrace-length sweep (accel-spec):\n");
     for (unsigned len : {16u, 24u, 32u, 40u}) {
-        sim::System system(
-            SystemConfig::make(SystemMode::AccelSpec, len));
-        auto r = system.run(hs.program, hs.initialMemory);
+        sim::Simulation simulation(
+            SystemConfig::make(SystemMode::AccelSpec, len), input);
+        simulation.runToCompletion();
+        auto r = simulation.collectResult();
         std::printf("  len %2u: %8llu cycles, fabric coverage %.1f%%\n",
                     len, static_cast<unsigned long long>(r.cycles),
                     100.0 * double(r.instsFabric) / double(r.instsTotal));

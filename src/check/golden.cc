@@ -98,7 +98,7 @@ computeValue(isa::Opcode op, std::uint64_t a, std::uint64_t b,
       case Opcode::MOV:
         return a;
       case Opcode::MUL:
-        return uns(sgn(a) * sgn(b));
+        return a * b;       // unsigned: wraps where a signed product is UB
       case Opcode::DIV:
         return sgn(b) == 0 ? 0 : uns(sgn(a) / sgn(b));
       case Opcode::REM:

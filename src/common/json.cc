@@ -32,6 +32,9 @@ Value::asUint() const
     if (const auto *d = std::get_if<double>(&data)) {
         if (*d < 0 || *d != std::floor(*d))
             fatal("json: non-integral value where unsigned expected");
+        // 2^64 is the first double past the range; +inf is past it too.
+        if (!(*d < 0x1p64))
+            fatal("json: value ", *d, " out of range for unsigned integer");
         return std::uint64_t(*d);
     }
     fatal("json: expected unsigned integer");
@@ -50,6 +53,8 @@ Value::asInt() const
     if (const auto *d = std::get_if<double>(&data)) {
         if (*d != std::floor(*d))
             fatal("json: non-integral value where integer expected");
+        if (!(*d >= -0x1p63 && *d < 0x1p63))
+            fatal("json: value ", *d, " out of range for signed integer");
         return std::int64_t(*d);
     }
     fatal("json: expected integer");

@@ -1,6 +1,6 @@
 /**
  * @file
- * Lightweight statistics package: named scalar counters, histograms and a
+ * Lightweight statistics package: named scalar counters and their
  * registry, plus small numeric helpers (geomean) used by the benches.
  */
 
@@ -10,7 +10,6 @@
 #include <cmath>
 #include <cstdint>
 #include <map>
-#include <ostream>
 #include <string>
 #include <vector>
 
@@ -24,170 +23,23 @@ namespace dynaspam
 class StatCounter
 {
   public:
-    StatCounter() = default;
-    explicit StatCounter(std::string name) : _name(std::move(name)) {}
-
     void inc(std::uint64_t amount = 1) { _value += amount; }
-    void reset() { _value = 0; }
-
     std::uint64_t value() const { return _value; }
-    const std::string &name() const { return _name; }
 
   private:
-    std::string _name;
     std::uint64_t _value = 0;
 };
 
-/** A named accumulating floating-point statistic (e.g. energy in pJ). */
-class StatAccum
-{
-  public:
-    StatAccum() = default;
-    explicit StatAccum(std::string name) : _name(std::move(name)) {}
-
-    void add(double amount) { _value += amount; }
-    void reset() { _value = 0.0; }
-
-    double value() const { return _value; }
-    const std::string &name() const { return _name; }
-
-  private:
-    std::string _name;
-    double _value = 0.0;
-};
-
-/** A fixed-bucket histogram for distribution statistics. */
-class Histogram
-{
-  public:
-    /**
-     * @param name stat name
-     * @param bucket_width width of each bucket
-     * @param num_buckets number of buckets; samples beyond the last bucket
-     *                    are accumulated in an overflow bucket
-     */
-    Histogram(std::string name, std::uint64_t bucket_width,
-              std::size_t num_buckets)
-        : _name(std::move(name)), bucketWidth(bucket_width),
-          buckets(num_buckets, 0)
-    {
-        if (bucket_width == 0)
-            fatal("histogram \"", _name, "\": bucket_width must be > 0");
-        if (num_buckets == 0)
-            fatal("histogram \"", _name, "\": needs at least one bucket");
-    }
-
-    void
-    sample(std::uint64_t value)
-    {
-        std::size_t idx = value / bucketWidth;
-        if (idx >= buckets.size())
-            overflow++;
-        else
-            buckets[idx]++;
-        count++;
-        sum += value;
-    }
-
-    std::uint64_t samples() const { return count; }
-    double mean() const { return count ? double(sum) / count : 0.0; }
-    std::uint64_t bucket(std::size_t i) const { return buckets.at(i); }
-    std::size_t numBuckets() const { return buckets.size(); }
-    std::uint64_t width() const { return bucketWidth; }
-    std::uint64_t total() const { return sum; }
-    std::uint64_t overflowCount() const { return overflow; }
-    const std::string &name() const { return _name; }
-
-    /**
-     * Overwrite the contents with previously recorded state. Used by the
-     * runner's result cache to round-trip histograms through JSON.
-     * @throws FatalError when @p bucket_counts has a different shape
-     */
-    void
-    restore(const std::vector<std::uint64_t> &bucket_counts,
-            std::uint64_t overflow_count, std::uint64_t sample_count,
-            std::uint64_t sample_sum)
-    {
-        if (bucket_counts.size() != buckets.size())
-            fatal("histogram \"", _name, "\": restore with ",
-                  bucket_counts.size(), " buckets into ", buckets.size());
-        buckets = bucket_counts;
-        overflow = overflow_count;
-        count = sample_count;
-        sum = sample_sum;
-    }
-
-    void
-    reset()
-    {
-        std::fill(buckets.begin(), buckets.end(), 0);
-        overflow = 0;
-        count = 0;
-        sum = 0;
-    }
-
-  private:
-    std::string _name;
-    std::uint64_t bucketWidth;
-    std::vector<std::uint64_t> buckets;
-    std::uint64_t overflow = 0;
-    std::uint64_t count = 0;
-    std::uint64_t sum = 0;
-};
-
 /**
- * A registry of scalar statistics owned by simulator components. Components
- * register counters by name; the registry supports dumping and lookup so
- * benches and tests can read any statistic without friend access.
+ * A registry of the scalar counters simulator components export. Lookup
+ * by name lets benches and tests read any statistic without friend
+ * access.
  */
 class StatRegistry
 {
   public:
     /** Register (or fetch) a counter under @p name. */
-    StatCounter &
-    counter(const std::string &name)
-    {
-        auto it = counters.find(name);
-        if (it == counters.end())
-            it = counters.emplace(name, StatCounter(name)).first;
-        return it->second;
-    }
-
-    /** Register (or fetch) a floating-point accumulator under @p name. */
-    StatAccum &
-    accum(const std::string &name)
-    {
-        auto it = accums.find(name);
-        if (it == accums.end())
-            it = accums.emplace(name, StatAccum(name)).first;
-        return it->second;
-    }
-
-    /**
-     * Register (or fetch) a histogram under @p name. The bucket geometry
-     * is fixed at first registration; later calls with the same name
-     * return the existing histogram regardless of the arguments.
-     */
-    Histogram &
-    histogram(const std::string &name, std::uint64_t bucket_width,
-              std::size_t num_buckets)
-    {
-        auto it = histograms.find(name);
-        if (it == histograms.end())
-            it = histograms
-                     .emplace(name,
-                              Histogram(name, bucket_width, num_buckets))
-                     .first;
-        return it->second;
-    }
-
-    /** @return histogram registered under @p name, or nullptr. */
-    const Histogram *
-    findHistogram(const std::string &name) const
-    {
-        auto it = histograms.find(name);
-        return it == histograms.end() ? nullptr : &it->second;
-    }
+    StatCounter &counter(const std::string &name) { return counters[name]; }
 
     /** @return counter value, or 0 if never registered. */
     std::uint64_t
@@ -197,105 +49,28 @@ class StatRegistry
         return it == counters.end() ? 0 : it->second.value();
     }
 
-    /** @return accumulator value, or 0.0 if never registered. */
-    double
-    getAccum(const std::string &name) const
-    {
-        auto it = accums.find(name);
-        return it == accums.end() ? 0.0 : it->second.value();
-    }
-
-    void
-    resetAll()
-    {
-        for (auto &kv : counters)
-            kv.second.reset();
-        for (auto &kv : accums)
-            kv.second.reset();
-        for (auto &kv : histograms)
-            kv.second.reset();
-    }
-
-    /** Dump all statistics, sorted by name, one per line. */
-    void
-    dump(std::ostream &os) const
-    {
-        for (const auto &kv : counters)
-            os << kv.first << " " << kv.second.value() << "\n";
-        for (const auto &kv : accums)
-            os << kv.first << " " << kv.second.value() << "\n";
-        for (const auto &kv : histograms) {
-            const Histogram &h = kv.second;
-            os << kv.first << " count=" << h.samples()
-               << " mean=" << h.mean() << " overflow=" << h.overflowCount()
-               << " buckets=";
-            for (std::size_t i = 0; i < h.numBuckets(); i++)
-                os << (i ? "," : "") << h.bucket(i);
-            os << "\n";
-        }
-    }
-
     /**
-     * @return the registry as a JSON object:
-     * `{"counters": {name: value}, "accums": {name: value},
-     *   "histograms": {name: {"bucket_width", "buckets", "overflow",
-     *   "count", "sum"}}}`. Deterministic (sorted keys).
+     * @return the registry as a JSON object, sorted by name:
+     * `{"counters": {name: value}, "accums": {}, "histograms": {}}`.
+     * The two empty blocks keep the layout of reports and result-cache
+     * files from when the registry also held accumulators and
+     * histograms.
      */
     json::Value
     toJson() const
     {
-        json::Object counters_obj, accums_obj, histograms_obj;
+        json::Object counters_obj;
         for (const auto &kv : counters)
             counters_obj.emplace(kv.first, kv.second.value());
-        for (const auto &kv : accums)
-            accums_obj.emplace(kv.first, kv.second.value());
-        for (const auto &kv : histograms) {
-            const Histogram &h = kv.second;
-            json::Array buckets_arr;
-            for (std::size_t i = 0; i < h.numBuckets(); i++)
-                buckets_arr.emplace_back(h.bucket(i));
-            json::Object hist_obj;
-            hist_obj.emplace("bucket_width", h.width());
-            hist_obj.emplace("buckets", std::move(buckets_arr));
-            hist_obj.emplace("overflow", h.overflowCount());
-            hist_obj.emplace("count", h.samples());
-            hist_obj.emplace("sum", h.total());
-            histograms_obj.emplace(kv.first, std::move(hist_obj));
-        }
         json::Object root;
         root.emplace("counters", std::move(counters_obj));
-        root.emplace("accums", std::move(accums_obj));
-        root.emplace("histograms", std::move(histograms_obj));
+        root.emplace("accums", json::Object{});
+        root.emplace("histograms", json::Object{});
         return json::Value(std::move(root));
-    }
-
-    /** Dump all statistics as a JSON document (see toJson). */
-    void
-    dumpJson(std::ostream &os) const
-    {
-        toJson().write(os, 2);
-        os << "\n";
-    }
-
-    const std::map<std::string, StatCounter> &allCounters() const
-    {
-        return counters;
-    }
-
-    const std::map<std::string, StatAccum> &allAccums() const
-    {
-        return accums;
-    }
-
-    const std::map<std::string, Histogram> &allHistograms() const
-    {
-        return histograms;
     }
 
   private:
     std::map<std::string, StatCounter> counters;
-    std::map<std::string, StatAccum> accums;
-    std::map<std::string, Histogram> histograms;
 };
 
 /**

@@ -6,6 +6,7 @@
 
 #include "common/logging.hh"
 #include "runner/spec.hh"
+#include "workloads/workload.hh"
 
 namespace dynaspam::explore
 {
@@ -128,9 +129,15 @@ Space::fromJson(const json::Value &value)
     if (!workloads)
         fatal("space: missing required field \"workloads\"");
     for (const json::Value &item : workloads->asArray()) {
+        // Workload tags are case-insensitive: "bfs" and "BFS" are one
+        // kernel.
         const std::string &tag = item.asString();
-        if (std::count(space.workloads.begin(), space.workloads.end(),
-                       tag))
+        const std::string name = workloads::canonicalWorkloadName(tag);
+        if (std::any_of(space.workloads.begin(), space.workloads.end(),
+                        [&](const std::string &seen) {
+                            return workloads::canonicalWorkloadName(seen) ==
+                                   name;
+                        }))
             fatal("space: duplicate workload \"", tag, "\"");
         space.workloads.push_back(tag);
     }

@@ -134,7 +134,9 @@ Executor::run(const Program &program, mem::FunctionalMemory &memory,
             w(r(inst.src1));
             break;
           case Opcode::MUL:
-            w(asUnsigned(asSigned(r(inst.src1)) * asSigned(r(inst.src2))));
+            // Unsigned: the low 64 bits of the two's-complement product,
+            // without signed-overflow UB.
+            w(r(inst.src1) * r(inst.src2));
             break;
           case Opcode::DIV: {
             std::int64_t den = asSigned(r(inst.src2));

@@ -191,9 +191,8 @@ execute(const Job &job, trace::TraceSink *sink)
                                                     job.traceLength,
                                                     job.numFabrics);
     cfg.traceSink = sink;
-    // Construct-and-drive is exactly System::run for full fidelity;
-    // routing through Simulation lets finishSimulation own the sampled
-    // stop rule for straight and forked execution alike.
+    // finishSimulation owns the sampled stop rule for straight and
+    // forked execution alike.
     sim::Simulation simu(cfg,
                          sim::SimInput::make(wl.program, wl.initialMemory));
     return finishSimulation(job, simu);

@@ -129,8 +129,8 @@ std::vector<Job> sweepJobs(const std::string &sweep,
                            unsigned scale, unsigned trace_length);
 
 /**
- * Execute @p job: build the workload, construct a fresh System and run
- * it. Thread-safe — every call uses only job-local state.
+ * Execute @p job: build the workload, construct a fresh Simulation and
+ * run it. Thread-safe — every call uses only job-local state.
  *
  * When the DYNASPAM_TRACE environment variable requests tracing, the
  * run is traced into a per-job sink and the rendered trace files are

@@ -2,12 +2,11 @@
  * @file
  * Stateful cycle-level simulation over a shared immutable SimInput.
  *
- * Simulation decomposes System::run's timing pass into construct /
- * tick / collect phases so a run can be paused, snapshotted, restored
- * and resumed. A Simulation that is constructed and immediately driven
- * to completion performs the exact same operations in the exact same
- * order as the original monolithic driver, so reports stay
- * byte-identical; snapshot() and restore() are the only additions.
+ * A Simulation runs a program's timing pass in construct / tick /
+ * collect phases, so a run can be paused, snapshotted, restored and
+ * resumed. Constructing one and calling runToCompletion() then
+ * collectResult() is the straight one-shot run; snapshot() and
+ * restore() fork it without changing a report byte.
  */
 
 #ifndef DYNASPAM_SIM_SIMULATION_HH

@@ -61,7 +61,7 @@ class SimInput
      * Run the functional (oracle) pass and package its products.
      * Fatal when the program does not halt. In checked builds the
      * functional cross-check re-executes the program; otherwise the
-     * record count stands in (same rule System::run always applied).
+     * record count stands in.
      */
     static std::shared_ptr<const SimInput>
     make(const isa::Program &program,

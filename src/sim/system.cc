@@ -1,11 +1,9 @@
 /**
  * @file
- * System driver implementation.
+ * The paper's named system configurations.
  */
 
 #include "sim/system.hh"
-
-#include "sim/simulation.hh"
 
 namespace dynaspam::sim
 {
@@ -53,17 +51,6 @@ SystemConfig::make(SystemMode mode, unsigned trace_length,
         break;
     }
     return cfg;
-}
-
-System::System(SystemConfig config) : cfg(std::move(config)) {}
-
-RunResult
-System::run(const isa::Program &program,
-            const mem::FunctionalMemory &initial_memory)
-{
-    Simulation local(cfg, SimInput::make(program, initial_memory));
-    local.runToCompletion();
-    return local.collectResult();
 }
 
 } // namespace dynaspam::sim

@@ -1,10 +1,11 @@
 /**
  * @file
- * Top-level simulation driver.
+ * System configurations and run results.
  *
- * A System wires the functional executor, cache hierarchy, OOO CPU,
- * DynaSpAM controller and energy model together, and runs one program
- * under one of the paper's named configurations:
+ * A SystemConfig wires the cache hierarchy, OOO CPU, DynaSpAM
+ * controller and energy model together; a sim::Simulation
+ * (sim/simulation.hh) runs one program under it and collects a
+ * RunResult. The paper's named configurations:
  *
  *  - BaselineOoo: the 8-issue OOO pipeline of Table 4, no DynaSpAM
  *  - MappingOnly: traces are detected and mapped but never offloaded
@@ -105,38 +106,6 @@ struct RunResult
         return cycles ? double(instsTotal) / double(cycles) : 0.0;
     }
     double energyTotal() const { return energy.total(); }
-};
-
-/**
- * One-shot simulation driver for one configuration: run() executes a
- * program functionally, then simulates it to completion. A pausable,
- * forkable run is a sim::Simulation (see sim/simulation.hh and
- * sim/snapshot.hh).
- */
-class System
-{
-  public:
-    explicit System(SystemConfig config);
-
-    /**
-     * Execute @p program functionally, then simulate it to completion.
-     * @param initial_memory pre-initialized data memory (copied)
-     */
-    RunResult run(const isa::Program &program,
-                  const mem::FunctionalMemory &initial_memory);
-
-    /** Convenience overload starting from empty memory. */
-    RunResult
-    run(const isa::Program &program)
-    {
-        mem::FunctionalMemory empty;
-        return run(program, empty);
-    }
-
-    const SystemConfig &config() const { return cfg; }
-
-  private:
-    SystemConfig cfg;
 };
 
 } // namespace dynaspam::sim

@@ -16,21 +16,11 @@ using namespace dynaspam;
 
 TEST(StatCounter, StartsAtZeroAndIncrements)
 {
-    StatCounter c("c");
+    StatCounter c;
     EXPECT_EQ(c.value(), 0u);
     c.inc();
     c.inc(41);
     EXPECT_EQ(c.value(), 42u);
-    c.reset();
-    EXPECT_EQ(c.value(), 0u);
-}
-
-TEST(StatAccum, AccumulatesDoubles)
-{
-    StatAccum a("a");
-    a.add(1.5);
-    a.add(2.25);
-    EXPECT_DOUBLE_EQ(a.value(), 3.75);
 }
 
 TEST(StatRegistry, CounterIsSharedByName)
@@ -40,64 +30,6 @@ TEST(StatRegistry, CounterIsSharedByName)
     reg.counter("x").inc(4);
     EXPECT_EQ(reg.get("x"), 7u);
     EXPECT_EQ(reg.get("missing"), 0u);
-}
-
-TEST(StatRegistry, ResetAllClearsEverything)
-{
-    StatRegistry reg;
-    reg.counter("x").inc(3);
-    reg.accum("e").add(1.0);
-    reg.resetAll();
-    EXPECT_EQ(reg.get("x"), 0u);
-    EXPECT_DOUBLE_EQ(reg.getAccum("e"), 0.0);
-}
-
-TEST(Histogram, BucketsAndOverflow)
-{
-    Histogram h("h", 10, 4);   // buckets [0,10) [10,20) [20,30) [30,40)
-    h.sample(0);
-    h.sample(9);
-    h.sample(10);
-    h.sample(35);
-    h.sample(100);             // overflow
-    EXPECT_EQ(h.samples(), 5u);
-    EXPECT_EQ(h.bucket(0), 2u);
-    EXPECT_EQ(h.bucket(1), 1u);
-    EXPECT_EQ(h.bucket(2), 0u);
-    EXPECT_EQ(h.bucket(3), 1u);
-    EXPECT_EQ(h.overflowCount(), 1u);
-    EXPECT_DOUBLE_EQ(h.mean(), (0 + 9 + 10 + 35 + 100) / 5.0);
-}
-
-TEST(Histogram, RejectsDegenerateGeometry)
-{
-    EXPECT_THROW(Histogram("h", 0, 4), FatalError);
-    EXPECT_THROW(Histogram("h", 10, 0), FatalError);
-}
-
-TEST(Histogram, RestoreRoundTripsState)
-{
-    Histogram h("h", 10, 3);
-    h.restore({1, 2, 3}, 4, 10, 250);
-    EXPECT_EQ(h.bucket(0), 1u);
-    EXPECT_EQ(h.bucket(2), 3u);
-    EXPECT_EQ(h.overflowCount(), 4u);
-    EXPECT_EQ(h.samples(), 10u);
-    EXPECT_DOUBLE_EQ(h.mean(), 25.0);
-    EXPECT_THROW(h.restore({1, 2}, 0, 0, 0), FatalError);
-}
-
-TEST(StatRegistry, HistogramRegistrationAndReset)
-{
-    StatRegistry reg;
-    Histogram &h = reg.histogram("lat", 10, 4);
-    h.sample(12);
-    // Same name returns the same histogram regardless of geometry args.
-    EXPECT_EQ(&reg.histogram("lat", 999, 1), &h);
-    EXPECT_EQ(reg.findHistogram("lat"), &h);
-    EXPECT_EQ(reg.findHistogram("absent"), nullptr);
-    reg.resetAll();
-    EXPECT_EQ(h.samples(), 0u);
 }
 
 TEST(Geomean, MatchesHandComputedValue)

@@ -276,6 +276,9 @@ TEST(ExploreSpace, RejectsMalformedDescriptions)
     EXPECT_THROW(parseSpace("{\"workloads\": [\"\"]}"), FatalError);
     EXPECT_THROW(parseSpace("{\"workloads\": [\"bfs\", \"bfs\"]}"),
                  FatalError);
+    // Workload tags are case-insensitive, so this is one kernel twice.
+    EXPECT_THROW(parseSpace("{\"workloads\": [\"bfs\", \"BFS\"]}"),
+                 FatalError);
     EXPECT_THROW(
         parseSpace("{\"workloads\": [\"bfs\"], \"bogus\": 1}"),
         FatalError);
@@ -308,6 +311,19 @@ TEST(ExploreSpace, RejectsMalformedDescriptions)
     EXPECT_THROW(parseSpace("{\"workloads\": [\"bfs\"],"
                             " \"generation_size\": 0}"),
                  FatalError);
+}
+
+TEST(ExploreSpace, OutOfRangeAxisValueIsNamed)
+{
+    // A double past the unsigned range used to be cast unchecked, and
+    // the error named the wrapped value (0) instead of the input.
+    try {
+        parseSpace("{\"workloads\": [\"bfs\"], \"scales\": [1e30]}");
+        FAIL() << "1e30 accepted as a scale";
+    } catch (const FatalError &e) {
+        EXPECT_NE(std::string(e.what()).find("1e+30"), std::string::npos)
+            << e.what();
+    }
 }
 
 TEST(ExploreSpace, DefaultsAndJsonRoundTrip)

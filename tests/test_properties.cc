@@ -12,7 +12,7 @@
 #include <tuple>
 
 #include "isa/executor.hh"
-#include "sim/system.hh"
+#include "sim/simulation.hh"
 #include "workloads/workload.hh"
 
 using namespace dynaspam;
@@ -61,8 +61,11 @@ class SystemInvariants : public ::testing::TestWithParam<Param>
     {
         auto [name, mode] = GetParam();
         workloads::Workload wl = workloads::makeWorkload(name);
-        System system(SystemConfig::make(mode));
-        RunResult r = system.run(wl.program, wl.initialMemory);
+        Simulation simulation(
+            SystemConfig::make(mode),
+            SimInput::make(wl.program, wl.initialMemory));
+        simulation.runToCompletion();
+        RunResult r = simulation.collectResult();
 
         // Golden-model check on a fresh functional run (the timing model
         // consumes the same oracle, so this certifies the whole stack).

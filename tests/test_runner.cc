@@ -129,6 +129,32 @@ TEST(Json, LargeCountersSurviveExactly)
     EXPECT_EQ(v.asUint(), big);
 }
 
+TEST(Json, OutOfRangeIntegersThrow)
+{
+    // Doubles outside the integer range used to be cast unchecked,
+    // which is undefined behaviour (1e30 read back as 0).
+    const double inf = std::numeric_limits<double>::infinity();
+    EXPECT_THROW(json::Value::parse("1e30").asUint(), FatalError);
+    EXPECT_THROW(json::Value::parse("1e400").asInt(), FatalError);
+    EXPECT_THROW(json::Value::parse("18446744073709551616").asUint(),
+                 FatalError);
+    EXPECT_THROW(json::Value::parse("-1e19").asInt(), FatalError);
+    EXPECT_THROW(json::Value(inf).asUint(), FatalError);
+    EXPECT_THROW(json::Value(-inf).asInt(), FatalError);
+    try {
+        json::Value::parse("1e30").asUint();
+    } catch (const FatalError &e) {
+        EXPECT_NE(std::string(e.what()).find("1e+30"), std::string::npos)
+            << e.what();
+    }
+
+    // The largest doubles inside the range still convert.
+    EXPECT_EQ(json::Value(0x1p64 - 0x1p11).asUint(),
+              std::numeric_limits<std::uint64_t>::max() - 2047);
+    EXPECT_EQ(json::Value(-0x1p63).asInt(),
+              std::numeric_limits<std::int64_t>::min());
+}
+
 TEST(Json, NonFiniteDoublesRoundTrip)
 {
     // Non-finite doubles used to serialize as null, which every numeric
@@ -161,29 +187,17 @@ TEST(Json, ParseErrorsThrow)
 
 // --- Stats registry JSON -------------------------------------------------
 
-TEST(StatRegistryJson, DumpsCountersAccumsAndHistograms)
+TEST(StatRegistryJson, DumpsCountersAndEmptyLegacyBlocks)
 {
     StatRegistry reg;
+    reg.counter("beta").inc(2);
     reg.counter("alpha").inc(7);
-    reg.accum("beta").add(2.5);
-    Histogram &h = reg.histogram("gamma", 10, 4);
-    h.sample(5);
-    h.sample(15);
-    h.sample(1000);     // overflow
 
-    std::ostringstream os;
-    reg.dumpJson(os);
-    json::Value v = json::Value::parse(os.str());
-    EXPECT_EQ(v.at("counters").at("alpha").asUint(), 7u);
-    EXPECT_DOUBLE_EQ(v.at("accums").at("beta").asDouble(), 2.5);
-    const json::Value &hist = v.at("histograms").at("gamma");
-    EXPECT_EQ(hist.at("bucket_width").asUint(), 10u);
-    EXPECT_EQ(hist.at("buckets").asArray().size(), 4u);
-    EXPECT_EQ(hist.at("buckets").asArray()[0].asUint(), 1u);
-    EXPECT_EQ(hist.at("buckets").asArray()[1].asUint(), 1u);
-    EXPECT_EQ(hist.at("overflow").asUint(), 1u);
-    EXPECT_EQ(hist.at("count").asUint(), 3u);
-    EXPECT_EQ(hist.at("sum").asUint(), 1020u);
+    // Sorted counters, then the empty accums and histograms blocks that
+    // keep report and cache-file bytes unchanged.
+    EXPECT_EQ(reg.toJson().dump(),
+              "{\"accums\":{},\"counters\":{\"alpha\":7,\"beta\":2},"
+              "\"histograms\":{}}");
 }
 
 // --- Thread pool ---------------------------------------------------------
@@ -302,10 +316,8 @@ TEST(RunnerDeterminism, OneThreadAndEightThreadsMatchByteForByte)
         EXPECT_EQ(serial_outcomes[i].result.cycles,
                   parallel_outcomes[i].result.cycles)
             << "cycle mismatch for " << jobs[i].key();
-        std::ostringstream serial_stats, parallel_stats;
-        serial_outcomes[i].result.stats.dump(serial_stats);
-        parallel_outcomes[i].result.stats.dump(parallel_stats);
-        EXPECT_EQ(serial_stats.str(), parallel_stats.str())
+        EXPECT_EQ(serial_outcomes[i].result.stats.toJson().dump(),
+                  parallel_outcomes[i].result.stats.toJson().dump())
             << "stat dump mismatch for " << jobs[i].key();
     }
 
@@ -416,26 +428,52 @@ TEST(ResultCache, DisabledCacheNeverStores)
 
 TEST(ResultCache, NonFiniteStatsSurviveTheRoundTrip)
 {
-    // Pre-fix behaviour: a NaN or infinite accumulator serialized as
-    // JSON null, the numeric reader rejected it on load, and the whole
-    // entry silently degenerated to a permanent cache miss.
+    // Pre-fix behaviour: a NaN or infinite double serialized as JSON
+    // null, the numeric reader rejected it on load, and the whole entry
+    // silently degenerated to a permanent cache miss.
     TempDir dir("cache-nonfinite");
     const Job job{"BP", SystemMode::BaselineOoo, 32, 1, 1};
     sim::RunResult result = runner::execute(job);
-    result.stats.accum("test.poisoned")
-        .add(std::numeric_limits<double>::quiet_NaN());
-    result.stats.accum("test.hot")
-        .add(std::numeric_limits<double>::infinity());
+    result.energy.component["test.poisoned"] =
+        std::numeric_limits<double>::quiet_NaN();
+    result.energy.component["test.hot"] =
+        std::numeric_limits<double>::infinity();
 
     runner::ResultCache cache(dir.path());
     cache.store(job, result);
 
     auto loaded = cache.load(job);
     ASSERT_TRUE(loaded.has_value()) << "non-finite stat corrupted entry";
-    EXPECT_TRUE(std::isnan(loaded->stats.getAccum("test.poisoned")));
-    EXPECT_EQ(loaded->stats.getAccum("test.hot"),
+    EXPECT_TRUE(std::isnan(loaded->energy.component.at("test.poisoned")));
+    EXPECT_EQ(loaded->energy.component.at("test.hot"),
               std::numeric_limits<double>::infinity());
     EXPECT_EQ(loaded->cycles, result.cycles);
+}
+
+TEST(ResultCache, NonEmptyAccumsOrHistogramsAreAMiss)
+{
+    // The registry holds counters only and always writes the accums and
+    // histograms blocks empty; an entry with content there was not
+    // written by this code, so it reads as a miss.
+    TempDir dir("cache-legacy-stats");
+    const Job job{"BP", SystemMode::BaselineOoo, 32, 1, 1};
+    runner::ResultCache cache(dir.path());
+    cache.store(job, runner::execute(job));
+    const std::string path = cache.pathFor(job);
+    std::ostringstream original;
+    original << std::ifstream(path).rdbuf();
+    ASSERT_TRUE(cache.load(job).has_value());
+
+    for (const char *block : {"accums", "histograms"}) {
+        const std::string empty = std::string("\"") + block + "\": {}";
+        std::string text = original.str();
+        const std::size_t at = text.find(empty);
+        ASSERT_NE(at, std::string::npos) << block;
+        text.replace(at, empty.size(),
+                     std::string("\"") + block + "\": {\"x\": 1}");
+        std::ofstream(path) << text;
+        EXPECT_FALSE(cache.load(job).has_value()) << block;
+    }
 }
 
 // --- JSON hardening (network-boundary strictness) -------------------------

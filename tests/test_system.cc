@@ -7,7 +7,8 @@
 #include <gtest/gtest.h>
 
 #include "isa/program.hh"
-#include "sim/system.hh"
+#include "memory/functional_mem.hh"
+#include "sim/simulation.hh"
 
 using namespace dynaspam;
 using namespace dynaspam::sim;
@@ -91,13 +92,22 @@ wideLoop(int trips = 2000)
     return b.build();
 }
 
+/** Simulate @p program from empty memory to completion under @p cfg. */
+RunResult
+simulate(const isa::Program &program, const SystemConfig &cfg)
+{
+    Simulation simulation(cfg,
+                          SimInput::make(program, mem::FunctionalMemory{}));
+    simulation.runToCompletion();
+    return simulation.collectResult();
+}
+
 } // namespace
 
 TEST(SystemBaseline, RunsToCompletion)
 {
     isa::Program p = hotLoop(500);
-    System sys(SystemConfig::make(SystemMode::BaselineOoo));
-    auto r = sys.run(p);
+    auto r = simulate(p, SystemConfig::make(SystemMode::BaselineOoo));
     EXPECT_TRUE(r.functionallyCorrect);
     EXPECT_GT(r.cycles, 0u);
     EXPECT_EQ(r.instsFabric, 0u);
@@ -108,8 +118,7 @@ TEST(SystemBaseline, RunsToCompletion)
 TEST(SystemDetection, HotLoopGetsDetectedAndMapped)
 {
     isa::Program p = hotLoop(2000);
-    System sys(SystemConfig::make(SystemMode::MappingOnly));
-    auto r = sys.run(p);
+    auto r = simulate(p, SystemConfig::make(SystemMode::MappingOnly));
     EXPECT_GE(r.dynaspam.mappingsStarted, 1u);
     EXPECT_GE(r.dynaspam.mappingsCompleted, 1u);
     EXPECT_GE(r.dynaspam.distinctMappedTraces, 1u);
@@ -121,10 +130,8 @@ TEST(SystemDetection, HotLoopGetsDetectedAndMapped)
 TEST(SystemDetection, MappingOverheadIsSmall)
 {
     isa::Program p = hotLoop(2000);
-    System base(SystemConfig::make(SystemMode::BaselineOoo));
-    System mapo(SystemConfig::make(SystemMode::MappingOnly));
-    auto rb = base.run(p);
-    auto rm = mapo.run(p);
+    auto rb = simulate(p, SystemConfig::make(SystemMode::BaselineOoo));
+    auto rm = simulate(p, SystemConfig::make(SystemMode::MappingOnly));
     // Paper: mapping overhead below 3%; allow a bit of slack here.
     EXPECT_LT(double(rm.cycles), double(rb.cycles) * 1.06)
         << "mapping-only should cost only a few percent over baseline";
@@ -133,8 +140,7 @@ TEST(SystemDetection, MappingOverheadIsSmall)
 TEST(SystemOffload, HotLoopExecutesOnFabric)
 {
     isa::Program p = hotLoop(2000);
-    System sys(SystemConfig::make(SystemMode::AccelSpec));
-    auto r = sys.run(p);
+    auto r = simulate(p, SystemConfig::make(SystemMode::AccelSpec));
     EXPECT_GE(r.dynaspam.invocationsCommitted, 10u);
     EXPECT_GT(r.instsFabric, r.instsTotal / 4)
         << "the hot loop should mostly run on the fabric";
@@ -144,10 +150,8 @@ TEST(SystemOffload, HotLoopExecutesOnFabric)
 TEST(SystemOffload, WideBodyLoopAccelerates)
 {
     isa::Program p = wideLoop(3000);
-    System base(SystemConfig::make(SystemMode::BaselineOoo));
-    System accel(SystemConfig::make(SystemMode::AccelSpec));
-    auto rb = base.run(p);
-    auto ra = accel.run(p);
+    auto rb = simulate(p, SystemConfig::make(SystemMode::BaselineOoo));
+    auto ra = simulate(p, SystemConfig::make(SystemMode::AccelSpec));
     EXPECT_LT(ra.cycles, rb.cycles)
         << "fetch/issue-bound loop should beat the host pipeline";
 }
@@ -157,20 +161,16 @@ TEST(SystemOffload, ChainBoundLoopAtLeastTiesBaseline)
     // The narrow accumulator loop is bound by a serial dependence chain
     // on both engines: the fabric should be within a few percent.
     isa::Program p = hotLoop(4000);
-    System base(SystemConfig::make(SystemMode::BaselineOoo));
-    System accel(SystemConfig::make(SystemMode::AccelSpec));
-    auto rb = base.run(p);
-    auto ra = accel.run(p);
+    auto rb = simulate(p, SystemConfig::make(SystemMode::BaselineOoo));
+    auto ra = simulate(p, SystemConfig::make(SystemMode::AccelSpec));
     EXPECT_LT(double(ra.cycles), double(rb.cycles) * 1.05);
 }
 
 TEST(SystemOffload, EnergyDropsWithAcceleration)
 {
     isa::Program p = hotLoop(4000);
-    System base(SystemConfig::make(SystemMode::BaselineOoo));
-    System accel(SystemConfig::make(SystemMode::AccelSpec));
-    auto rb = base.run(p);
-    auto ra = accel.run(p);
+    auto rb = simulate(p, SystemConfig::make(SystemMode::BaselineOoo));
+    auto ra = simulate(p, SystemConfig::make(SystemMode::AccelSpec));
     EXPECT_LT(ra.energyTotal(), rb.energyTotal());
     // The savings come from the front end and scheduling.
     EXPECT_LT(ra.energy.component.at("Fetch"),
@@ -185,8 +185,7 @@ TEST(SystemOffload, EnergyDropsWithAcceleration)
 TEST(SystemOffload, NoSpecModeStillWorks)
 {
     isa::Program p = hotLoop(2000);
-    System sys(SystemConfig::make(SystemMode::AccelNoSpec));
-    auto r = sys.run(p);
+    auto r = simulate(p, SystemConfig::make(SystemMode::AccelNoSpec));
     EXPECT_TRUE(r.functionallyCorrect);
     EXPECT_GE(r.dynaspam.invocationsCommitted, 1u);
 }
@@ -194,8 +193,7 @@ TEST(SystemOffload, NoSpecModeStillWorks)
 TEST(SystemOffload, NaiveMapperStillProducesConfigs)
 {
     isa::Program p = hotLoop(2000);
-    System sys(SystemConfig::make(SystemMode::AccelNaive));
-    auto r = sys.run(p);
+    auto r = simulate(p, SystemConfig::make(SystemMode::AccelNaive));
     EXPECT_TRUE(r.functionallyCorrect);
     // The naive mapper should usually manage this simple trace.
     EXPECT_GE(r.dynaspam.mappingsCompleted, 1u);
@@ -205,8 +203,8 @@ TEST(SystemOffload, TraceLengthSweepIsMonotoneInDetection)
 {
     isa::Program p = hotLoop(2000);
     for (unsigned len : {16u, 24u, 32u, 40u}) {
-        System sys(SystemConfig::make(SystemMode::AccelSpec, len));
-        auto r = sys.run(p);
+        auto r =
+            simulate(p, SystemConfig::make(SystemMode::AccelSpec, len));
         EXPECT_TRUE(r.functionallyCorrect) << "trace length " << len;
     }
 }
@@ -215,8 +213,8 @@ TEST(SystemOffload, MultiFabricRunsAndTracksLifetime)
 {
     isa::Program p = hotLoop(2000);
     for (unsigned fabrics : {1u, 2u, 4u}) {
-        System sys(SystemConfig::make(SystemMode::AccelSpec, 32, fabrics));
-        auto r = sys.run(p);
+        auto r = simulate(
+            p, SystemConfig::make(SystemMode::AccelSpec, 32, fabrics));
         EXPECT_TRUE(r.functionallyCorrect) << fabrics << " fabrics";
         if (r.dynaspam.invocationsCommitted > 0) {
             EXPECT_GT(r.dynaspam.avgConfigLifetime(), 0.0);
@@ -227,7 +225,6 @@ TEST(SystemOffload, MultiFabricRunsAndTracksLifetime)
 TEST(SystemOffload, InstructionAccountingIsConsistent)
 {
     isa::Program p = hotLoop(1500);
-    System sys(SystemConfig::make(SystemMode::AccelSpec));
-    auto r = sys.run(p);
+    auto r = simulate(p, SystemConfig::make(SystemMode::AccelSpec));
     EXPECT_EQ(r.instsHost + r.instsMapping + r.instsFabric, r.instsTotal);
 }

@@ -7,8 +7,8 @@
  * lexes real C++ tokens (comments and string literals
  * stripped, multi-character operators intact), which is what lets the
  * checks distinguish `a == b` from `a = b` inside DYNASPAM_CHECK and
- * ignore the word "rand" in a doc comment — the failure modes of the
- * sed/grep approach in tools/lint.sh.
+ * ignore the word "rand" in a doc comment, which a sed/grep check over
+ * comment-stripped lines cannot.
  */
 
 #ifndef DYNASPAM_TOOLS_ANALYZE_ANALYSIS_HH

@@ -4,9 +4,13 @@
  *
  * Each check owns a path domain and a rule the compiler cannot state:
  *
- *  - determinism:        no wall-clock / RNG / host-entropy calls in
- *                        the simulation core — a sweep's bytes must
+ *  - determinism:        no legacy RNG or wall clock in src/ and apps/,
+ *                        and no host clock or entropy at all in the
+ *                        simulation core — a sweep's bytes must
  *                        depend only on the job spec;
+ *  - ownership:          no naked new/delete in any scanned tree —
+ *                        allocations are owned by make_unique,
+ *                        make_shared or a container;
  *  - epoll-blocking:     the coordinator's single event-loop thread
  *                        must never block without a timeout, or every
  *                        client and worker stalls with it;
@@ -18,7 +22,8 @@
  *                        normal builds, so side effects in its
  *                        arguments silently vanish;
  *  - header-hygiene:     `#ifndef DYNASPAM_<PATH>_HH` guards matching
- *                        the file path, no `using namespace` in
+ *                        the file path (without a leading src/) in
+ *                        every scanned tree, no `using namespace` in
  *                        headers, and NO_THREAD_SAFETY_ANALYSIS
  *                        confined to common/mutex.hh;
  *  - snapshot-fields:    a class with a fields() list (common/fields.hh)
@@ -95,6 +100,13 @@ matchParen(const std::vector<Token> &toks, std::size_t open)
     return std::string::npos;
 }
 
+/** The domain of the rules that hold in every scanned tree. */
+bool
+everyTree(const std::string &)
+{
+    return true;
+}
+
 void
 report(std::vector<Finding> &out, const char *check,
        const SourceFile &file, int line, std::string message)
@@ -107,16 +119,17 @@ report(std::vector<Finding> &out, const char *check,
 
 // --- determinism -----------------------------------------------------------
 
+/**
+ * The determinism core: code whose output is a sweep's bytes. src/runner
+ * and the snapshot auditor joined it with the forked-sweep execution
+ * path: warmup partitioning and snapshot restore must reproduce
+ * straight-through bytes. src/explore joined with the design-space
+ * engine: its frontier reports promise byte-identity across thread
+ * counts and transports.
+ */
 bool
-determinismDomain(const std::string &rel)
+determinismCore(const std::string &rel)
 {
-    // src/runner and the snapshot auditor joined the domain with the
-    // forked-sweep execution path: warmup partitioning and snapshot
-    // restore must reproduce straight-through bytes, so host entropy is
-    // as forbidden there as in the cycle engine itself. src/explore
-    // joined with the design-space engine: its frontier reports promise
-    // byte-identity across thread counts and transports, which no
-    // wall-clock or random source can be allowed to break.
     return startsWith(rel, "src/core/") || startsWith(rel, "src/ooo/") ||
            startsWith(rel, "src/fabric/") ||
            startsWith(rel, "src/memory/") || startsWith(rel, "src/sim/") ||
@@ -125,39 +138,100 @@ determinismDomain(const std::string &rel)
            startsWith(rel, "src/check/snapshot_audit");
 }
 
+bool
+determinismDomain(const std::string &rel)
+{
+    return startsWith(rel, "src/") || startsWith(rel, "apps/");
+}
+
+/**
+ * One ban table, tiered by domain. Everywhere in src/ and apps/: the
+ * legacy RNG and the wall clock (steady_clock for durations is fine
+ * there). In the determinism core: every host clock and entropy source.
+ */
+struct Ban
+{
+    const char *name;
+    bool callOnly;      ///< common identifier: banned only as a call
+    bool coreOnly;
+};
+
+const Ban kBans[] = {
+    {"rand", true, false},
+    {"srand", false, false},
+    {"random_shuffle", false, false},
+    {"system_clock", false, false},
+    {"gettimeofday", false, false},
+    {"time", true, false},
+    {"drand48", false, true},
+    {"lrand48", false, true},
+    {"mrand48", false, true},
+    {"random_device", false, true},
+    {"random", true, true},
+    {"high_resolution_clock", false, true},
+    {"steady_clock", false, true},
+    {"clock_gettime", false, true},
+    {"clock", true, true},
+    {"localtime", false, true},
+    {"gmtime", false, true},
+    {"asctime", false, true},
+    {"getenv", false, true},
+};
+
 void
 determinismRun(const SourceFile &f, std::vector<Finding> &out)
 {
+    const bool core = determinismCore(f.relPath);
     const auto &t = f.tokens;
     for (std::size_t i = 0; i < t.size(); i++) {
         if (!t[i].isIdent())
             continue;
-        // Nondeterministic in any position (type or call).
-        if (contains({"srand", "drand48", "lrand48", "mrand48",
-                      "random_device", "random_shuffle",
-                      "system_clock", "high_resolution_clock",
-                      "steady_clock", "gettimeofday", "clock_gettime",
-                      "localtime", "gmtime", "asctime", "getenv"},
-                     t[i].text)) {
-            report(out, "determinism", f, t[i].line,
-                   "'" + t[i].text +
-                       "' in the simulation core: results must depend "
-                       "only on the job spec (seed RNG explicitly; "
-                       "measure time in the runner, not the model)");
+        const Ban *ban = nullptr;
+        for (const Ban &b : kBans)
+            if (t[i].text == b.name && (core || !b.coreOnly))
+                ban = &b;
+        if (!ban)
             continue;
-        }
-        // Nondeterministic only as a function call: these are common
-        // identifiers (members named `time`, locals named `clock`).
+        // Call-only names are common identifiers (members named
+        // `time`, locals named `clock`).
         const bool isCall =
             i + 1 < t.size() && t[i + 1].is("(") &&
             !(i > 0 && (t[i - 1].is(".") || t[i - 1].is("->"))) &&
             !looksLikeDeclaration(t, i);
-        if (isCall && contains({"rand", "random", "time", "clock"},
-                               t[i].text))
-            report(out, "determinism", f, t[i].line,
-                   "'" + t[i].text +
-                       "()' in the simulation core: wall-clock/legacy "
-                       "RNG makes sweep bytes irreproducible");
+        if (ban->callOnly && !isCall)
+            continue;
+        const std::string what =
+            "'" + t[i].text + (ban->callOnly ? "()'" : "'");
+        report(out, "determinism", f, t[i].line,
+               core ? what + " in the simulation core: results must "
+                             "depend only on the job spec (seed RNG "
+                             "explicitly; measure time in the runner, "
+                             "not the model)"
+                    : what + ": legacy RNG and the wall clock make "
+                             "results irreproducible (use <random> with "
+                             "a fixed seed; steady_clock for durations)");
+    }
+}
+
+// --- ownership -------------------------------------------------------------
+
+void
+ownershipRun(const SourceFile &f, std::vector<Finding> &out)
+{
+    const auto &t = f.tokens;
+    for (std::size_t i = 0; i + 1 < t.size(); i++) {
+        if (i > 0 && t[i - 1].is("operator"))
+            continue;
+        // `new T` / `new ::T`; placement `new (buf) T` and the
+        // `#include <new>` header name are not allocations.
+        const bool naked =
+            (t[i].is("new") && (t[i + 1].isIdent() || t[i + 1].is("::"))) ||
+            (t[i].is("delete") && !(i > 0 && t[i - 1].is("=")));
+        if (naked)
+            report(out, "ownership", f, t[i].line,
+                   "naked '" + t[i].text +
+                       "': ownership goes through std::make_unique, "
+                       "std::make_shared or a container");
     }
 }
 
@@ -330,18 +404,16 @@ checkSideEffectsRun(const SourceFile &f, std::vector<Finding> &out)
 
 // --- header-hygiene --------------------------------------------------------
 
-bool
-headerHygieneDomain(const std::string &rel)
-{
-    return startsWith(rel, "src/");
-}
-
-/** src/cluster/wire.hh -> DYNASPAM_CLUSTER_WIRE_HH */
+/**
+ * src/cluster/wire.hh -> DYNASPAM_CLUSTER_WIRE_HH,
+ * bench/bench_util.hh -> DYNASPAM_BENCH_BENCH_UTIL_HH
+ */
 std::string
 expectedGuard(const std::string &rel)
 {
+    const std::size_t skip = startsWith(rel, "src/") ? 4 : 0;
     std::string g = "DYNASPAM_";
-    for (char c : rel.substr(4, rel.size() - 4 - 3)) {
+    for (char c : rel.substr(skip, rel.size() - skip - 3)) {
         g += std::isalnum(static_cast<unsigned char>(c))
                  ? char(std::toupper(static_cast<unsigned char>(c)))
                  : '_';
@@ -643,9 +715,14 @@ allChecks()
 {
     static const std::vector<Check> checks = {
         {"determinism",
-         "no wall-clock/RNG/host-entropy calls in src/{core,ooo,"
-         "fabric,memory,sim,runner} or the snapshot auditor",
+         "no legacy RNG or wall clock in src/ and apps/; no host clock "
+         "or entropy at all in src/{core,ooo,fabric,memory,sim,runner,"
+         "explore} or the snapshot auditor",
          determinismDomain, determinismRun, "src/sim/{}"},
+        {"ownership",
+         "no naked new/delete: allocations are owned by "
+         "std::make_unique/std::make_shared or a container",
+         everyTree, ownershipRun, "tests/{}"},
         {"epoll-blocking",
          "no unbounded blocking on the coordinator event-loop thread",
          epollBlockingDomain, epollBlockingRun,
@@ -660,7 +737,7 @@ allChecks()
         {"header-hygiene",
          "path-derived include guards; no using-namespace in headers; "
          "NO_THREAD_SAFETY_ANALYSIS confined to common/mutex.hh",
-         headerHygieneDomain, headerHygieneRun, "src/fixture/{}"},
+         everyTree, headerHygieneRun, "src/fixture/{}"},
         {"snapshot-fields",
          "every data member of a class with a fields() list is listed "
          "once, in declaration order, under its own name",

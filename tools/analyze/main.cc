@@ -6,9 +6,11 @@
  *   dynaspam-analyze --selftest DIR
  *   dynaspam-analyze --list-checks
  *
- * Default mode scans every .cc/.hh under <root>/src with the token
- * engine and prints findings as `file:line: [check] message`. Exit
- * codes: 0 clean, 1 findings, 2 usage/environment error.
+ * Default mode scans every .cc/.cpp/.hh under <root>/{src,apps,tests,
+ * bench,examples,tools} (never perfbench/ or the analyzer's fixtures)
+ * with the token engine and prints findings as
+ * `file:line: [check] message`. Exit codes: 0 clean, 1 findings,
+ * 2 usage/environment error.
  *
  * --selftest runs each fixture in DIR against the check named by its
  * file-name prefix (`<check>__description.cc`) and fails unless every
@@ -22,6 +24,7 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <cstring>
 #include <filesystem>
 #include <set>
 #include <string>
@@ -95,20 +98,37 @@ printFindings(const std::vector<analyze::Finding> &findings, bool json)
     std::printf("\n]\n");
 }
 
-/** Every .cc/.hh under root/src, sorted for deterministic output. */
+/**
+ * The trees every scan covers. perfbench/ is not here: it belongs to
+ * the benchmark and is built from its own checkout. The analyzer's
+ * own fixtures violate its rules on purpose.
+ */
+const char *const kScanRoots[] = {"src", "apps", "tests", "bench",
+                                  "examples", "tools"};
+const char *const kFixtureDir = "tools/analyze/fixtures";
+const char *const kFixturePathTag = "fixture-path: ";
+
+/** Every .cc/.cpp/.hh under the scan roots, sorted (deterministic output). */
 std::vector<fs::path>
 collectSources(const fs::path &root)
 {
     std::vector<fs::path> files;
-    const fs::path src = root / "src";
-    if (!fs::is_directory(src))
-        return files;
-    for (const auto &entry : fs::recursive_directory_iterator(src)) {
-        if (!entry.is_regular_file())
+    for (const char *dir : kScanRoots) {
+        if (!fs::is_directory(root / dir))
             continue;
-        const std::string ext = entry.path().extension().string();
-        if (ext == ".cc" || ext == ".hh")
-            files.push_back(entry.path());
+        for (auto it = fs::recursive_directory_iterator(root / dir);
+             it != fs::recursive_directory_iterator(); ++it) {
+            if (it->is_directory() &&
+                fs::relative(it->path(), root).generic_string() ==
+                    kFixtureDir) {
+                it.disable_recursion_pending();
+                continue;
+            }
+            const std::string ext = it->path().extension().string();
+            if (it->is_regular_file() &&
+                (ext == ".cc" || ext == ".cpp" || ext == ".hh"))
+                files.push_back(it->path());
+        }
     }
     std::sort(files.begin(), files.end());
     return files;
@@ -121,7 +141,7 @@ runScan(const Options &opt)
     const std::vector<fs::path> files = collectSources(root);
     if (files.empty()) {
         std::fprintf(stderr,
-                     "dynaspam-analyze: no sources under %s/src\n",
+                     "dynaspam-analyze: no sources under %s\n",
                      opt.root.c_str());
         return 2;
     }
@@ -153,7 +173,8 @@ runScan(const Options &opt)
  * Fixture protocol: `<check>__<description>.<cc|hh>` must trip
  * <check>; `<check>__clean_<description>` must not. Each check
  * declares where its fixtures pretend to live (selftestRelPath) so
- * they land inside the check's path domain.
+ * they land inside the check's path domain; a fixture that tests a
+ * tier of the domain names its own path with `// fixture-path: ...`.
  */
 int
 runSelftest(const Options &opt)
@@ -198,22 +219,30 @@ runSelftest(const Options &opt)
             continue;
         }
 
-        // Pretend the fixture lives inside the check's domain.
-        std::string rel = check->selftestRelPath;
-        const std::size_t hole = rel.find("{}");
-        if (hole != std::string::npos)
-            rel.replace(hole, 2, name);
-
         analyze::SourceFile file;
-        if (!analyze::loadSource(path.string(), rel, file)) {
+        if (!analyze::loadSource(path.string(), "", file)) {
             std::fprintf(stderr, "selftest: cannot read %s\n",
                          path.string().c_str());
             failures++;
             continue;
         }
+
+        // Pretend the fixture lives inside the check's domain: at the
+        // path a `// fixture-path: <rel>` comment names, else at the
+        // check's default.
+        std::string rel = check->selftestRelPath;
+        for (const analyze::Comment &c : file.comments) {
+            const std::size_t at = c.text.find(kFixturePathTag);
+            if (at != std::string::npos)
+                rel = c.text.substr(at + std::strlen(kFixturePathTag));
+        }
+        const std::size_t hole = rel.find("{}");
+        if (hole != std::string::npos)
+            rel.replace(hole, 2, name);
+        file.relPath = rel;
         if (!check->inDomain(rel)) {
             std::fprintf(stderr,
-                         "selftest: %s: selftestRelPath %s escapes "
+                         "selftest: %s: fixture path %s escapes "
                          "the check's own domain\n",
                          name.c_str(), rel.c_str());
             failures++;
