@@ -598,10 +598,6 @@ cmdTrace(Args &args)
         }
     }
     const Job &job = flags.checked("trace");
-    if (!trace::compiledIn()) {
-        fatal("this build has tracing compiled out "
-              "(-DDYNASPAM_TRACE=OFF); rebuild with -DDYNASPAM_TRACE=ON");
-    }
 
     // Trace runs are always uncached: a cache hit would skip the
     // simulation and record nothing.

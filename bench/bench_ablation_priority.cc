@@ -52,7 +52,7 @@ main()
     rule(4);
 
     // These runs use a custom SelectPolicy, which a runner::Job cannot
-    // express, so they go through the work-stealing pool directly: one
+    // express, so they go through the runner's thread pool directly: one
     // task per workload, results stored by index.
     const auto &names = workloads::allWorkloadNames();
     std::vector<std::pair<Cycle, Cycle>> cycles(names.size());

@@ -127,8 +127,8 @@ BENCHMARK(BM_MappingSessionScore);
 void
 BM_ThreadPoolDispatch(benchmark::State &state)
 {
-    // Scheduling overhead of the runner's work-stealing pool: how fast
-    // can a batch of trivial tasks be dealt, stolen and retired.
+    // Scheduling overhead of the runner's FIFO pool: how fast can a
+    // batch of trivial tasks be queued, claimed and retired.
     runner::ThreadPool pool(unsigned(state.range(0)));
     const std::size_t tasks = 256;
     for (auto _ : state) {

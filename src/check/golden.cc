@@ -99,10 +99,10 @@ computeValue(isa::Opcode op, std::uint64_t a, std::uint64_t b,
         return a;
       case Opcode::MUL:
         return a * b;       // unsigned: wraps where a signed product is UB
-      case Opcode::DIV:
-        return sgn(b) == 0 ? 0 : uns(sgn(a) / sgn(b));
-      case Opcode::REM:
-        return sgn(b) == 0 ? 0 : uns(sgn(a) % sgn(b));
+      case Opcode::DIV:     // INT64_MIN / -1 wraps to INT64_MIN
+        return sgn(b) == 0 ? 0 : sgn(b) == -1 ? 0 - a : uns(sgn(a) / sgn(b));
+      case Opcode::REM:     // x % -1 is 0, INT64_MIN % -1 included
+        return sgn(b) == 0 || sgn(b) == -1 ? 0 : uns(sgn(a) % sgn(b));
       case Opcode::FADD:
         return fpBits(fp(a) + fp(b));
       case Opcode::FSUB:

@@ -98,7 +98,7 @@ DynaSpamController::selectFabric(
     }
     const Cycle ready = victim->configure(config, now);
     state.dstats.reconfigurations++;
-    if (trace::compiledIn() && tsink)
+    if (tsink)
         tsink->span(trace::Mark::Reconfigure, now, ready, config->key);
     return index;
 }
@@ -141,7 +141,7 @@ DynaSpamController::beforeFetch(SeqNum trace_idx, Cycle now)
         return directive;
 
     state.dstats.tracesConsidered++;
-    if (trace::compiledIn() && tsink)
+    if (tsink)
         tsink->mark(trace::Mark::TCacheHit, now, walk.key, trace_idx);
 
     auto config = cfgCache.find(walk.key);
@@ -225,7 +225,7 @@ DynaSpamController::mappingFinished(SeqNum trace_idx, Cycle now)
 {
     if (!state.session)
         return;
-    if (trace::compiledIn() && tsink) {
+    if (tsink) {
         tsink->span(trace::Mark::Mapping, state.lastMappingStart, now,
                     state.mappingKey, trace_idx);
     }
@@ -233,7 +233,7 @@ DynaSpamController::mappingFinished(SeqNum trace_idx, Cycle now)
     if (config) {
         const auto outcome = cfgCache.insert(state.mappingKey,
                                              std::move(*config));
-        if (trace::compiledIn() && tsink) {
+        if (tsink) {
             if (outcome.evicted) {
                 tsink->mark(trace::Mark::ConfigEvict, now,
                             outcome.evictedKey);
@@ -258,7 +258,7 @@ DynaSpamController::mappingAborted(SeqNum trace_idx, Cycle now)
 {
     if (!state.session)
         return;
-    if (trace::compiledIn() && tsink) {
+    if (tsink) {
         tsink->span(trace::Mark::MappingAbort, state.lastMappingStart,
                     now, state.mappingKey, trace_idx);
     }
@@ -285,7 +285,7 @@ DynaSpamController::offloadStart(SeqNum trace_idx, std::uint32_t num_records,
     fabric::FabricExecResult fx = fabricPool[fab]->execute(
         trace, trace_idx, live_in_ready, mem_safe, now);
     (void)num_records;
-    if (trace::compiledIn() && tsink) {
+    if (tsink) {
         tsink->span(trace::Mark::Invocation, now, fx.completeCycle,
                     inv.key, trace_idx);
     }
@@ -303,7 +303,7 @@ void
 DynaSpamController::invocationCommitted(SeqNum trace_idx, Cycle now)
 {
     state.dstats.invocationsCommitted++;
-    if (trace::compiledIn() && tsink)
+    if (tsink)
         tsink->mark(trace::Mark::InvokeCommit, now, 0, trace_idx);
     auto it = state.pending.find(trace_idx);
     if (it != state.pending.end()) {
@@ -320,7 +320,7 @@ void
 DynaSpamController::invocationSquashed(SeqNum trace_idx, Cycle now,
                                        bool at_fault)
 {
-    if (trace::compiledIn() && tsink) {
+    if (tsink) {
         tsink->mark(trace::Mark::InvokeSquash, now, 0, trace_idx,
                     at_fault ? 1 : 0);
     }

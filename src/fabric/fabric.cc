@@ -319,7 +319,7 @@ Fabric::execute(const isa::DynamicTrace &trace, SeqNum trace_idx,
         live.inflightWindow.push_back(result.completeCycle);
         if (live.inflightWindow.size() > 2 * params.fifoDepth)
             live.inflightWindow.pop_front();
-        if (trace::compiledIn() && tsink) {
+        if (tsink) {
             tsink->counter(trace::Mark::FifoLevel, now,
                            live.inflightWindow.size());
         }
@@ -363,7 +363,7 @@ Fabric::execute(const isa::DynamicTrace &trace, SeqNum trace_idx,
     live.inflightWindow.push_back(result.completeCycle);
     if (live.inflightWindow.size() > 2 * params.fifoDepth)
         live.inflightWindow.pop_front();
-    if (trace::compiledIn() && tsink)
+    if (tsink)
         tsink->counter(trace::Mark::FifoLevel, now,
                        live.inflightWindow.size());
 

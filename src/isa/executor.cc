@@ -139,13 +139,20 @@ Executor::run(const Program &program, mem::FunctionalMemory &memory,
             w(r(inst.src1) * r(inst.src2));
             break;
           case Opcode::DIV: {
+            // x / -1 is the unsigned negation, so INT64_MIN / -1 wraps
+            // to INT64_MIN instead of trapping.
             std::int64_t den = asSigned(r(inst.src2));
-            w(den == 0 ? 0 : asUnsigned(asSigned(r(inst.src1)) / den));
+            w(den == 0    ? 0
+              : den == -1 ? 0 - r(inst.src1)
+                          : asUnsigned(asSigned(r(inst.src1)) / den));
             break;
           }
           case Opcode::REM: {
+            // x % -1 is 0, INT64_MIN % -1 included.
             std::int64_t den = asSigned(r(inst.src2));
-            w(den == 0 ? 0 : asUnsigned(asSigned(r(inst.src1)) % den));
+            w(den == 0 || den == -1
+                  ? 0
+                  : asUnsigned(asSigned(r(inst.src1)) % den));
             break;
           }
           case Opcode::FADD:

@@ -1083,7 +1083,7 @@ OooCpu::commitStage()
                 observer->onCommit(head.traceIdx, head.traceLen, true,
                                    curCycle);
             }
-            if (trace::compiledIn() && tsink)
+            if (tsink)
                 tsink->instRetired(traceEventOf(head, curCycle));
             invocations.erase(head.seq);
             rob.pop_front();
@@ -1171,7 +1171,7 @@ OooCpu::commitStage()
         commitIdx = head.traceIdx + 1;
         if (observer)
             observer->onCommit(head.traceIdx, 1, false, curCycle);
-        if (trace::compiledIn() && tsink)
+        if (tsink)
             tsink->instRetired(traceEventOf(head, curCycle));
         rob.pop_front();
         committed++;
@@ -1210,7 +1210,7 @@ OooCpu::squashFrom(SeqNum seq, SeqNum resume_trace_idx, Cycle restart)
         // the oldest squashed entry's pre-fetch RAS snapshot.
         ras_cp = d.rasCp;
         squashed_any = true;
-        if (trace::compiledIn() && tsink)
+        if (tsink)
             tsink->instFlushed(traceEventOf(d, curCycle));
 
         if (d.kind == RobKind::TraceInvoke) {

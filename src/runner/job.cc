@@ -132,17 +132,6 @@ sweepJobs(const std::string &sweep,
     return jobs;
 }
 
-std::string
-traceFileStem(const Job &job)
-{
-    std::string stem = job.key();
-    for (char &c : stem) {
-        if (c == '|')
-            c = '_';
-    }
-    return stem;
-}
-
 sim::RunResult
 finishSimulation(const Job &job, sim::Simulation &simu)
 {
@@ -196,19 +185,6 @@ execute(const Job &job, trace::TraceSink *sink)
     sim::Simulation simu(cfg,
                          sim::SimInput::make(wl.program, wl.initialMemory));
     return finishSimulation(job, simu);
-}
-
-sim::RunResult
-execute(const Job &job)
-{
-    if (trace::compiledIn() && trace::envRequested()) {
-        trace::TraceSink sink;
-        sim::RunResult result = execute(job, &sink);
-        sink.writeFiles(trace::envTraceDir() + "/" + traceFileStem(job) +
-                        ".trace.json");
-        return result;
-    }
-    return execute(job, nullptr);
 }
 
 } // namespace dynaspam::runner

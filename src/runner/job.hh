@@ -132,20 +132,12 @@ std::vector<Job> sweepJobs(const std::string &sweep,
  * Execute @p job: build the workload, construct a fresh Simulation and
  * run it. Thread-safe — every call uses only job-local state.
  *
- * When the DYNASPAM_TRACE environment variable requests tracing, the
- * run is traced into a per-job sink and the rendered trace files are
- * written under trace::envTraceDir() as `<job key>.trace.json` (Chrome
- * JSON) and `<job key>.trace.json.kanata` (Konata log), with '|' in the
- * key replaced by '_' for filesystem friendliness.
+ * @p sink, when not null, is attached for the timing pass; the caller
+ * owns it and renders it (`dynaspam trace` is the front end). Nothing
+ * is written to disk, and a traced run's result is byte-identical to
+ * an untraced one.
  */
-sim::RunResult execute(const Job &job);
-
-/**
- * Execute @p job with @p sink attached for the timing pass (nullptr =
- * untraced). The caller owns the sink and renders it; nothing is
- * written to disk and DYNASPAM_TRACE is not consulted.
- */
-sim::RunResult execute(const Job &job, trace::TraceSink *sink);
+sim::RunResult execute(const Job &job, trace::TraceSink *sink = nullptr);
 
 /**
  * Drive an already-constructed (possibly snapshot-restored) simulation
@@ -156,9 +148,6 @@ sim::RunResult execute(const Job &job, trace::TraceSink *sink);
  * share one stop/collect rule.
  */
 sim::RunResult finishSimulation(const Job &job, sim::Simulation &simu);
-
-/** Trace file stem for @p job: its key with '|' replaced by '_'. */
-std::string traceFileStem(const Job &job);
 
 } // namespace dynaspam::runner
 

@@ -11,7 +11,6 @@
 #include "sim/simulation.hh"
 #include "sim/snapshot.hh"
 #include "sim/snapshot_io.hh"
-#include "trace/trace.hh"
 #include "workloads/workload.hh"
 
 namespace dynaspam::runner
@@ -244,19 +243,10 @@ Runner::runAll(const std::vector<Job> &jobs)
     std::vector<JobOutcome> outcomes(jobs.size());
     std::atomic<std::uint64_t> hits{0}, misses{0};
 
-    // Env-requested tracing wants every job to actually simulate (a
-    // cache hit would record no events), and the traced runs must not
-    // poison the cache for future untraced sweeps, so bypass both ends.
-    // Tracing also forces straight-through execution: a forked run
-    // would record no warmup events.
-    const bool tracing = trace::compiledIn() && trace::envRequested();
-
     // Probe the cache for every job first so fork groups are built from
     // actual misses only.
     std::vector<char> isMiss(jobs.size(), 1);
     pool.parallelFor(jobs.size(), [&](std::size_t i) {
-        if (tracing)
-            return;
         if (auto cached = resultCache.load(jobs[i])) {
             outcomes[i] = JobOutcome{jobs[i], std::move(*cached), true};
             isMiss[i] = 0;
@@ -271,16 +261,15 @@ Runner::runAll(const std::vector<Job> &jobs)
     for (std::size_t i = 0; i < jobs.size(); i++)
         if (isMiss[i])
             missIdx.push_back(i);
-    const bool fork = options.forkSweeps && !tracing;
     const std::vector<std::vector<std::size_t>> units =
-        planUnits(jobs, std::move(missIdx), fork);
+        planUnits(jobs, std::move(missIdx), options.forkSweeps);
 
     const std::uint64_t warmupsBefore = groupStats.warmups.load();
     const std::uint64_t snapHitsBefore = groupStats.snapshotHits.load();
 
     pool.parallelFor(units.size(), [&](std::size_t u) {
-        runUnit(jobs, units[u], outcomes, tracing ? nullptr : &resultCache,
-                fork ? &snapCache : nullptr, &groupStats);
+        runUnit(jobs, units[u], outcomes, &resultCache,
+                options.forkSweeps ? &snapCache : nullptr, &groupStats);
         misses += units[u].size();
     });
 

@@ -5,7 +5,7 @@
  * Runner ties the pieces together: each job is first probed against the
  * ResultCache; the misses are planned into units (planUnits: single
  * jobs and fork groups, in canonical order) and each unit runs
- * (runUnit) on the work-stealing ThreadPool; results land in a slot
+ * (runUnit) on the FIFO ThreadPool; results land in a slot
  * owned by the job's index, so the returned vector is identical for any
  * worker count. The cluster worker plans and runs its misses through
  * the same two functions. Cache bookkeeping is exposed through a

@@ -11,30 +11,20 @@ ThreadPool::ThreadPool(unsigned workers)
 {
     if (workers == 0)
         workers = 1;
-    deques.reserve(workers);
-    for (unsigned i = 0; i < workers; i++)
-        deques.push_back(std::make_unique<WorkerDeque>());
     threads.reserve(workers);
     for (unsigned i = 0; i < workers; i++)
-        threads.emplace_back([this, i] { workerLoop(i); });
+        threads.emplace_back([this] { workerLoop(); });
 }
 
 ThreadPool::~ThreadPool()
 {
     {
-        common::MutexLock lock(poolMutex);
+        common::MutexLock lock(mutex);
         shutdown = true;
     }
     workAvailable.notifyAll();
     for (std::thread &t : threads)
         t.join();
-}
-
-std::size_t
-ThreadPool::queuedTasks() const
-{
-    common::MutexLock lock(poolMutex);
-    return pending;
 }
 
 unsigned
@@ -59,20 +49,9 @@ ThreadPool::defaultWorkers(unsigned fallback)
 void
 ThreadPool::submit(std::function<void()> task)
 {
-    std::size_t target;
     {
-        common::MutexLock lock(poolMutex);
-        // Count before pushing: a worker that wins the race to the
-        // deque can only ever see pending >= the true queue length,
-        // never less, so no wakeup is lost.
-        pending++;
-        target = nextDeque;
-        nextDeque = (nextDeque + 1) % deques.size();
-    }
-    {
-        WorkerDeque &dq = *deques[target];
-        common::MutexLock dlock(dq.mutex);
-        dq.tasks.push_back(std::move(task));
+        common::MutexLock lock(mutex);
+        tasks.push_back(std::move(task));
     }
     workAvailable.notifyOne();
 }
@@ -127,54 +106,23 @@ ThreadPool::parallelFor(std::size_t n,
         std::rethrow_exception(batch->firstError);
 }
 
-bool
-ThreadPool::popOwn(std::size_t self, std::function<void()> &task)
-{
-    WorkerDeque &dq = *deques[self];
-    common::MutexLock lock(dq.mutex);
-    if (dq.tasks.empty())
-        return false;
-    task = std::move(dq.tasks.front());
-    dq.tasks.pop_front();
-    return true;
-}
-
-bool
-ThreadPool::stealOther(std::size_t self, std::function<void()> &task)
-{
-    for (std::size_t k = 1; k < deques.size(); k++) {
-        WorkerDeque &dq = *deques[(self + k) % deques.size()];
-        common::MutexLock lock(dq.mutex);
-        if (dq.tasks.empty())
-            continue;
-        task = std::move(dq.tasks.back());
-        dq.tasks.pop_back();
-        return true;
-    }
-    return false;
-}
-
 void
-ThreadPool::workerLoop(std::size_t self)
+ThreadPool::workerLoop()
 {
     while (true) {
         std::function<void()> task;
-        if (popOwn(self, task) || stealOther(self, task)) {
-            {
-                common::MutexLock lock(poolMutex);
-                pending--;
-            }
-            task();
-            continue;
+        {
+            common::MutexLock lock(mutex);
+            while (!shutdown && tasks.empty())
+                workAvailable.wait(mutex);
+            // On shutdown this drains every queued task before the
+            // worker exits.
+            if (tasks.empty())
+                return;
+            task = std::move(tasks.front());
+            tasks.pop_front();
         }
-        common::MutexLock lock(poolMutex);
-        while (!shutdown && pending == 0)
-            workAvailable.wait(poolMutex);
-        if (shutdown && pending == 0)
-            return;
-        // pending > 0: a task is (about to be) queued somewhere; loop
-        // around and race the other workers for it. On shutdown this
-        // drains every queued task before the worker exits.
+        task();
     }
 }
 

@@ -1,14 +1,11 @@
 /**
  * @file
- * Work-stealing thread pool for experiment execution.
+ * FIFO thread pool for experiment execution.
  *
- * A fixed set of worker threads each owns a deque of queued tasks.
- * Workers pop work from the front of their own deque and, when it runs
- * dry, steal from the back of a victim's deque — the classic split that
- * keeps owner and thieves on opposite ends. Simulation jobs are coarse
- * (milliseconds to seconds each), so each deque is guarded by a plain
- * mutex rather than a lock-free Chase-Lev structure; contention is
- * negligible at this granularity.
+ * A fixed set of worker threads pops tasks from one shared queue,
+ * guarded by one mutex and one condition variable. Simulation jobs are
+ * coarse (milliseconds to seconds each), so contention on that single
+ * lock is negligible at this granularity.
  *
  * Two front ends share the same workers:
  *
@@ -37,7 +34,6 @@
 #include <cstddef>
 #include <deque>
 #include <functional>
-#include <memory>
 #include <thread>
 #include <vector>
 
@@ -47,13 +43,13 @@
 namespace dynaspam::runner
 {
 
-/** Fixed-size pool executing queued tasks with work stealing. */
+/** Fixed-size pool executing queued tasks in FIFO order. */
 class ThreadPool
 {
   public:
     /**
      * Spawn @p workers persistent worker threads (clamped to >= 1).
-     * Workers idle on a condition variable while the queues are empty.
+     * Workers idle on a condition variable while the queue is empty.
      */
     explicit ThreadPool(unsigned workers);
 
@@ -67,61 +63,42 @@ class ThreadPool
     ThreadPool(const ThreadPool &) = delete;
     ThreadPool &operator=(const ThreadPool &) = delete;
 
-    unsigned workers() const { return unsigned(deques.size()); }
+    unsigned workers() const { return unsigned(threads.size()); }
 
     /**
-     * Enqueue @p task (round-robin across the worker deques) and return
-     * immediately. The task runs exactly once, on some worker thread.
-     * Exceptions thrown by the task are a logic error: the worker has
-     * nowhere to report them, so they terminate the process — wrap
-     * fallible work in its own try/catch.
+     * Enqueue @p task at the back of the queue and return immediately.
+     * The task runs exactly once, on some worker thread. Exceptions
+     * thrown by the task are a logic error: the worker has nowhere to
+     * report them, so they terminate the process — wrap fallible work
+     * in its own try/catch.
      */
     void submit(std::function<void()> task);
 
     /**
      * Execute fn(0) ... fn(n-1) across the workers and block until all
-     * complete. Task indices are dealt round-robin to the worker deques
-     * up front; idle workers steal from the back of busy workers'
-     * deques. If any task throws, the first exception is rethrown here
-     * after the batch drains (remaining tasks still run). Safe to call
-     * from several threads at once (batches interleave); must not be
-     * called from inside a pool task (the nested batch would wait for
-     * workers that are all busy).
+     * complete. Task indices are queued in order up front and claimed
+     * by whichever worker is idle. If any task throws, the first
+     * exception is rethrown here after the batch drains (remaining
+     * tasks still run). Safe to call from several threads at once
+     * (batches interleave); must not be called from inside a pool task
+     * (the nested batch would wait for workers that are all busy).
      */
     void parallelFor(std::size_t n,
                      const std::function<void(std::size_t)> &fn);
-
-    /** @return tasks enqueued but not yet claimed by a worker — a
-     *  queue-depth signal for services reporting backlog gauges. */
-    std::size_t queuedTasks() const;
 
     /** @return a worker count from the DYNASPAM_JOBS environment
      *  variable, or @p fallback (hardware concurrency when 0). */
     static unsigned defaultWorkers(unsigned fallback = 0);
 
   private:
-    struct WorkerDeque
-    {
-        common::Mutex mutex;
-        std::deque<std::function<void()>> tasks GUARDED_BY(mutex);
-    };
+    void workerLoop();
 
-    void workerLoop(std::size_t self);
-    bool popOwn(std::size_t self, std::function<void()> &task);
-    bool stealOther(std::size_t self, std::function<void()> &task);
-
-    std::vector<std::unique_ptr<WorkerDeque>> deques;
     std::vector<std::thread> threads;
 
-    // Pool-wide state, guarded by poolMutex. `pending` counts enqueued
-    // but not-yet-claimed tasks; it is incremented before the push so it
-    // can never observably undercount, which makes it a safe sleep
-    // predicate for the workers.
-    mutable common::Mutex poolMutex;
+    common::Mutex mutex;
     common::CondVar workAvailable;
-    std::size_t pending GUARDED_BY(poolMutex) = 0;
-    std::size_t nextDeque GUARDED_BY(poolMutex) = 0;
-    bool shutdown GUARDED_BY(poolMutex) = false;
+    std::deque<std::function<void()>> tasks GUARDED_BY(mutex);
+    bool shutdown GUARDED_BY(mutex) = false;
 };
 
 } // namespace dynaspam::runner

@@ -24,7 +24,7 @@ Simulation::Simulation(const SystemConfig &config,
         cpu.setHooks(controller.get());
     }
 
-    if (trace::compiledIn() && cfg.traceSink) {
+    if (cfg.traceSink) {
         cpu.setTraceSink(cfg.traceSink);
         if (controller)
             controller->setTraceSink(cfg.traceSink);

@@ -1,38 +1,16 @@
 /**
  * @file
- * Trace sink implementation: env knobs, event buffering, file output.
+ * Trace sink implementation: event buffering, rendering, file output.
  */
 
 #include "trace/trace.hh"
 
-#include <cstdlib>
-#include <cstring>
 #include <fstream>
 
 #include "common/logging.hh"
 
 namespace dynaspam::trace
 {
-
-bool
-envRequested()
-{
-    // Deliberately not cached in a static (unlike check::enabled()):
-    // tracing decisions happen once per job, not per cycle, and tests
-    // toggle the variable between runs.
-    const char *value = std::getenv("DYNASPAM_TRACE");
-    if (!value || !*value)
-        return false;
-    return std::strcmp(value, "0") && std::strcmp(value, "off") &&
-           std::strcmp(value, "false");
-}
-
-std::string
-envTraceDir()
-{
-    const char *value = std::getenv("DYNASPAM_TRACE_DIR");
-    return (value && *value) ? value : ".";
-}
 
 const char *
 markName(Mark kind)

@@ -15,20 +15,18 @@
  * loadable in Perfetto / chrome://tracing, and (b) a Konata-compatible
  * pipeline log (Kanata format 0004).
  *
- * Cost model, following the DYNASPAM_CHECK pattern from src/check:
- * every hook site is written `if (trace::compiledIn() && sink) ...`.
- * With -DDYNASPAM_TRACE=OFF the sites fold to dead code; in the default
- * build (tracing compiled in) an unattached sink costs one predictable
- * null-pointer branch per *retired* instruction — events are recorded at
- * commit/squash from timestamps the pipeline tracks anyway, never per
- * stage per cycle, so attaching a sink cannot perturb timing. That
- * non-perturbation is enforced by tests: stat reports are byte-identical
- * with and without a sink attached.
+ * Cost model: every hook site is written `if (sink) ...`, so an
+ * unattached sink costs one predictable null-pointer branch per
+ * *retired* instruction — events are recorded at commit/squash from
+ * timestamps the pipeline tracks anyway, never per stage per cycle, so
+ * attaching a sink cannot perturb timing. That non-perturbation is
+ * enforced by tests: stat reports are byte-identical with and without
+ * a sink attached.
  *
- * Runtime knobs (read per execute() call, not cached, so tests can
- * toggle them):
- *  - DYNASPAM_TRACE=1      trace every runner::execute() job
- *  - DYNASPAM_TRACE_DIR=D  directory for the emitted files (default ".")
+ * There is one way to record a trace: the caller owns a TraceSink and
+ * passes it to runner::execute(job, &sink) (or sets
+ * sim::SystemConfig::traceSink), then renders it. `dynaspam trace` is
+ * the command-line front end.
  */
 
 #ifndef DYNASPAM_TRACE_TRACE_HH
@@ -44,27 +42,6 @@
 
 namespace dynaspam::trace
 {
-
-/** True when the build compiled trace hooks in (-DDYNASPAM_TRACE=ON,
- *  the default; OFF folds every hook site to dead code). */
-constexpr bool
-compiledIn()
-{
-#ifdef DYNASPAM_TRACE_BUILD
-    return true;
-#else
-    return false;
-#endif
-}
-
-/** @return true when the DYNASPAM_TRACE environment variable requests
- *  tracing of every runner job. Read per call (not cached) so tests
- *  can set and unset it. */
-bool envRequested();
-
-/** Directory for env-requested trace files (DYNASPAM_TRACE_DIR,
- *  default "."). */
-std::string envTraceDir();
 
 /** Lifecycle mark kinds (the DynaSpAM control plane). */
 enum class Mark : std::uint8_t
@@ -116,7 +93,7 @@ struct MarkEvent
 /**
  * Event buffer and renderer. One sink traces one simulation; attach it
  * through sim::SystemConfig::traceSink (or runner::execute's sink
- * overload) and render with writeChromeJson()/writeKonata() after the
+ * argument) and render with writeChromeJson()/writeKonata() after the
  * run. Buffering order is the simulator's deterministic emission order,
  * so rendered files are byte-identical across runs and worker counts.
  */

@@ -40,8 +40,10 @@
 #include "cluster/worker.hh"
 #include "common/logging.hh"
 #include "runner/runner.hh"
+#include "support.hh"
 
 using namespace dynaspam;
+using namespace dynaspam::tests;
 using cluster::Coordinator;
 using cluster::CoordinatorOptions;
 using cluster::Worker;
@@ -53,159 +55,6 @@ namespace fs = std::filesystem;
 
 namespace
 {
-
-/** Fresh unique directory under the system temp dir, removed on exit. */
-class TempDir
-{
-  public:
-    explicit TempDir(const std::string &tag)
-    {
-        static std::atomic<unsigned> next{0};
-        path_ = (fs::temp_directory_path() /
-                 ("dynaspam-cluster-" + tag + "-" +
-                  std::to_string(getpid()) + "-" + std::to_string(next++)))
-                    .string();
-        fs::create_directories(path_);
-    }
-    ~TempDir()
-    {
-        std::error_code ec;
-        fs::remove_all(path_, ec);
-    }
-    const std::string &path() const { return path_; }
-
-  private:
-    std::string path_;
-};
-
-/** One parsed response from the test HTTP client. */
-struct Reply
-{
-    int status = 0;
-    std::map<std::string, std::string> headers;
-    std::string body;
-};
-
-int
-connectTo(unsigned port)
-{
-    int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-    if (fd < 0)
-        return -1;
-    sockaddr_in addr{};
-    addr.sin_family = AF_INET;
-    addr.sin_port = htons(std::uint16_t(port));
-    ::inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr);
-    if (::connect(fd, reinterpret_cast<sockaddr *>(&addr),
-                  sizeof(addr)) != 0) {
-        ::close(fd);
-        return -1;
-    }
-    return fd;
-}
-
-/**
- * Read exactly one HTTP response from @p fd (headers + Content-Length
- * body) WITHOUT waiting for EOF — usable on keep-alive connections.
- */
-Reply
-readReply(int fd)
-{
-    Reply reply;
-    std::string raw;
-    char chunk[4096];
-    std::size_t head_end = std::string::npos;
-    while ((head_end = raw.find("\r\n\r\n")) == std::string::npos) {
-        ssize_t n = ::recv(fd, chunk, sizeof(chunk), 0);
-        if (n <= 0)
-            return reply;
-        raw.append(chunk, std::size_t(n));
-    }
-
-    std::istringstream head(raw.substr(0, head_end));
-    std::string version;
-    head >> version >> reply.status;
-    std::string line;
-    std::getline(head, line);
-    while (std::getline(head, line)) {
-        if (!line.empty() && line.back() == '\r')
-            line.pop_back();
-        std::size_t colon = line.find(':');
-        if (colon == std::string::npos)
-            continue;
-        std::string value = line.substr(colon + 1);
-        std::size_t b = value.find_first_not_of(' ');
-        reply.headers[line.substr(0, colon)] =
-            b == std::string::npos ? "" : value.substr(b);
-    }
-
-    std::size_t body_len = 0;
-    auto it = reply.headers.find("Content-Length");
-    if (it != reply.headers.end())
-        body_len = std::stoul(it->second);
-    reply.body = raw.substr(head_end + 4);
-    while (reply.body.size() < body_len) {
-        ssize_t n = ::recv(fd, chunk, sizeof(chunk), 0);
-        if (n <= 0)
-            break;
-        reply.body.append(chunk, std::size_t(n));
-    }
-    return reply;
-}
-
-bool
-sendRaw(int fd, const std::string &wire)
-{
-    std::size_t sent = 0;
-    while (sent < wire.size()) {
-        ssize_t n = ::send(fd, wire.data() + sent, wire.size() - sent,
-                           MSG_NOSIGNAL);
-        if (n <= 0)
-            return false;
-        sent += std::size_t(n);
-    }
-    return true;
-}
-
-std::string
-requestWire(const std::string &method, const std::string &target,
-            const std::string &body = "")
-{
-    std::ostringstream os;
-    os << method << ' ' << target << " HTTP/1.1\r\n"
-       << "Host: 127.0.0.1\r\n"
-       << "Content-Length: " << body.size() << "\r\n\r\n"
-       << body;
-    return os.str();
-}
-
-/** One-shot request on a fresh connection. */
-Reply
-request(unsigned port, const std::string &method,
-        const std::string &target, const std::string &body = "")
-{
-    int fd = connectTo(port);
-    if (fd < 0)
-        return Reply{};
-    Reply reply;
-    if (sendRaw(fd, requestWire(method, target, body)))
-        reply = readReply(fd);
-    ::close(fd);
-    return reply;
-}
-
-/** Spin until @p predicate holds (bounded; avoids sleep-based races). */
-template <typename Pred>
-bool
-eventually(Pred predicate, unsigned timeout_ms = 10000)
-{
-    for (unsigned waited = 0; waited < timeout_ms; waited++) {
-        if (predicate())
-            return true;
-        std::this_thread::sleep_for(std::chrono::milliseconds(1));
-    }
-    return predicate();
-}
 
 CoordinatorOptions
 quietCoordinator(unsigned slots)
@@ -397,11 +246,11 @@ TEST(Cluster, SweepReportByteIdenticalToSingleProcess)
     coordinator.start();
 
     std::vector<std::unique_ptr<Worker>> workers;
-    std::vector<std::thread> threads;
+    std::vector<std::unique_ptr<WorkerThread>> threads;
     for (unsigned i = 0; i < 3; i++) {
         workers.push_back(std::make_unique<Worker>(quietWorker(
             coordinator, tmp.path() + "/worker" + std::to_string(i))));
-        threads.emplace_back([w = workers.back().get()] { w->run(); });
+        threads.push_back(std::make_unique<WorkerThread>(*workers.back()));
     }
     ASSERT_TRUE(eventually([&] {
         return coordinator.metrics().value(
@@ -434,8 +283,8 @@ TEST(Cluster, SweepReportByteIdenticalToSingleProcess)
 
     coordinator.beginDrain();
     coordinator.waitUntilDrained();
-    for (std::thread &t : threads)
-        t.join();
+    for (auto &t : threads)
+        t->join();
 }
 
 TEST(Cluster, RunQueryStringMatchesCliReport)
@@ -461,7 +310,7 @@ TEST(Cluster, RunQueryStringMatchesCliReport)
     Coordinator coordinator(quietCoordinator(1));
     coordinator.start();
     Worker worker(quietWorker(coordinator, ""));
-    std::thread thread([&] { worker.run(); });
+    WorkerThread thread(worker);
     ASSERT_TRUE(eventually([&] {
         return coordinator.metrics().value(
                    "dynaspam_cluster_workers_connected") == 1;
@@ -506,7 +355,7 @@ TEST(Cluster, BusyWorkerAnswersPingsThroughALongJob)
         return result;
     };
     Worker worker(wopts);
-    std::thread worker_thread([&] { worker.run(); });
+    WorkerThread worker_thread(worker);
     ASSERT_TRUE(eventually([&] {
         return coordinator.metrics().value(
                    "dynaspam_cluster_workers_connected") == 1;
@@ -549,7 +398,7 @@ TEST(Cluster, CachelessWorkerRepeatSweepMatchesNoCacheCli)
     Coordinator coordinator(quietCoordinator(1));
     coordinator.start();
     Worker worker(quietWorker(coordinator, ""));
-    std::thread thread([&] { worker.run(); });
+    WorkerThread thread(worker);
     ASSERT_TRUE(eventually([&] {
         return coordinator.metrics().value(
                    "dynaspam_cluster_workers_connected") == 1;
@@ -605,21 +454,23 @@ TEST(Cluster, WorkerKilledMidSweepStillYieldsIdenticalReport)
     // it must own slot 0.
     std::unique_ptr<Worker> first = std::make_unique<Worker>(
         victimSlot == 0 ? victim_opts : healthy_opts);
-    std::thread first_thread([&] { first->run(); });
+    WorkerThread first_thread(*first);
     ASSERT_TRUE(eventually([&] {
         return coordinator.metrics().value(
                    "dynaspam_cluster_workers_connected") == 1;
     }));
     std::unique_ptr<Worker> second = std::make_unique<Worker>(
         victimSlot == 0 ? healthy_opts : victim_opts);
-    std::thread second_thread([&] { second->run(); });
+    WorkerThread second_thread(*second);
     ASSERT_TRUE(eventually([&] {
         return coordinator.metrics().value(
                    "dynaspam_cluster_workers_connected") == 2;
     }));
     Worker &victim_worker = victimSlot == 0 ? *first : *second;
-    std::thread &victim_thread = victimSlot == 0 ? first_thread : second_thread;
-    std::thread &healthy_thread = victimSlot == 0 ? second_thread : first_thread;
+    WorkerThread &victim_thread =
+        victimSlot == 0 ? first_thread : second_thread;
+    WorkerThread &healthy_thread =
+        victimSlot == 0 ? second_thread : first_thread;
 
     std::thread client([&] {
         Reply reply = request(coordinator.httpPort(), "POST", "/sweep",
@@ -688,8 +539,7 @@ TEST(Cluster, WorkerReconnectsAfterCoordinatorCrashAndRestart)
     wopts.connectRetryMs = 5;    // fast redial waves in the test
     wopts.verbose = getenv("DSPAM_TEST_VERBOSE") != nullptr;
     Worker worker(wopts);
-    int exit_code = -1;
-    std::thread worker_thread([&] { exit_code = worker.run(); });
+    WorkerThread worker_thread(worker);
 
     int conn = ::accept(listener, nullptr, nullptr);
     ASSERT_GE(conn, 0);
@@ -723,7 +573,7 @@ TEST(Cluster, WorkerReconnectsAfterCoordinatorCrashAndRestart)
     coordinator.beginDrain();
     coordinator.waitUntilDrained();
     worker_thread.join();
-    EXPECT_EQ(exit_code, 0);
+    EXPECT_EQ(worker_thread.exitCode(), 0);
 }
 
 /** Four bfs jobs with a shared warmup: two fork groups (the baseline
@@ -776,7 +626,7 @@ TEST(Cluster, SnapshotCacheSkipsRewarmAcrossWorkerRestart)
     // Run 1: cold snapshot cache — the worker warms each fork group
     // once and persists the warmed state.
     Worker first(snapWorker());
-    std::thread first_thread([&] { first.run(); });
+    WorkerThread first_thread(first);
     ASSERT_TRUE(eventually([&] {
         return coordinator.metrics().value(
                    "dynaspam_cluster_workers_connected") == 1;
@@ -802,7 +652,7 @@ TEST(Cluster, SnapshotCacheSkipsRewarmAcrossWorkerRestart)
                    "dynaspam_cluster_workers_connected") == 0;
     }));
     Worker second(snapWorker());
-    std::thread second_thread([&] { second.run(); });
+    WorkerThread second_thread(second);
     ASSERT_TRUE(eventually([&] {
         return coordinator.metrics().value(
                    "dynaspam_cluster_workers_connected") == 1;
@@ -842,7 +692,7 @@ TEST(Cluster, SnapshotBudgetAppliesWhileServing)
     opts.snapshotCacheMaxBytes = 1;    // smaller than any .snap file
     opts.threads = 4;
     Worker worker(opts);
-    std::thread worker_thread([&] { worker.run(); });
+    WorkerThread worker_thread(worker);
     ASSERT_TRUE(eventually([&] {
         return coordinator.metrics().value(
                    "dynaspam_cluster_workers_connected") == 1;
@@ -898,7 +748,7 @@ TEST(Cluster, GarbageOnWorkerPortDoesNotDisturbService)
     EXPECT_EQ(request(coordinator.httpPort(), "GET", "/healthz").status,
               200);
     Worker worker(quietWorker(coordinator, tmp.path() + "/w"));
-    std::thread worker_thread([&] { worker.run(); });
+    WorkerThread worker_thread(worker);
     ASSERT_TRUE(eventually([&] {
         return coordinator.metrics().value(
                    "dynaspam_cluster_workers_connected") == 1;
@@ -992,7 +842,7 @@ TEST(Cluster, AdmissionBoundReturns429)
     // sweep is larger than the queue, so it is refused outright.
     TempDir tmp("admission");
     Worker worker(quietWorker(coordinator, tmp.path() + "/w"));
-    std::thread worker_thread([&] { worker.run(); });
+    WorkerThread worker_thread(worker);
     ASSERT_TRUE(eventually([&] {
         return coordinator.metrics().value(
                    "dynaspam_cluster_workers_connected") == 1;
@@ -1022,12 +872,12 @@ TEST(Cluster, EnrollmentTokenGatesWorkers)
     WorkerOptions bare = quietWorker(coordinator, "");
     bare.reconnect = false;
     Worker tokenless(bare);
-    std::thread tokenless_thread([&] { tokenless.run(); });
+    WorkerThread tokenless_thread(tokenless);
 
     WorkerOptions mismatched = bare;
     mismatched.clusterToken = "wrong-token";
     Worker wrong(mismatched);
-    std::thread wrong_thread([&] { wrong.run(); });
+    WorkerThread wrong_thread(wrong);
 
     ASSERT_TRUE(eventually([&] {
         return coordinator.metrics().value(
@@ -1050,7 +900,7 @@ TEST(Cluster, EnrollmentTokenGatesWorkers)
     WorkerOptions good = quietWorker(coordinator, tmp.path() + "/w");
     good.clusterToken = "sekrit-cluster-token";
     Worker enrolled(good);
-    std::thread enrolled_thread([&] { enrolled.run(); });
+    WorkerThread enrolled_thread(enrolled);
     ASSERT_TRUE(eventually([&] {
         return coordinator.metrics().value(
                    "dynaspam_cluster_workers_connected") == 1;

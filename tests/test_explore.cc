@@ -17,18 +17,11 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
-#include <filesystem>
 #include <memory>
 #include <set>
 #include <sstream>
 #include <string>
-#include <thread>
 #include <vector>
-
-#include <arpa/inet.h>
-#include <netinet/in.h>
-#include <sys/socket.h>
-#include <unistd.h>
 
 #include "cluster/coordinator.hh"
 #include "cluster/worker.hh"
@@ -38,8 +31,10 @@
 #include "explore/space.hh"
 #include "runner/runner.hh"
 #include "serve/http.hh"
+#include "support.hh"
 
 using namespace dynaspam;
+using namespace dynaspam::tests;
 using cluster::Coordinator;
 using cluster::CoordinatorOptions;
 using cluster::Worker;
@@ -48,37 +43,6 @@ using runner::Job;
 
 namespace
 {
-
-/** Self-deleting scratch directory. */
-class TempDir
-{
-  public:
-    explicit TempDir(const std::string &tag)
-    {
-        dir = std::filesystem::temp_directory_path() /
-              ("dynaspam-explore-" + tag + "-" +
-               std::to_string(::getpid()));
-        std::filesystem::create_directories(dir);
-    }
-    ~TempDir() { std::filesystem::remove_all(dir); }
-    std::string path() const { return dir.string(); }
-
-  private:
-    std::filesystem::path dir;
-};
-
-/** Spin until @p predicate holds (bounded; avoids sleep-based races). */
-template <typename Pred>
-bool
-eventually(Pred predicate, unsigned timeout_ms = 10000)
-{
-    for (unsigned waited = 0; waited < timeout_ms; waited++) {
-        if (predicate())
-            return true;
-        std::this_thread::sleep_for(std::chrono::milliseconds(1));
-    }
-    return predicate();
-}
 
 explore::Space
 parseSpace(const std::string &text)
@@ -187,75 +151,6 @@ std::string
 lineType(const std::string &line)
 {
     return json::Value::parse(line).at("type").asString();
-}
-
-// --- raw HTTP client (reads to EOF; suitable for chunked streams) ----
-
-struct Reply
-{
-    int status = 0;
-    std::string head;
-    std::string body; ///< raw bytes after the blank line
-};
-
-int
-connectTo(unsigned port)
-{
-    int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-    if (fd < 0)
-        return -1;
-    sockaddr_in addr{};
-    addr.sin_family = AF_INET;
-    addr.sin_port = htons(static_cast<std::uint16_t>(port));
-    ::inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr);
-    if (::connect(fd, reinterpret_cast<sockaddr *>(&addr),
-                  sizeof(addr)) != 0) {
-        ::close(fd);
-        return -1;
-    }
-    return fd;
-}
-
-Reply
-rawRequest(unsigned port, const std::string &wire)
-{
-    Reply reply;
-    int fd = connectTo(port);
-    if (fd < 0)
-        return reply;
-    size_t sent = 0;
-    while (sent < wire.size()) {
-        ssize_t n = ::send(fd, wire.data() + sent, wire.size() - sent, 0);
-        if (n <= 0)
-            break;
-        sent += size_t(n);
-    }
-    std::string raw;
-    char buf[4096];
-    ssize_t n;
-    while ((n = ::recv(fd, buf, sizeof(buf), 0)) > 0)
-        raw.append(buf, size_t(n));
-    ::close(fd);
-
-    const size_t split = raw.find("\r\n\r\n");
-    if (split == std::string::npos)
-        return reply;
-    reply.head = raw.substr(0, split + 4);
-    reply.body = raw.substr(split + 4);
-    std::sscanf(raw.c_str(), "HTTP/1.1 %d", &reply.status);
-    return reply;
-}
-
-Reply
-request(unsigned port, const std::string &method,
-        const std::string &target, const std::string &body = "")
-{
-    std::ostringstream os;
-    os << method << " " << target << " HTTP/1.1\r\n"
-       << "Host: test\r\nConnection: close\r\n"
-       << "Content-Length: " << body.size() << "\r\n\r\n"
-       << body;
-    return rawRequest(port, os.str());
 }
 
 /** A small fig8-shaped space shared by the transport tests. */
@@ -513,10 +408,8 @@ TEST(ExploreServe, StreamIsChunkedAndByteIdenticalToInProcess)
     server.start();
     Reply reply = request(server.httpPort(), "POST", "/explore", kSpaceBody);
     ASSERT_EQ(reply.status, 200);
-    EXPECT_NE(reply.head.find("Transfer-Encoding: chunked"),
-              std::string::npos);
-    EXPECT_NE(reply.head.find("application/x-ndjson"),
-              std::string::npos);
+    EXPECT_EQ(reply.headers["Transfer-Encoding"], "chunked");
+    EXPECT_EQ(reply.headers["Content-Type"], "application/x-ndjson");
 
     std::string body;
     ASSERT_TRUE(serve::decodeChunkedBody(reply.body, body));
@@ -582,11 +475,11 @@ TEST(ExploreCluster, StreamByteIdenticalToInProcess)
     coordinator.start();
 
     std::vector<std::unique_ptr<Worker>> workers;
-    std::vector<std::thread> threads;
+    std::vector<std::unique_ptr<WorkerThread>> threads;
     for (unsigned i = 0; i < 2; i++) {
         workers.push_back(
             std::make_unique<Worker>(quietFakeWorker(coordinator)));
-        threads.emplace_back([w = workers.back().get()] { w->run(); });
+        threads.push_back(std::make_unique<WorkerThread>(*workers.back()));
     }
     ASSERT_TRUE(eventually([&] {
         return coordinator.metrics().value(
@@ -596,8 +489,7 @@ TEST(ExploreCluster, StreamByteIdenticalToInProcess)
     Reply reply =
         request(coordinator.httpPort(), "POST", "/explore", kSpaceBody);
     ASSERT_EQ(reply.status, 200);
-    EXPECT_NE(reply.head.find("Transfer-Encoding: chunked"),
-              std::string::npos);
+    EXPECT_EQ(reply.headers["Transfer-Encoding"], "chunked");
     std::string body;
     ASSERT_TRUE(serve::decodeChunkedBody(reply.body, body));
 
@@ -612,6 +504,6 @@ TEST(ExploreCluster, StreamByteIdenticalToInProcess)
 
     coordinator.beginDrain();
     coordinator.waitUntilDrained();
-    for (std::thread &t : threads)
-        t.join();
+    for (auto &t : threads)
+        t->join();
 }

@@ -7,7 +7,10 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <limits>
 
+#include "check/golden.hh"
 #include "common/logging.hh"
 #include "isa/executor.hh"
 #include "isa/opcodes.hh"
@@ -168,6 +171,38 @@ TEST(Executor, DivideByZeroYieldsZero)
     auto result = runProgram(p, memory);
     EXPECT_EQ(result.regs.read(intReg(3)), 0u);
     EXPECT_EQ(result.regs.read(intReg(4)), 0u);
+}
+
+TEST(Executor, MinDividedByMinusOneWraps)
+{
+    // INT64_MIN / -1 overflows int64: the quotient wraps to INT64_MIN
+    // and the remainder is 0, in the executor and the golden model
+    // alike, instead of trapping.
+    constexpr std::int64_t kMin = std::numeric_limits<std::int64_t>::min();
+    for (bool remainder : {false, true}) {
+        ProgramBuilder b;
+        b.movi(intReg(1), kMin);
+        b.movi(intReg(2), -1);
+        if (remainder)
+            b.rem(intReg(3), intReg(1), intReg(2));
+        else
+            b.div(intReg(3), intReg(1), intReg(2));
+        b.halt();
+        Program p = b.build();
+        const std::uint64_t expected =
+            remainder ? 0u : std::uint64_t(kMin);
+
+        mem::FunctionalMemory memory;
+        auto result = runProgram(p, memory);
+        EXPECT_EQ(result.regs.read(intReg(3)), expected)
+            << (remainder ? "rem" : "div");
+
+        check::GoldenModel golden(p, memory);
+        while (!golden.halted())
+            golden.step();
+        EXPECT_EQ(golden.reg(intReg(3)), expected)
+            << (remainder ? "rem" : "div") << " (golden model)";
+    }
 }
 
 TEST(Executor, FloatingPointArithmetic)

@@ -1,7 +1,7 @@
 /**
  * @file
  * Tests for the experiment-runner subsystem: JSON round-trips, the
- * work-stealing thread pool, job hashing, result-cache hit/miss and
+ * FIFO thread pool, job hashing, result-cache hit/miss and
  * corruption recovery, and the headline determinism guarantee — a sweep
  * executed on 1 thread and on 8 threads produces byte-identical
  * reports.
@@ -32,8 +32,10 @@
 #include "explore/space.hh"
 #include "runner/runner.hh"
 #include "runner/spec.hh"
+#include "support.hh"
 
 using namespace dynaspam;
+using namespace dynaspam::tests;
 using runner::Job;
 using sim::SystemMode;
 
@@ -41,30 +43,6 @@ namespace fs = std::filesystem;
 
 namespace
 {
-
-/** Fresh unique directory under the system temp dir, removed on exit. */
-class TempDir
-{
-  public:
-    explicit TempDir(const std::string &tag)
-    {
-        static std::atomic<unsigned> next{0};
-        path_ = (fs::temp_directory_path() /
-                 ("dynaspam-test-" + tag + "-" + std::to_string(getpid()) +
-                  "-" + std::to_string(next++)))
-                    .string();
-        fs::create_directories(path_);
-    }
-    ~TempDir()
-    {
-        std::error_code ec;
-        fs::remove_all(path_, ec);
-    }
-    const std::string &path() const { return path_; }
-
-  private:
-    std::string path_;
-};
 
 /** The documented 20-point determinism sweep: 5 workloads x 4 modes. */
 std::vector<Job>

@@ -20,18 +20,14 @@
 #include <chrono>
 #include <condition_variable>
 #include <cstring>
-#include <filesystem>
 #include <functional>
-#include <map>
 #include <mutex>
 #include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
 
-#include <arpa/inet.h>
 #include <fcntl.h>
-#include <netinet/in.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
@@ -41,133 +37,17 @@
 #include "runner/runner.hh"
 #include "serve/http.hh"
 #include "serve/metrics.hh"
+#include "support.hh"
 
 using namespace dynaspam;
+using namespace dynaspam::tests;
 using cluster::Coordinator;
 using cluster::CoordinatorOptions;
 using runner::Job;
 using sim::SystemMode;
 
-namespace fs = std::filesystem;
-
 namespace
 {
-
-/** Fresh unique directory under the system temp dir, removed on exit. */
-class TempDir
-{
-  public:
-    explicit TempDir(const std::string &tag)
-    {
-        static std::atomic<unsigned> next{0};
-        path_ = (fs::temp_directory_path() /
-                 ("dynaspam-serve-" + tag + "-" + std::to_string(getpid()) +
-                  "-" + std::to_string(next++)))
-                    .string();
-        fs::create_directories(path_);
-    }
-    ~TempDir()
-    {
-        std::error_code ec;
-        fs::remove_all(path_, ec);
-    }
-    const std::string &path() const { return path_; }
-
-  private:
-    std::string path_;
-};
-
-/** One parsed response from the test HTTP client. */
-struct Reply
-{
-    int status = 0;
-    std::map<std::string, std::string> headers;
-    std::string body;
-};
-
-int
-connectTo(unsigned port)
-{
-    int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-    if (fd < 0)
-        return -1;
-    sockaddr_in addr{};
-    addr.sin_family = AF_INET;
-    addr.sin_port = htons(std::uint16_t(port));
-    ::inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr);
-    if (::connect(fd, reinterpret_cast<sockaddr *>(&addr),
-                  sizeof(addr)) != 0) {
-        ::close(fd);
-        return -1;
-    }
-    return fd;
-}
-
-/** Send raw bytes, read to EOF, parse the status line/headers/body. */
-Reply
-rawRequest(unsigned port, const std::string &wire)
-{
-    Reply reply;
-    int fd = connectTo(port);
-    if (fd < 0)
-        return reply;
-
-    std::size_t sent = 0;
-    while (sent < wire.size()) {
-        ssize_t n = ::send(fd, wire.data() + sent, wire.size() - sent,
-                           MSG_NOSIGNAL);
-        if (n <= 0)
-            break;
-        sent += std::size_t(n);
-    }
-
-    std::string raw;
-    char chunk[4096];
-    while (true) {
-        ssize_t n = ::recv(fd, chunk, sizeof(chunk), 0);
-        if (n <= 0)
-            break;
-        raw.append(chunk, std::size_t(n));
-    }
-    ::close(fd);
-
-    std::size_t head_end = raw.find("\r\n\r\n");
-    if (head_end == std::string::npos)
-        return reply;
-    std::istringstream head(raw.substr(0, head_end));
-    std::string version;
-    head >> version >> reply.status;
-    std::string line;
-    std::getline(head, line);    // rest of the status line
-    while (std::getline(head, line)) {
-        if (!line.empty() && line.back() == '\r')
-            line.pop_back();
-        std::size_t colon = line.find(':');
-        if (colon == std::string::npos)
-            continue;
-        std::string value = line.substr(colon + 1);
-        std::size_t b = value.find_first_not_of(' ');
-        reply.headers[line.substr(0, colon)] =
-            b == std::string::npos ? "" : value.substr(b);
-    }
-    reply.body = raw.substr(head_end + 4);
-    return reply;
-}
-
-/** Minimal well-formed HTTP/1.1 client request on its own connection
- *  (`Connection: close`: the server keeps connections open otherwise). */
-Reply
-request(unsigned port, const std::string &method, const std::string &target,
-        const std::string &body = "")
-{
-    std::ostringstream os;
-    os << method << ' ' << target << " HTTP/1.1\r\n"
-       << "Host: 127.0.0.1\r\n"
-       << "Connection: close\r\n"
-       << "Content-Length: " << body.size() << "\r\n\r\n"
-       << body;
-    return rawRequest(port, os.str());
-}
 
 /**
  * executeFn fake whose calls block until release() — makes Queued /
@@ -205,18 +85,8 @@ class GatedExecutor
     bool open = false;
 };
 
-/** Spin until @p predicate holds (bounded; avoids sleep-based races). */
-template <typename Pred>
-bool
-eventually(Pred predicate, unsigned timeout_ms = 5000)
-{
-    for (unsigned waited = 0; waited < timeout_ms; waited++) {
-        if (predicate())
-            return true;
-        std::this_thread::sleep_for(std::chrono::milliseconds(1));
-    }
-    return predicate();
-}
+/** The bound on every wait in this file, shorter than support.hh's. */
+constexpr unsigned kWaitMs = 5000;
 
 /** `dynaspam serve`'s stack: the coordinator with one worker slot held
  *  by an in-process worker running @p execute (empty: the simulator). */
@@ -371,73 +241,21 @@ TEST(Serve, KeepAliveServesSequentialRequestsUntilClose)
     int fd = connectTo(server.httpPort());
     ASSERT_GE(fd, 0);
 
-    auto exchange = [&](const std::string &wire) {
-        std::size_t sent = 0;
-        while (sent < wire.size()) {
-            ssize_t n = ::send(fd, wire.data() + sent, wire.size() - sent,
-                               MSG_NOSIGNAL);
-            ASSERT_GT(n, 0);
-            sent += std::size_t(n);
-        }
-    };
-
-    // Read one response's headers+body without waiting for EOF.
-    auto read_reply = [&]() {
-        Reply reply;
-        std::string raw;
-        char chunk[4096];
-        std::size_t head_end;
-        while ((head_end = raw.find("\r\n\r\n")) == std::string::npos) {
-            ssize_t n = ::recv(fd, chunk, sizeof(chunk), 0);
-            if (n <= 0)
-                return reply;
-            raw.append(chunk, std::size_t(n));
-        }
-        std::istringstream head(raw.substr(0, head_end));
-        std::string version;
-        head >> version >> reply.status;
-        std::string line;
-        std::getline(head, line);
-        while (std::getline(head, line)) {
-            if (!line.empty() && line.back() == '\r')
-                line.pop_back();
-            std::size_t colon = line.find(':');
-            if (colon == std::string::npos)
-                continue;
-            std::string value = line.substr(colon + 1);
-            std::size_t b = value.find_first_not_of(' ');
-            reply.headers[line.substr(0, colon)] =
-                b == std::string::npos ? "" : value.substr(b);
-        }
-        reply.body = raw.substr(head_end + 4);
-        std::size_t body_len = 0;
-        auto it = reply.headers.find("Content-Length");
-        if (it != reply.headers.end())
-            body_len = std::stoul(it->second);
-        while (reply.body.size() < body_len) {
-            ssize_t n = ::recv(fd, chunk, sizeof(chunk), 0);
-            if (n <= 0)
-                break;
-            reply.body.append(chunk, std::size_t(n));
-        }
-        return reply;
-    };
-
     // Three requests on one connection, each asking for keep-alive.
     for (unsigned i = 0; i < 3; i++) {
         std::ostringstream os;
         os << "GET /healthz HTTP/1.1\r\nHost: x\r\n"
            << "Connection: keep-alive\r\n\r\n";
-        exchange(os.str());
-        Reply reply = read_reply();
+        ASSERT_TRUE(sendRaw(fd, os.str()));
+        Reply reply = readReply(fd);
         EXPECT_EQ(reply.status, 200);
         EXPECT_EQ(reply.headers.at("Connection"), "keep-alive");
     }
 
     // `Connection: close` ends it: the response says close, then EOF.
-    exchange("GET /healthz HTTP/1.1\r\nHost: x\r\n"
-             "Connection: close\r\n\r\n");
-    Reply final_reply = read_reply();
+    ASSERT_TRUE(sendRaw(fd, "GET /healthz HTTP/1.1\r\nHost: x\r\n"
+                            "Connection: close\r\n\r\n"));
+    Reply final_reply = readReply(fd);
     EXPECT_EQ(final_reply.status, 200);
     EXPECT_EQ(final_reply.headers.at("Connection"), "close");
     char byte;
@@ -529,7 +347,7 @@ TEST(Serve, ConcurrentSameJobRunsOnceAndAnswersAll)
             replies[i] = request(server.httpPort(), "POST", "/run", bfsSpec());
         });
 
-    ASSERT_TRUE(eventually([&] { return gate.calls.load() == 1; }));
+    ASSERT_TRUE(eventually([&] { return gate.calls.load() == 1; }, kWaitMs));
     gate.release();
     for (std::thread &t : clients)
         t.join();
@@ -564,7 +382,7 @@ TEST(Serve, QueueFullReturns429WithRetryAfter)
     });
     ASSERT_TRUE(eventually([&] {
         return server.metrics().value("dynaspam_jobs_inflight") == 1;
-    }));
+    }, kWaitMs));
     clients.emplace_back([&] {
         request(server.httpPort(), "POST", "/run", bfsSpec(24));
     });
@@ -573,7 +391,7 @@ TEST(Serve, QueueFullReturns429WithRetryAfter)
     });
     ASSERT_TRUE(eventually([&] {
         return server.metrics().value("dynaspam_queue_depth") == 2;
-    }));
+    }, kWaitMs));
 
     Reply overflow = request(server.httpPort(), "POST", "/run", bfsSpec(40));
     EXPECT_EQ(overflow.status, 429);
@@ -608,7 +426,7 @@ TEST(Serve, TimeoutCancelsQueuedJobAndReturns503)
     });
     ASSERT_TRUE(eventually([&] {
         return server.metrics().value("dynaspam_jobs_inflight") == 1;
-    }));
+    }, kWaitMs));
 
     Reply queued = request(server.httpPort(), "POST", "/run", bfsSpec(24));
     EXPECT_EQ(queued.status, 503);
@@ -618,7 +436,7 @@ TEST(Serve, TimeoutCancelsQueuedJobAndReturns503)
     first.join();
     EXPECT_TRUE(eventually([&] {
         return server.metrics().value("dynaspam_jobs_cancelled_total") == 1;
-    }));
+    }, kWaitMs));
     server.beginDrain();
     server.waitUntilDrained();
 
@@ -652,7 +470,7 @@ TEST(Serve, RunningJobSurvivesClientTimeout)
     gate.release();
     ASSERT_TRUE(eventually([&] {
         return server.metrics().value("dynaspam_jobs_executed_total") == 1;
-    }));
+    }, kWaitMs));
 
     Reply done = request(server.httpPort(), "GET", "/results/" + hash);
     EXPECT_EQ(done.status, 200);
@@ -722,7 +540,7 @@ TEST(Serve, DrainFinishesInFlightWorkThenRefusesConnections)
         Reply reply = request(port, "POST", "/run", bfsSpec());
         EXPECT_EQ(reply.status, 200);
     });
-    ASSERT_TRUE(eventually([&] { return gate.calls.load() == 1; }));
+    ASSERT_TRUE(eventually([&] { return gate.calls.load() == 1; }, kWaitMs));
 
     server.beginDrain();
     std::thread releaser([&] {

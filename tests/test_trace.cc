@@ -5,107 +5,36 @@
  * allocates nothing), timing non-perturbation (stat reports are
  * byte-identical with and without a sink), Chrome-JSON validity via
  * the repo's own parser, Konata header/retire structure, and the
- * headline determinism guarantee — env-driven trace files are
- * byte-identical whether the runner used 1 worker or 8.
+ * headline determinism guarantee — the same job traces to the same
+ * bytes on any thread.
  */
 
 #include <gtest/gtest.h>
 
-#include <atomic>
-#include <cstdlib>
-#include <filesystem>
-#include <fstream>
 #include <sstream>
-
-#include <unistd.h>
+#include <string>
+#include <utility>
 
 #include "common/json.hh"
-#include "common/logging.hh"
 #include "runner/runner.hh"
+#include "runner/thread_pool.hh"
 #include "trace/trace.hh"
 
 using namespace dynaspam;
 using runner::Job;
 using sim::SystemMode;
 
-namespace fs = std::filesystem;
-
 namespace
 {
 
-/** Fresh unique directory under the system temp dir, removed on exit. */
-class TempDir
+/** Both renderings of @p sink, Chrome JSON then the Konata log. */
+std::pair<std::string, std::string>
+render(const trace::TraceSink &sink)
 {
-  public:
-    explicit TempDir(const std::string &tag)
-    {
-        static std::atomic<unsigned> next{0};
-        path_ = (fs::temp_directory_path() /
-                 ("dynaspam-test-" + tag + "-" + std::to_string(getpid()) +
-                  "-" + std::to_string(next++)))
-                    .string();
-        fs::create_directories(path_);
-    }
-    ~TempDir()
-    {
-        std::error_code ec;
-        fs::remove_all(path_, ec);
-    }
-    const std::string &path() const { return path_; }
-
-  private:
-    std::string path_;
-};
-
-/** RAII environment variable: set on construction, restore on exit. */
-class ScopedEnv
-{
-  public:
-    ScopedEnv(const char *name, const char *value) : name_(name)
-    {
-        if (const char *old = std::getenv(name)) {
-            had_ = true;
-            old_ = old;
-        }
-        if (value)
-            setenv(name, value, 1);
-        else
-            unsetenv(name);
-    }
-    ~ScopedEnv()
-    {
-        if (had_)
-            setenv(name_, old_.c_str(), 1);
-        else
-            unsetenv(name_);
-    }
-
-  private:
-    const char *name_;
-    bool had_ = false;
-    std::string old_;
-};
-
-std::string
-slurp(const std::string &path)
-{
-    std::ifstream is(path, std::ios::binary);
-    EXPECT_TRUE(is.good()) << "cannot open " << path;
-    std::stringstream ss;
-    ss << is.rdbuf();
-    return ss.str();
-}
-
-const std::vector<Job> &
-smallSweep()
-{
-    static const std::vector<Job> jobs = {
-        Job{"BP", SystemMode::BaselineOoo, 32, 1, 1},
-        Job{"BP", SystemMode::AccelSpec, 32, 1, 1},
-        Job{"PF", SystemMode::BaselineOoo, 32, 1, 1},
-        Job{"PF", SystemMode::AccelSpec, 32, 1, 1},
-    };
-    return jobs;
+    std::ostringstream chrome, konata;
+    sink.writeChromeJson(chrome);
+    sink.writeKonata(konata);
+    return {chrome.str(), konata.str()};
 }
 
 } // namespace
@@ -182,8 +111,7 @@ TEST(TraceRunner, AttachedSinkDoesNotPerturbResults)
         EXPECT_EQ(runner::resultToJson(plain).dump(2),
                   runner::resultToJson(traced).dump(2))
             << "tracing perturbed " << job.key();
-        if (trace::compiledIn())
-            EXPECT_GT(sink.eventCount(), 0u);
+        EXPECT_GT(sink.eventCount(), 0u);
     }
 }
 
@@ -191,9 +119,6 @@ TEST(TraceRunner, AttachedSinkDoesNotPerturbResults)
 
 TEST(TraceSink, ChromeJsonParsesAndHasPipelineSpans)
 {
-    if (!trace::compiledIn())
-        GTEST_SKIP() << "trace hooks compiled out";
-
     trace::TraceSink sink;
     runner::execute(Job{"BFS", SystemMode::AccelSpec, 32, 1, 1}, &sink);
     ASSERT_GT(sink.instCount(), 0u);
@@ -230,9 +155,6 @@ TEST(TraceSink, ChromeJsonParsesAndHasPipelineSpans)
 
 TEST(TraceSink, KonataLogHasHeaderAndRetires)
 {
-    if (!trace::compiledIn())
-        GTEST_SKIP() << "trace hooks compiled out";
-
     trace::TraceSink sink;
     runner::execute(Job{"BP", SystemMode::BaselineOoo, 32, 1, 1}, &sink);
 
@@ -244,46 +166,24 @@ TEST(TraceSink, KonataLogHasHeaderAndRetires)
     EXPECT_NE(log.find("\nR\t"), std::string::npos) << "no retirements";
 }
 
-// --- Determinism across worker counts ------------------------------------
+// --- Determinism across threads ------------------------------------------
 
-TEST(TraceRunner, WorkerCountDoesNotChangeTraceBytes)
+TEST(TraceRunner, SameJobTracesToSameBytes)
 {
-    if (!trace::compiledIn())
-        GTEST_SKIP() << "trace hooks compiled out";
+    const Job job{"BFS", SystemMode::AccelSpec, 16, 1, 1};
 
-    TempDir serial_dir("trace-serial");
-    TempDir parallel_dir("trace-parallel");
-    ScopedEnv on("DYNASPAM_TRACE", "1");
+    trace::TraceSink here;
+    runner::execute(job, &here);
 
-    {
-        ScopedEnv dir("DYNASPAM_TRACE_DIR", serial_dir.path().c_str());
-        runner::Runner r(runner::RunnerOptions{1, ""});
-        r.runAll(smallSweep());
-    }
-    {
-        ScopedEnv dir("DYNASPAM_TRACE_DIR", parallel_dir.path().c_str());
-        runner::Runner r(runner::RunnerOptions{8, ""});
-        r.runAll(smallSweep());
-    }
+    // The second run happens on a pool worker: a trace depends on the
+    // job alone, not on the thread that simulates it.
+    trace::TraceSink pooled;
+    runner::ThreadPool pool(1);
+    pool.parallelFor(1, [&](std::size_t) { runner::execute(job, &pooled); });
 
-    for (const Job &job : smallSweep()) {
-        const std::string stem = runner::traceFileStem(job);
-        for (const char *suffix : {".trace.json", ".trace.json.kanata"}) {
-            const std::string name = stem + suffix;
-            const std::string a = slurp(serial_dir.path() + "/" + name);
-            const std::string b = slurp(parallel_dir.path() + "/" + name);
-            EXPECT_FALSE(a.empty()) << name;
-            EXPECT_EQ(a, b) << name << " differs across worker counts";
-        }
-    }
-}
-
-TEST(TraceRunner, EnvUntracedRunWritesNoFiles)
-{
-    TempDir dir("trace-off");
-    ScopedEnv off("DYNASPAM_TRACE", nullptr);
-    ScopedEnv where("DYNASPAM_TRACE_DIR", dir.path().c_str());
-
-    runner::execute(Job{"BP", SystemMode::BaselineOoo, 32, 1, 1});
-    EXPECT_TRUE(fs::is_empty(dir.path()));
+    ASSERT_GT(here.eventCount(), 0u);
+    const auto [chrome_a, konata_a] = render(here);
+    const auto [chrome_b, konata_b] = render(pooled);
+    EXPECT_EQ(chrome_a, chrome_b) << "Chrome JSON differs";
+    EXPECT_EQ(konata_a, konata_b) << "Konata log differs";
 }
