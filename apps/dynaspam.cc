@@ -24,8 +24,6 @@
  * exit with the conventional 128+signal code.
  */
 
-#include <cerrno>
-#include <climits>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -35,6 +33,7 @@
 #include <string>
 #include <vector>
 
+#include "apps/args.hh"
 #include "check/fault_inject.hh"
 #include "cluster/coordinator.hh"
 #include "cluster/worker.hh"
@@ -50,6 +49,8 @@
 #include "workloads/workload.hh"
 
 using namespace dynaspam;
+using apps::Args;
+using apps::splitCommas;
 using runner::Job;
 using sim::SystemMode;
 
@@ -158,59 +159,6 @@ usage(const char *argv0)
         "                    LRU-evict the snapshot cache down to N MiB\n",
         argv0);
     return 1;
-}
-
-/** Simple argv cursor with typed accessors. */
-class Args
-{
-  public:
-    Args(int count, char **vec) : argc(count), argv(vec) {}
-
-    bool
-    next(std::string &flag)
-    {
-        if (pos >= argc)
-            return false;
-        flag = argv[pos++];
-        return true;
-    }
-
-    std::string
-    value(const std::string &flag)
-    {
-        if (pos >= argc)
-            fatal("missing value for ", flag);
-        return argv[pos++];
-    }
-
-    unsigned
-    uvalue(const std::string &flag)
-    {
-        std::string v = value(flag);
-        char *end = nullptr;
-        errno = 0;
-        long n = std::strtol(v.c_str(), &end, 10);
-        if (!end || *end || n < 0 || errno == ERANGE || n > long(UINT_MAX))
-            fatal("bad value for ", flag, ": ", v);
-        return unsigned(n);
-    }
-
-  private:
-    int argc;
-    char **argv;
-    int pos = 0;
-};
-
-std::vector<std::string>
-splitCommas(const std::string &s)
-{
-    std::vector<std::string> out;
-    std::stringstream ss(s);
-    std::string item;
-    while (std::getline(ss, item, ','))
-        if (!item.empty())
-            out.push_back(item);
-    return out;
 }
 
 /** The cache flags shared by run, sweep, explore, serve and worker. */

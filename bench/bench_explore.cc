@@ -21,7 +21,8 @@
  * from the exhaustive one in any point — cheap must not mean wrong —
  * or when cost_ratio exceeds --max-cost-ratio (default 0.5). With
  * --baseline, cost_ratio must additionally stay within --tolerance
- * (default 0.25) of the checked-in value.
+ * (default 0.25) of the checked-in value. Bad usage or an unreadable
+ * baseline exits 2 (see bench_util.hh).
  *
  * The default workload is pf at scale 32: a single hot trace makes the
  * sampled window's CPI extrapolation accurate enough for exact
@@ -35,16 +36,13 @@
 
 #include <chrono>
 #include <cstdio>
-#include <cstring>
-#include <fstream>
 #include <set>
-#include <sstream>
 #include <string>
 #include <utility>
 #include <vector>
 
+#include "bench/bench_util.hh"
 #include "common/json.hh"
-#include "common/logging.hh"
 #include "explore/engine.hh"
 #include "explore/space.hh"
 #include "runner/runner.hh"
@@ -101,10 +99,18 @@ drive(explore::Space space)
     return outcome;
 }
 
-} // namespace
+int
+usage()
+{
+    std::fprintf(stderr,
+        "usage: bench_explore [--workload W] [--scale N] [--seed N]\n"
+        "                     [--max-cost-ratio F] [--out FILE]\n"
+        "                     [--baseline FILE] [--tolerance FRAC]\n");
+    return 2;
+}
 
 int
-main(int argc, char **argv)
+run(apps::Args &args)
 {
     std::string workload = "pf";
     unsigned scale = 32;
@@ -114,42 +120,38 @@ main(int argc, char **argv)
     std::string baseline;
     double tolerance = 0.25;
 
-    for (int i = 1; i < argc; i++) {
-        const std::string flag = argv[i];
-        auto value = [&]() -> std::string {
-            if (++i >= argc)
-                fatal(flag, " requires a value");
-            return argv[i];
-        };
+    std::string flag;
+    while (args.next(flag)) {
         if (flag == "--workload")
-            workload = value();
+            workload = args.value(flag);
         else if (flag == "--scale")
-            scale = unsigned(std::stoul(value()));
+            scale = args.uvalue(flag);
         else if (flag == "--seed")
-            seed = std::stoull(value());
+            seed = args.u64value(flag);
         else if (flag == "--max-cost-ratio")
-            max_cost_ratio = std::stod(value());
+            max_cost_ratio = args.dvalue(flag);
         else if (flag == "--out")
-            out = value();
+            out = args.value(flag);
         else if (flag == "--baseline")
-            baseline = value();
+            baseline = args.value(flag);
         else if (flag == "--tolerance")
-            tolerance = std::stod(value());
+            tolerance = args.dvalue(flag);
         else
-            fatal("unknown option ", flag);
+            return usage();
     }
+    bench::Gates gates(baseline, tolerance, bench::Better::Lower);
 
     // Built through fromJson so the bench space carries the exact
     // defaults (fig8 mode axis, margins) a CLI or HTTP caller gets.
-    std::ostringstream spec;
-    spec << "{\"name\": \"explore-bench\", \"workloads\": [\""
-         << workload << "\"], \"scales\": [" << scale
-         << "], \"trace_lengths\": [8, 16, 32],"
-            " \"num_fabrics\": [1, 2, 4],"
-            " \"objectives\": [\"speedup\", \"energy\"], \"seed\": "
-         << seed << "}";
-    explore::Space space =
-        explore::Space::fromJson(json::Value::parse(spec.str()));
+    json::Object spec;
+    spec["name"] = "explore-bench";
+    spec["workloads"] = json::Array{workload};
+    spec["scales"] = json::Array{scale};
+    spec["trace_lengths"] = json::Array{8, 16, 32};
+    spec["num_fabrics"] = json::Array{1, 2, 4};
+    spec["objectives"] = json::Array{"speedup", "energy"};
+    spec["seed"] = seed;
+    explore::Space space = explore::Space::fromJson(json::Value{spec});
 
     std::printf("bench_explore: %s scale %u, %zu-point fig8 grid\n",
                 workload.c_str(), scale,
@@ -191,56 +193,25 @@ main(int argc, char **argv)
     report_obj["exhaustive_seconds"] = exact.seconds;
     report_obj["adaptive_seconds"] = adaptive.seconds;
     report_obj["wall_speedup"] = wall_speedup;
-    const json::Value report{std::move(report_obj)};
+    bench::writeReport(out, json::Value{std::move(report_obj)});
 
-    {
-        std::ofstream os(out);
-        if (!os)
-            fatal("cannot write ", out);
-        report.write(os, 2);
-        os << "\n";
+    gates.gate("frontier exact", adaptive.frontier == exact.frontier,
+               "MISMATCH");
+    gates.atMost("cost ratio", cost_ratio, max_cost_ratio, {5, 3},
+                 "TOO COSTLY");
+    if (gates.hasBaseline()) {
+        // Lower is better: the measured ratio may not creep above the
+        // recorded one by more than the tolerance.
+        gates.vsBaseline("cost ratio", cost_ratio,
+                         gates.baselineValue({"cost_ratio"}), {5, 3});
     }
-    std::printf("report written to %s\n", out.c_str());
+    return gates.exitCode();
+}
 
-    int failed = 0;
-    {
-        const bool ok = adaptive.frontier == exact.frontier;
-        std::printf("gate: frontier exact                           %s\n",
-                    ok ? "ok" : "MISMATCH");
-        if (!ok)
-            failed = 1;
-    }
-    {
-        const bool ok = cost_ratio <= max_cost_ratio;
-        std::printf("gate: cost ratio %5.3f vs allowed %5.3f        %s\n",
-                    cost_ratio, max_cost_ratio, ok ? "ok" : "TOO COSTLY");
-        if (!ok)
-            failed = 1;
-    }
+} // namespace
 
-    if (baseline.empty())
-        return failed;
-
-    // --- Regression gate against the checked-in baseline ---
-    std::ifstream is(baseline);
-    if (!is)
-        fatal("cannot read baseline ", baseline);
-    std::stringstream buf;
-    buf << is.rdbuf();
-    const json::Value base = json::Value::parse(buf.str());
-    const double base_ratio = base.at("cost_ratio").asDouble();
-    if (!(base_ratio > 0.0))
-        fatal("baseline ", baseline, " has non-positive cost_ratio ",
-              base_ratio, " — regenerate it");
-    // Lower is better: the measured ratio may not creep above the
-    // recorded one by more than the tolerance.
-    const double ceiling = base_ratio * (1.0 + tolerance);
-    const bool ok = cost_ratio <= ceiling;
-    std::printf("gate: cost ratio %5.3f vs baseline %5.3f "
-                "(ceiling %5.3f, tol %.0f%%)  %s\n",
-                cost_ratio, base_ratio, ceiling, tolerance * 100.0,
-                ok ? "ok" : "REGRESSION");
-    if (!ok)
-        failed = 1;
-    return failed;
+int
+main(int argc, char **argv)
+{
+    return bench::guardedMain(argc, argv, run);
 }

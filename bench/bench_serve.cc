@@ -26,8 +26,9 @@
  * boundary).
  *
  * With --baseline, the run fails (exit 1) if either mode's RPS drops
- * more than --tolerance (default 0.25) below the checked-in report —
- * the serving-path analogue of bench_simspeed's KIPS gate.
+ * more than --tolerance (default 0.25, in [0, 1)) below the checked-in
+ * report — the serving-path analogue of bench_simspeed's KIPS gate.
+ * Bad usage or an unreadable baseline exits 2 (see bench_util.hh).
  *
  * Report schema: see EXPERIMENTS.md ("Serving-path benchmark").
  */
@@ -36,27 +37,22 @@
 #include <atomic>
 #include <chrono>
 #include <cstdio>
-#include <cstring>
-#include <filesystem>
-#include <fstream>
+#include <memory>
 #include <sstream>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
-#include <arpa/inet.h>
-#include <netinet/in.h>
-#include <sys/socket.h>
 #include <unistd.h>
 
+#include "bench/bench_util.hh"
 #include "cluster/coordinator.hh"
 #include "cluster/worker.hh"
 #include "common/json.hh"
-#include "common/logging.hh"
+#include "tests/support.hh"
 
 using namespace dynaspam;
-
-namespace fs = std::filesystem;
 
 namespace
 {
@@ -65,113 +61,6 @@ namespace
 const char *kCachedBody =
     "{\"sweep\": \"fig8\", \"workloads\": [\"bfs\"],"
     " \"trace_length\": 16}";
-
-/** Fresh unique directory under the system temp dir, removed on exit. */
-class TempDir
-{
-  public:
-    explicit TempDir(const std::string &tag)
-    {
-        static std::atomic<unsigned> next{0};
-        path_ = (fs::temp_directory_path() /
-                 ("dynaspam-bench-serve-" + tag + "-" +
-                  std::to_string(getpid()) + "-" +
-                  std::to_string(next++)))
-                    .string();
-        fs::create_directories(path_);
-    }
-    ~TempDir()
-    {
-        std::error_code ec;
-        fs::remove_all(path_, ec);
-    }
-    const std::string &path() const { return path_; }
-
-  private:
-    std::string path_;
-};
-
-int
-connectTo(unsigned port)
-{
-    int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-    if (fd < 0)
-        return -1;
-    sockaddr_in addr{};
-    addr.sin_family = AF_INET;
-    addr.sin_port = htons(std::uint16_t(port));
-    ::inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr);
-    if (::connect(fd, reinterpret_cast<sockaddr *>(&addr),
-                  sizeof(addr)) != 0) {
-        ::close(fd);
-        return -1;
-    }
-    return fd;
-}
-
-bool
-sendAllBytes(int fd, const std::string &wire)
-{
-    std::size_t sent = 0;
-    while (sent < wire.size()) {
-        ssize_t n = ::send(fd, wire.data() + sent, wire.size() - sent,
-                           MSG_NOSIGNAL);
-        if (n < 0 && errno == EINTR)
-            continue;
-        if (n <= 0)
-            return false;
-        sent += std::size_t(n);
-    }
-    return true;
-}
-
-/**
- * Read exactly one HTTP response (headers + Content-Length body)
- * without waiting for EOF, so it works on keep-alive connections.
- * @return the status code, or 0 on a broken connection
- */
-int
-readStatus(int fd)
-{
-    std::string raw;
-    char chunk[8192];
-    std::size_t head_end = std::string::npos;
-    while ((head_end = raw.find("\r\n\r\n")) == std::string::npos) {
-        ssize_t n = ::recv(fd, chunk, sizeof(chunk), 0);
-        if (n <= 0)
-            return 0;
-        raw.append(chunk, std::size_t(n));
-    }
-    int status = 0;
-    std::sscanf(raw.c_str(), "HTTP/1.1 %d", &status);
-
-    std::size_t body_len = 0;
-    const std::string headers = raw.substr(0, head_end);
-    std::size_t cl = headers.find("Content-Length:");
-    if (cl != std::string::npos)
-        body_len = std::stoul(headers.substr(cl + 15));
-    std::size_t have = raw.size() - head_end - 4;
-    while (have < body_len) {
-        ssize_t n = ::recv(fd, chunk, sizeof(chunk), 0);
-        if (n <= 0)
-            return 0;
-        have += std::size_t(n);
-    }
-    return status;
-}
-
-std::string
-requestWire(const std::string &method, const std::string &target,
-            const std::string &body)
-{
-    std::ostringstream os;
-    os << method << ' ' << target << " HTTP/1.1\r\n"
-       << "Host: 127.0.0.1\r\n"
-       << "Connection: keep-alive\r\n"
-       << "Content-Length: " << body.size() << "\r\n\r\n"
-       << body;
-    return os.str();
-}
 
 /** A unique /run spec: num_fabrics varies the FNV-1a hash, not the
  *  baseline-ooo simulation cost, so every miss costs about the same. */
@@ -182,7 +71,7 @@ uncachedWire(unsigned seq)
     body << "{\"workload\": \"bfs\", \"mode\": \"baseline-ooo\","
          << " \"trace_length\": " << 16 + seq / 64
          << ", \"num_fabrics\": " << 1 + seq % 64 << "}";
-    return requestWire("POST", "/run", body.str());
+    return tests::requestWire("POST", "/run", body.str());
 }
 
 /** Outcome of one timed load phase. */
@@ -223,18 +112,19 @@ runLoad(unsigned port, const std::vector<std::string> &schedule,
     std::atomic<unsigned> non200{0};
 
     auto client = [&] {
-        int fd = connectTo(port);
+        int fd = tests::connectTo(port);
         std::size_t i;
         while ((i = next.fetch_add(1)) < schedule.size()) {
             if (fd < 0)
-                fd = connectTo(port);
+                fd = tests::connectTo(port);
             if (fd < 0) {
                 non200++;
                 continue;
             }
             const auto t0 = std::chrono::steady_clock::now();
-            int status =
-                sendAllBytes(fd, schedule[i]) ? readStatus(fd) : 0;
+            const int status = tests::sendRaw(fd, schedule[i])
+                                   ? tests::readReply(fd).status
+                                   : 0;
             const auto t1 = std::chrono::steady_clock::now();
             result.latencyMs[i] =
                 std::chrono::duration<double, std::milli>(t1 - t0)
@@ -265,12 +155,12 @@ runLoad(unsigned port, const std::vector<std::string> &schedule,
 bool
 prime(unsigned port)
 {
-    int fd = connectTo(port);
+    int fd = tests::connectTo(port);
     if (fd < 0)
         return false;
-    bool ok = sendAllBytes(
-                  fd, requestWire("POST", "/sweep", kCachedBody)) &&
-              readStatus(fd) == 200;
+    bool ok = tests::sendRaw(
+                  fd, tests::requestWire("POST", "/sweep", kCachedBody)) &&
+              tests::readReply(fd).status == 200;
     ::close(fd);
     return ok;
 }
@@ -282,7 +172,7 @@ buildSchedule(unsigned requests, unsigned cached_pct)
     std::vector<std::string> schedule;
     schedule.reserve(requests);
     const std::string cached =
-        requestWire("POST", "/sweep", kCachedBody);
+        tests::requestWire("POST", "/sweep", kCachedBody);
     unsigned misses = 0;
     for (unsigned i = 0; i < requests; i++) {
         // i * miss_rate crosses an integer boundary -> schedule a miss.
@@ -334,10 +224,8 @@ usage()
     return 2;
 }
 
-} // namespace
-
 int
-main(int argc, char **argv)
+run(apps::Args &args)
 {
     unsigned requests = 400;
     unsigned connections = 4;
@@ -347,33 +235,29 @@ main(int argc, char **argv)
     std::string out = "BENCH_serve.json";
     std::string baseline;
 
-    for (int i = 1; i < argc; i++) {
-        const std::string flag = argv[i];
-        auto value = [&]() -> std::string {
-            if (++i >= argc)
-                fatal("missing value for ", flag);
-            return argv[i];
-        };
+    std::string flag;
+    while (args.next(flag)) {
         if (flag == "--requests")
-            requests = unsigned(std::stoul(value()));
+            requests = args.uvalue(flag);
         else if (flag == "--connections")
-            connections = unsigned(std::stoul(value()));
+            connections = args.uvalue(flag);
         else if (flag == "--workers")
-            workers = unsigned(std::stoul(value()));
+            workers = args.uvalue(flag);
         else if (flag == "--cached-pct")
-            cached_pct = unsigned(std::stoul(value()));
+            cached_pct = args.uvalue(flag);
         else if (flag == "--out")
-            out = value();
+            out = args.value(flag);
         else if (flag == "--baseline")
-            baseline = value();
+            baseline = args.value(flag);
         else if (flag == "--tolerance")
-            tolerance = std::stod(value());
+            tolerance = args.dvalue(flag);
         else
             return usage();
     }
     if (requests == 0 || connections == 0 || workers == 0 ||
         cached_pct > 100)
         return usage();
+    bench::Gates gates(baseline, tolerance, bench::Better::Higher);
 
     const std::vector<std::string> schedule =
         buildSchedule(requests, cached_pct);
@@ -384,7 +268,7 @@ main(int argc, char **argv)
     // --- dynaspam serve: one in-process worker --------------------------
     json::Value single_row;
     {
-        TempDir cache("single");
+        tests::TempDir cache("bench-serve-single");
         cluster::CoordinatorOptions opts;
         opts.httpPort = 0;
         opts.workerSlots = 1;
@@ -408,7 +292,7 @@ main(int argc, char **argv)
     // --- Coordinator + W workers ---------------------------------------
     json::Value cluster_row;
     {
-        TempDir cache("cluster");
+        tests::TempDir cache("bench-serve-cluster");
         cluster::CoordinatorOptions copts;
         copts.httpPort = 0;
         copts.workerPort = 0;
@@ -418,7 +302,7 @@ main(int argc, char **argv)
         coordinator.start();
 
         std::vector<std::unique_ptr<cluster::Worker>> fleet;
-        std::vector<std::thread> fleet_threads;
+        std::vector<std::unique_ptr<tests::WorkerThread>> fleet_threads;
         for (unsigned w = 0; w < workers; w++) {
             cluster::WorkerOptions wopts;
             wopts.connectPort = coordinator.workerPort();
@@ -427,15 +311,14 @@ main(int argc, char **argv)
             wopts.verbose = false;
             fleet.push_back(
                 std::make_unique<cluster::Worker>(wopts));
-            fleet_threads.emplace_back(
-                [worker = fleet.back().get()] { worker->run(); });
+            fleet_threads.push_back(
+                std::make_unique<tests::WorkerThread>(*fleet.back()));
         }
-        for (unsigned waited = 0; waited < 10000; waited++) {
-            if (coordinator.metrics().value(
-                    "dynaspam_cluster_workers_connected") == workers)
-                break;
-            std::this_thread::sleep_for(std::chrono::milliseconds(1));
-        }
+        if (!tests::eventually([&] {
+                return coordinator.metrics().value(
+                           "dynaspam_cluster_workers_connected") == workers;
+            }))
+            fatal("the cluster workers did not connect");
 
         if (!prime(coordinator.httpPort()))
             fatal("cluster priming request failed");
@@ -443,16 +326,14 @@ main(int argc, char **argv)
             runLoad(coordinator.httpPort(), schedule, connections));
         coordinator.beginDrain();
         coordinator.waitUntilDrained();
-        for (std::thread &t : fleet_threads)
-            t.join();
+        for (const std::unique_ptr<tests::WorkerThread> &t : fleet_threads)
+            t->join();
     }
     printRow("cluster", cluster_row);
 
-    const double ratio =
-        single_row.at("rps").asDouble() > 0.0
-            ? cluster_row.at("rps").asDouble() /
-                  single_row.at("rps").asDouble()
-            : 0.0;
+    const double single_rps = single_row.at("rps").asDouble();
+    const double cluster_rps = cluster_row.at("rps").asDouble();
+    const double ratio = single_rps > 0.0 ? cluster_rps / single_rps : 0.0;
     std::printf("cluster/single RPS ratio: %.2fx\n", ratio);
 
     json::Object report_obj;
@@ -467,47 +348,26 @@ main(int argc, char **argv)
     configs["cluster"] = std::move(cluster_row);
     report_obj["configs"] = std::move(configs);
     report_obj["cluster_vs_single_rps"] = ratio;
-    const json::Value report{std::move(report_obj)};
+    bench::writeReport(out, json::Value{std::move(report_obj)});
 
-    {
-        std::ofstream os(out);
-        if (!os)
-            fatal("cannot write ", out);
-        report.write(os, 2);
-        os << "\n";
-    }
-    std::printf("report written to %s\n", out.c_str());
-
-    if (baseline.empty())
+    if (!gates.hasBaseline())
         return 0;
-
-    // --- Regression gate against the checked-in baseline ---------------
-    std::ifstream is(baseline);
-    if (!is)
-        fatal("cannot read baseline ", baseline);
-    std::stringstream buf;
-    buf << is.rdbuf();
-    const json::Value base = json::Value::parse(buf.str());
-
-    int failed = 0;
-    for (const char *config : {"single", "cluster"}) {
-        const double base_rps =
-            base.at("configs").at(config).at("rps").asDouble();
-        // A non-positive baseline would gate against nothing; fail
-        // loudly instead (same policy as bench_simspeed).
-        if (!(base_rps > 0.0))
-            fatal("baseline ", baseline, " has non-positive ", config,
-                  " rps ", base_rps, " — regenerate it");
-        const double cur_rps =
-            report.at("configs").at(config).at("rps").asDouble();
-        const double floor = base_rps * (1.0 - tolerance);
-        const bool ok = cur_rps >= floor;
-        std::printf("gate: %-8s %8.1f rps vs baseline %8.1f "
-                    "(floor %8.1f, tol %.0f%%)  %s\n",
-                    config, cur_rps, base_rps, floor, tolerance * 100.0,
-                    ok ? "ok" : "REGRESSION");
-        if (!ok)
-            failed = 1;
+    for (const auto &[config, rps] :
+         {std::pair{"single", single_rps},
+          std::pair{"cluster", cluster_rps}}) {
+        char label[32];
+        std::snprintf(label, sizeof(label), "%-8s", config);
+        gates.vsBaseline(label, rps,
+                         gates.baselineValue({"configs", config, "rps"}),
+                         {8, 1}, " rps");
     }
-    return failed;
+    return gates.exitCode();
+}
+
+} // namespace
+
+int
+main(int argc, char **argv)
+{
+    return bench::guardedMain(argc, argv, run);
 }

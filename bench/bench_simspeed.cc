@@ -21,8 +21,9 @@
  *
  * With --baseline, the emitted report is compared against a previously
  * checked-in report: the run fails (exit 1) if the geomean KIPS of
- * either mode drops more than --tolerance (default 0.25) below the
- * baseline. Per-workload deltas are printed but do not gate, since
+ * either mode drops more than --tolerance (default 0.25, in [0, 1))
+ * below the baseline's geomean over the same workloads; a workload the
+ * baseline lacks is an error (exit 2). Single points do not gate, since
  * single-point timings on shared CI hosts are noisy.
  *
  * Report schema: see EXPERIMENTS.md ("Simulator-throughput benchmark").
@@ -30,16 +31,14 @@
 
 #include <chrono>
 #include <cstdio>
-#include <cstring>
-#include <fstream>
-#include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "bench/bench_util.hh"
 #include "common/json.hh"
-#include "common/logging.hh"
 #include "runner/job.hh"
+#include "runner/spec.hh"
 
 using namespace dynaspam;
 using runner::Job;
@@ -90,15 +89,6 @@ pointToJson(const Point &p)
     return o;
 }
 
-double
-geomeanKips(const json::Value &report, const char *mode)
-{
-    std::vector<double> vals;
-    for (const auto &[name, modes] : report.at("workloads").asObject())
-        vals.push_back(modes.at(mode).at("kips").asDouble());
-    return geomean(vals);
-}
-
 int
 usage()
 {
@@ -109,10 +99,8 @@ usage()
     return 2;
 }
 
-} // namespace
-
 int
-main(int argc, char **argv)
+run(apps::Args &args)
 {
     unsigned scale = 1;
     unsigned repeat = 3;
@@ -121,37 +109,31 @@ main(int argc, char **argv)
     std::string baseline;
     std::vector<std::string> names = workloads::allWorkloadNames();
 
-    for (int i = 1; i < argc; i++) {
-        const std::string flag = argv[i];
-        auto value = [&]() -> std::string {
-            if (++i >= argc)
-                fatal("missing value for ", flag);
-            return argv[i];
-        };
+    std::string flag;
+    while (args.next(flag)) {
         if (flag == "--scale")
-            scale = unsigned(std::stoul(value()));
+            scale = args.uvalue(flag);
         else if (flag == "--repeat")
-            repeat = unsigned(std::stoul(value()));
+            repeat = args.uvalue(flag);
         else if (flag == "--out")
-            out = value();
+            out = args.value(flag);
         else if (flag == "--baseline")
-            baseline = value();
+            baseline = args.value(flag);
         else if (flag == "--tolerance")
-            tolerance = std::stod(value());
+            tolerance = args.dvalue(flag);
         else if (flag == "--workloads") {
             names.clear();
-            std::stringstream ss(value());
-            std::string item;
-            while (std::getline(ss, item, ','))
-                if (!item.empty())
-                    names.push_back(
-                        workloads::canonicalWorkloadName(item));
+            for (const std::string &item : apps::splitCommas(args.value(flag)))
+                names.push_back(workloads::canonicalWorkloadName(item));
         } else {
             return usage();
         }
     }
     if (repeat == 0 || names.empty())
         return usage();
+    for (const std::string &name : names)
+        runner::checkJob(Job{name, SystemMode::AccelSpec, 32, 1, scale});
+    bench::Gates gates(baseline, tolerance, bench::Better::Higher);
 
     std::printf("simspeed: scale %u, best of %u run%s per point\n", scale,
                 repeat, repeat == 1 ? "" : "s");
@@ -194,50 +176,33 @@ main(int argc, char **argv)
     geo["host_kips"] = geomean(host_kips);
     geo["fabric_kips"] = geomean(fabric_kips);
     report_obj["geomean"] = std::move(geo);
-    const json::Value report{std::move(report_obj)};
 
     std::printf("%-6s %14s %12.1f %14s %12.1f   (geomean)\n", "geo", "",
                 geomean(host_kips), "", geomean(fabric_kips));
+    bench::writeReport(out, json::Value{std::move(report_obj)});
 
-    {
-        std::ofstream os(out);
-        if (!os)
-            fatal("cannot write ", out);
-        report.write(os, 2);
-        os << "\n";
-    }
-    std::printf("report written to %s\n", out.c_str());
-
-    if (baseline.empty())
+    if (!gates.hasBaseline())
         return 0;
-
-    // --- Regression gate against the checked-in baseline ---
-    std::ifstream is(baseline);
-    if (!is)
-        fatal("cannot read baseline ", baseline);
-    std::stringstream buf;
-    buf << is.rdbuf();
-    const json::Value base = json::Value::parse(buf.str());
-
-    int failed = 0;
-    for (const char *mode : {"host", "fabric"}) {
-        const double base_geo = geomeanKips(base, mode);
-        // A non-positive baseline would make the floor 0 (or NaN) and
-        // wave every regression through; a baseline file like that is
-        // corrupt, so fail loudly instead of gating against nothing.
-        if (!(base_geo > 0.0)) {
-            fatal("baseline ", baseline, " has non-positive ", mode,
-                  " geomean ", base_geo, " — regenerate it");
-        }
-        const double cur_geo = geomeanKips(report, mode);
-        const double floor = base_geo * (1.0 - tolerance);
-        const bool ok = cur_geo >= floor;
-        std::printf("gate: %-6s geomean %10.1f KIPS vs baseline %10.1f "
-                    "(floor %10.1f, tol %.0f%%)  %s\n",
-                    mode, cur_geo, base_geo, floor, tolerance * 100.0,
-                    ok ? "ok" : "REGRESSION");
-        if (!ok)
-            failed = 1;
+    // Gate each mode's geomean against the baseline's geomean over the
+    // same workloads, so a --workloads subset compares like with like.
+    for (const auto &[mode, kips] :
+         {std::pair{"host", &host_kips}, std::pair{"fabric", &fabric_kips}}) {
+        std::vector<double> base_kips;
+        for (const std::string &name : names)
+            base_kips.push_back(
+                gates.baselineValue({"workloads", name, mode, "kips"}));
+        char label[32];
+        std::snprintf(label, sizeof(label), "%-6s geomean", mode);
+        gates.vsBaseline(label, geomean(*kips), geomean(base_kips),
+                         {10, 1}, " KIPS");
     }
-    return failed;
+    return gates.exitCode();
+}
+
+} // namespace
+
+int
+main(int argc, char **argv)
+{
+    return bench::guardedMain(argc, argv, run);
 }

@@ -31,45 +31,40 @@
  * shards in parallel. Its merged report must be byte-identical to the
  * single-process --no-fork report.
  *
- * The bench hard-fails (exit 1) if any report entry differs between
- * paths — forked and cluster sweeps must be byte-identical at full
- * fidelity, not just faster.
+ * The bench stops with an error (exit 2) if any report entry differs
+ * between paths — forked and cluster sweeps must be byte-identical at
+ * full fidelity, not just faster.
  *
- * Gates: the forked speedup must reach --min-speedup (default 2.0);
- * the warm cluster sweep must beat the in-process forked path by
- * --min-cluster-gain (default 1.0, i.e. at least parity); and with
- * --baseline both speedups must additionally stay within --tolerance
- * (default 0.25) of the checked-in baseline.
+ * Gates (exit 1 when one fails): the forked speedup must reach
+ * --min-speedup (default 2.0); the warm cluster sweep must beat the
+ * in-process forked path by --min-cluster-gain (default 1.0, i.e. at
+ * least parity); and with --baseline both speedups must additionally
+ * stay within --tolerance (default 0.25, in [0, 1)) of the checked-in
+ * baseline. Bad usage or an unreadable baseline exits 2.
  *
  * Report schema: see EXPERIMENTS.md ("Forked sweeps & sampled
  * fidelity").
  */
 
-#include <atomic>
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
-#include <filesystem>
-#include <fstream>
+#include <memory>
 #include <sstream>
 #include <string>
-#include <thread>
+#include <utility>
 #include <vector>
 
-#include <arpa/inet.h>
-#include <netinet/in.h>
-#include <sys/socket.h>
 #include <unistd.h>
 
 #include "bench/bench_util.hh"
 #include "cluster/coordinator.hh"
 #include "cluster/worker.hh"
 #include "common/json.hh"
-#include "common/logging.hh"
 #include "runner/job.hh"
 #include "runner/report.hh"
 #include "runner/runner.hh"
+#include "runner/spec.hh"
+#include "tests/support.hh"
 
 using namespace dynaspam;
 using runner::Job;
@@ -77,113 +72,6 @@ using sim::SystemMode;
 
 namespace
 {
-
-namespace fs = std::filesystem;
-
-/** Fresh unique directory under the system temp dir, removed on exit. */
-class TempDir
-{
-  public:
-    explicit TempDir(const std::string &tag)
-    {
-        path_ = (fs::temp_directory_path() /
-                 ("dynaspam-bench-" + tag + "-" + std::to_string(getpid())))
-                    .string();
-        fs::remove_all(path_);
-        fs::create_directories(path_);
-    }
-    ~TempDir()
-    {
-        std::error_code ec;
-        fs::remove_all(path_, ec);
-    }
-    const std::string &path() const { return path_; }
-
-  private:
-    std::string path_;
-};
-
-int
-connectTo(unsigned port)
-{
-    int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-    if (fd < 0)
-        return -1;
-    sockaddr_in addr{};
-    addr.sin_family = AF_INET;
-    addr.sin_port = htons(std::uint16_t(port));
-    ::inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr);
-    if (::connect(fd, reinterpret_cast<sockaddr *>(&addr),
-                  sizeof(addr)) != 0) {
-        ::close(fd);
-        return -1;
-    }
-    return fd;
-}
-
-bool
-sendAllBytes(int fd, const std::string &wire)
-{
-    std::size_t sent = 0;
-    while (sent < wire.size()) {
-        ssize_t n = ::send(fd, wire.data() + sent, wire.size() - sent,
-                           MSG_NOSIGNAL);
-        if (n < 0 && errno == EINTR)
-            continue;
-        if (n <= 0)
-            return false;
-        sent += std::size_t(n);
-    }
-    return true;
-}
-
-/** Read one full HTTP response body (Content-Length framed). */
-std::string
-readBody(int fd)
-{
-    std::string raw;
-    char chunk[8192];
-    std::size_t head_end = std::string::npos;
-    while ((head_end = raw.find("\r\n\r\n")) == std::string::npos) {
-        ssize_t n = ::recv(fd, chunk, sizeof(chunk), 0);
-        if (n <= 0)
-            return "";
-        raw.append(chunk, std::size_t(n));
-    }
-    std::size_t body_len = 0;
-    const std::string headers = raw.substr(0, head_end);
-    std::size_t cl = headers.find("Content-Length:");
-    if (cl != std::string::npos)
-        body_len = std::stoul(headers.substr(cl + 15));
-    std::string body = raw.substr(head_end + 4);
-    while (body.size() < body_len) {
-        ssize_t n = ::recv(fd, chunk, sizeof(chunk), 0);
-        if (n <= 0)
-            break;
-        body.append(chunk, std::size_t(n));
-    }
-    return body;
-}
-
-/** {"jobs": [...]} sweep body for @p jobs (coordinator spec format). */
-std::string
-sweepBodyFor(const std::vector<Job> &jobs)
-{
-    std::ostringstream os;
-    os << "{\"jobs\": [";
-    for (std::size_t i = 0; i < jobs.size(); i++) {
-        if (i)
-            os << ", ";
-        os << "{\"workload\": \"" << jobs[i].workload << "\","
-           << " \"mode\": \"" << sim::modeName(jobs[i].mode) << "\","
-           << " \"trace_length\": " << jobs[i].traceLength << ","
-           << " \"num_fabrics\": " << jobs[i].numFabrics << ","
-           << " \"scale\": " << jobs[i].scale << ","
-           << " \"warmup_insts\": " << jobs[i].warmupInsts << "}";
-    }
-    os << "]}";
-    return os.str();
-}
 
 /** Serial wall time of one sweep execution plus its report bytes. */
 struct Timed
@@ -232,7 +120,7 @@ double
 timeClusterSweep(const std::vector<Job> &jobs, unsigned repeat,
                  const std::string &expected)
 {
-    TempDir snaps("snapshot");
+    tests::TempDir snaps("bench-snapshot");
     cluster::CoordinatorOptions copts;
     copts.httpPort = 0;
     copts.workerPort = 0;
@@ -242,7 +130,7 @@ timeClusterSweep(const std::vector<Job> &jobs, unsigned repeat,
     coordinator.start();
 
     std::vector<std::unique_ptr<cluster::Worker>> workers;
-    std::vector<std::thread> threads;
+    std::vector<std::unique_ptr<tests::WorkerThread>> threads;
     for (unsigned i = 0; i < 2; i++) {
         cluster::WorkerOptions wopts;
         wopts.connectPort = coordinator.workerPort();
@@ -252,49 +140,39 @@ timeClusterSweep(const std::vector<Job> &jobs, unsigned repeat,
         wopts.memoEntries = 0;
         wopts.verbose = false;
         workers.push_back(std::make_unique<cluster::Worker>(wopts));
-        threads.emplace_back([w = workers.back().get()] { w->run(); });
+        threads.push_back(
+            std::make_unique<tests::WorkerThread>(*workers.back()));
     }
-    for (unsigned waited = 0; waited < 10000; waited++) {
-        if (coordinator.metrics().value(
-                "dynaspam_cluster_workers_connected") == 2)
-            break;
-        std::this_thread::sleep_for(std::chrono::milliseconds(1));
-    }
+    if (!tests::eventually([&] {
+            return coordinator.metrics().value(
+                       "dynaspam_cluster_workers_connected") == 2;
+        }))
+        fatal("the cluster workers did not connect");
 
-    const std::string wire = [&] {
-        const std::string body = sweepBodyFor(jobs);
-        std::ostringstream os;
-        os << "POST /sweep HTTP/1.1\r\nHost: 127.0.0.1\r\n"
-           << "Connection: keep-alive\r\n"
-           << "Content-Length: " << body.size() << "\r\n\r\n" << body;
-        return os.str();
-    }();
+    json::Array specs;
+    for (const Job &job : jobs)
+        specs.push_back(runner::jobToJson(job));
+    json::Object body;
+    body["jobs"] = std::move(specs);
+    const std::string wire =
+        tests::requestWire("POST", "/sweep", json::Value{body}.dump());
 
     // One keep-alive connection: untimed warm pass populates the
     // snapshot files, then the timed passes load them.
-    const int fd = connectTo(coordinator.httpPort());
+    const int fd = tests::connectTo(coordinator.httpPort());
     if (fd < 0)
         fatal("cannot reach the in-process coordinator");
     double best = 0.0;
     for (unsigned i = 0; i <= repeat; i++) {
         const auto t0 = std::chrono::steady_clock::now();
-        if (!sendAllBytes(fd, wire))
+        if (!tests::sendRaw(fd, wire))
             fatal("cluster sweep request failed");
-        const std::string body = readBody(fd);
+        const tests::Reply reply = tests::readReply(fd);
         const auto t1 = std::chrono::steady_clock::now();
-        if (body != expected)
+        if (reply.body != expected)
             fatal("cluster sweep report diverges from the "
                   "single-process --no-fork report (pass ", i, ")");
         const double secs = std::chrono::duration<double>(t1 - t0).count();
-        if (std::getenv("BENCH_DEBUG"))
-            std::printf("  cluster pass %u: %.4f s (warmups w0=%g w1=%g)\n",
-                        i, secs,
-                        coordinator.metrics().value(
-                            "dynaspam_cluster_worker_warmups",
-                            "worker=\"0\""),
-                        coordinator.metrics().value(
-                            "dynaspam_cluster_worker_warmups",
-                            "worker=\"1\""));
         if (i == 1 || (i > 1 && secs < best))
             best = secs;    // pass 0 is the untimed warm pass
     }
@@ -302,8 +180,8 @@ timeClusterSweep(const std::vector<Job> &jobs, unsigned repeat,
 
     coordinator.beginDrain();
     coordinator.waitUntilDrained();
-    for (std::thread &t : threads)
-        t.join();
+    for (const std::unique_ptr<tests::WorkerThread> &t : threads)
+        t->join();
     return best;
 }
 
@@ -320,10 +198,8 @@ usage()
     return 2;
 }
 
-} // namespace
-
 int
-main(int argc, char **argv)
+run(apps::Args &args)
 {
     std::string workload = "pf";
     unsigned scale = 2;
@@ -339,39 +215,36 @@ main(int argc, char **argv)
     std::string out = "BENCH_snapshot.json";
     std::string baseline;
 
-    for (int i = 1; i < argc; i++) {
-        const std::string flag = argv[i];
-        auto value = [&]() -> std::string {
-            if (++i >= argc)
-                fatal("missing value for ", flag);
-            return argv[i];
-        };
+    std::string flag;
+    while (args.next(flag)) {
         if (flag == "--workload")
-            workload = workloads::canonicalWorkloadName(value());
+            workload = workloads::canonicalWorkloadName(args.value(flag));
         else if (flag == "--scale")
-            scale = unsigned(std::stoul(value()));
+            scale = args.uvalue(flag);
         else if (flag == "--points")
-            points = unsigned(std::stoul(value()));
+            points = args.uvalue(flag);
         else if (flag == "--repeat")
-            repeat = unsigned(std::stoul(value()));
+            repeat = args.uvalue(flag);
         else if (flag == "--warmup-frac")
-            warmup_frac = std::stod(value());
+            warmup_frac = args.dvalue(flag);
         else if (flag == "--min-speedup")
-            min_speedup = std::stod(value());
+            min_speedup = args.dvalue(flag);
         else if (flag == "--min-cluster-gain")
-            min_cluster_gain = std::stod(value());
+            min_cluster_gain = args.dvalue(flag);
         else if (flag == "--out")
-            out = value();
+            out = args.value(flag);
         else if (flag == "--baseline")
-            baseline = value();
+            baseline = args.value(flag);
         else if (flag == "--tolerance")
-            tolerance = std::stod(value());
+            tolerance = args.dvalue(flag);
         else
             return usage();
     }
     if (repeat == 0 || points < 2 || warmup_frac <= 0.0 ||
         warmup_frac >= 1.0)
         return usage();
+    runner::checkJob(Job{workload, SystemMode::AccelSpec, 32, points, scale});
+    bench::Gates gates(baseline, tolerance, bench::Better::Higher);
 
     // Probe the workload's length (untimed) to size the shared prefixes.
     const sim::RunResult probe = runner::execute(
@@ -470,66 +343,26 @@ main(int argc, char **argv)
     report_obj["speedup"] = speedup;
     report_obj["cluster_speedup"] = cluster_speedup;
     report_obj["cluster_gain"] = cluster_gain;
-    const json::Value report{std::move(report_obj)};
+    bench::writeReport(out, json::Value{std::move(report_obj)});
 
-    {
-        std::ofstream os(out);
-        if (!os)
-            fatal("cannot write ", out);
-        report.write(os, 2);
-        os << "\n";
+    gates.atLeast("speedup", speedup, min_speedup, {6, 2, "x"},
+                  "TOO SLOW");
+    gates.atLeast("cluster gain", cluster_gain, min_cluster_gain,
+                  {6, 2, "x"}, "TOO SLOW");
+    if (gates.hasBaseline()) {
+        for (const auto &[key, measured] :
+             {std::pair{"speedup", speedup},
+              std::pair{"cluster_speedup", cluster_speedup}})
+            gates.vsBaseline(key, measured, gates.baselineValue({key}),
+                             {6, 2, "x"});
     }
-    std::printf("report written to %s\n", out.c_str());
+    return gates.exitCode();
+}
 
-    int failed = 0;
-    {
-        const bool ok = speedup >= min_speedup;
-        std::printf("gate: speedup %6.2fx vs required %6.2fx            "
-                    "%s\n",
-                    speedup, min_speedup, ok ? "ok" : "TOO SLOW");
-        if (!ok)
-            failed = 1;
-    }
-    {
-        const bool ok = cluster_gain >= min_cluster_gain;
-        std::printf("gate: cluster gain %6.2fx vs required %6.2fx       "
-                    "%s\n",
-                    cluster_gain, min_cluster_gain, ok ? "ok" : "TOO SLOW");
-        if (!ok)
-            failed = 1;
-    }
+} // namespace
 
-    if (baseline.empty())
-        return failed;
-
-    // --- Regression gate against the checked-in baseline ---
-    std::ifstream is(baseline);
-    if (!is)
-        fatal("cannot read baseline ", baseline);
-    std::stringstream buf;
-    buf << is.rdbuf();
-    const json::Value base = json::Value::parse(buf.str());
-    auto gateAgainst = [&](const char *key, double measured) {
-        const json::Value *field = base.find(key);
-        if (!field)
-            return;    // pre-cluster baselines lack the new keys
-        const double base_speedup = field->asDouble();
-        // A non-positive baseline would make the floor 0 and wave every
-        // regression through; fail loudly instead of gating on nothing.
-        if (!(base_speedup > 0.0)) {
-            fatal("baseline ", baseline, " has non-positive ", key, " ",
-                  base_speedup, " — regenerate it");
-        }
-        const double floor = base_speedup * (1.0 - tolerance);
-        const bool ok = measured >= floor;
-        std::printf("gate: %s %6.2fx vs baseline %6.2fx (floor %6.2fx, "
-                    "tol %.0f%%)  %s\n",
-                    key, measured, base_speedup, floor, tolerance * 100.0,
-                    ok ? "ok" : "REGRESSION");
-        if (!ok)
-            failed = 1;
-    };
-    gateAgainst("speedup", speedup);
-    gateAgainst("cluster_speedup", cluster_speedup);
-    return failed;
+int
+main(int argc, char **argv)
+{
+    return bench::guardedMain(argc, argv, run);
 }

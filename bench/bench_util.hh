@@ -1,6 +1,7 @@
 /**
  * @file
- * Shared helpers for the table/figure regeneration harnesses.
+ * Shared helpers for the table/figure regeneration harnesses, and the
+ * one harness of the four gated benches.
  *
  * Each bench binary reproduces one table or figure from the paper's
  * evaluation section: it runs the 11 workloads through the relevant
@@ -14,10 +15,19 @@
  * full job list up front, execute it through runner::Runner (parallel
  * across worker threads, optionally cached), then print rows from the
  * in-order result vector. Knobs, via environment variables so the
- * binaries stay argument-free:
+ * figure binaries stay argument-free:
  *
  *   DYNASPAM_JOBS=N     worker threads (default: hardware concurrency)
  *   DYNASPAM_CACHE=DIR  enable the on-disk result cache at DIR
+ *
+ * The gated benches (bench_simspeed, bench_snapshot, bench_serve,
+ * bench_explore) take flags instead, and share one harness here:
+ * guardedMain parses argv with the CLI's checked apps::Args, Gates
+ * holds their absolute and baseline gates, and writeReport writes the
+ * --out JSON. Exit codes: 0 every gate passed, 1 a gate failed, 2 bad
+ * usage, an unreadable or incomplete baseline, or a run that could not
+ * complete (an "error:" line says why). The two that drive servers use
+ * the HTTP client, TempDir and WorkerThread of tests/support.hh.
  */
 
 #ifndef DYNASPAM_BENCH_BENCH_UTIL_HH
@@ -25,9 +35,16 @@
 
 #include <cstdio>
 #include <cstdlib>
+#include <fstream>
+#include <initializer_list>
+#include <optional>
+#include <sstream>
 #include <string>
 #include <vector>
 
+#include "apps/args.hh"
+#include "common/json.hh"
+#include "common/logging.hh"
 #include "common/stats.hh"
 #include "runner/runner.hh"
 #include "workloads/workload.hh"
@@ -82,6 +99,182 @@ rule(unsigned width)
         std::putchar('-');
     std::putchar('\n');
 }
+
+// --- The gated benches' harness ------------------------------------------
+
+/**
+ * Run a gated bench's @p body on argv after the program name. A
+ * FatalError (a bad flag or value, an unreadable baseline, a run that
+ * cannot complete) prints "error: ..." and exits 2, as the CLI does;
+ * otherwise the body's code stands (0 pass, 1 a gate failed, 2 usage).
+ */
+inline int
+guardedMain(int argc, char **argv, int (*body)(apps::Args &))
+{
+    apps::Args args(argc - 1, argv + 1);
+    try {
+        return body(args);
+    } catch (const FatalError &err) {
+        std::fprintf(stderr, "error: %s\n", err.what());
+        return 2;
+    }
+}
+
+/** Write @p report as indented JSON to @p path and say so. */
+inline void
+writeReport(const std::string &path, const json::Value &report)
+{
+    std::ofstream os(path);
+    if (!os)
+        fatal("cannot write ", path);
+    report.write(os, 2);
+    os << "\n";
+    if (!os.flush())
+        fatal("cannot write ", path);
+    std::printf("report written to %s\n", path.c_str());
+}
+
+/** Which way a gated metric improves. */
+enum class Better
+{
+    Higher,    ///< the baseline gate is a floor: base * (1 - tol)
+    Lower,     ///< the baseline gate is a ceiling: base * (1 + tol)
+};
+
+/** How a gated number prints: printf width, decimals, a unit suffix. */
+struct Format
+{
+    int width;
+    int precision;
+    const char *suffix = "";
+};
+
+/**
+ * The pass/fail gates of one bench run: absolute gates against fixed
+ * thresholds, and regression gates against a checked-in baseline
+ * report. Each gate prints one "gate: ... ok" line (or the gate's
+ * failure word) and a failed gate makes exitCode() 1.
+ */
+class Gates
+{
+  public:
+    /**
+     * Check @p tolerance and read the baseline report at @p baseline
+     * (empty: absolute gates only) now, so bad usage stops the bench
+     * before it measures anything. A floor gate (@p better Higher)
+     * needs a tolerance in [0, 1); a ceiling gate any non-negative one.
+     */
+    Gates(const std::string &baseline, double tolerance, Better better)
+        : path_(baseline), tolerance_(tolerance), better_(better)
+    {
+        if (!(tolerance >= 0.0) ||
+            (better == Better::Higher && tolerance >= 1.0)) {
+            fatal("bad value for --tolerance: ", tolerance,
+                  better == Better::Higher ? " (a floor needs [0, 1))"
+                                           : " (needs >= 0)");
+        }
+        if (baseline.empty())
+            return;
+        std::ifstream is(baseline);
+        if (!is)
+            fatal("cannot read baseline ", baseline);
+        std::stringstream buf;
+        buf << is.rdbuf();
+        base_ = json::Value::parse(buf.str());
+    }
+
+    bool hasBaseline() const { return base_.has_value(); }
+
+    /**
+     * The number at @p keys in the baseline. A missing key or a
+     * non-positive number is an error: a gate against it would check
+     * nothing, so the baseline must be regenerated.
+     */
+    double
+    baselineValue(std::initializer_list<std::string> keys) const
+    {
+        const json::Value *v = base_ ? &*base_ : nullptr;
+        std::string where;
+        for (const std::string &key : keys) {
+            where += (where.empty() ? "" : ".") + key;
+            v = v ? v->find(key) : nullptr;
+        }
+        if (!v || !v->isNumber())
+            fatal("baseline ", path_, " has no number at ", where,
+                  " — regenerate it");
+        const double value = v->asDouble();
+        if (!(value > 0.0))
+            fatal("baseline ", path_, " has non-positive ", where, " ",
+                  value, " — regenerate it");
+        return value;
+    }
+
+    /** Gate @p measured against the baseline value @p base. */
+    void
+    vsBaseline(const std::string &label, double measured, double base,
+               Format fmt, const char *unit = "")
+    {
+        const bool higher = better_ == Better::Higher;
+        const double bound =
+            base * (higher ? 1.0 - tolerance_ : 1.0 + tolerance_);
+        char tol[32];
+        std::snprintf(tol, sizeof(tol), "%.0f%%", tolerance_ * 100.0);
+        gate(label + " " + num(measured, fmt) + unit + " vs baseline " +
+                 num(base, fmt) + (higher ? " (floor " : " (ceiling ") +
+                 num(bound, fmt) + ", tol " + tol + ")",
+             higher ? measured >= bound : measured <= bound,
+             "REGRESSION");
+    }
+
+    /** Gate @p measured >= @p required. */
+    void
+    atLeast(const std::string &label, double measured, double required,
+            Format fmt, const char *fail)
+    {
+        gate(label + " " + num(measured, fmt) + " vs required " +
+                 num(required, fmt),
+             measured >= required, fail);
+    }
+
+    /** Gate @p measured <= @p allowed. */
+    void
+    atMost(const std::string &label, double measured, double allowed,
+           Format fmt, const char *fail)
+    {
+        gate(label + " " + num(measured, fmt) + " vs allowed " +
+                 num(allowed, fmt),
+             measured <= allowed, fail);
+    }
+
+    /** Print one gate line: @p ok passes, else @p fail fails the run. */
+    void
+    gate(const std::string &description, bool ok, const char *fail)
+    {
+        std::printf("gate: %-45s  %s\n", description.c_str(),
+                    ok ? "ok" : fail);
+        if (!ok)
+            failed_ = true;
+    }
+
+    /** 0 when every gate passed, else 1. */
+    int exitCode() const { return failed_ ? 1 : 0; }
+
+  private:
+    static std::string
+    num(double value, Format fmt)
+    {
+        char buf[64];
+        std::snprintf(buf, sizeof(buf), "%*.*f%s", fmt.width,
+                      fmt.precision, value, fmt.suffix);
+        return buf;
+    }
+
+    std::string path_;
+    double tolerance_;
+    Better better_;
+    std::optional<json::Value> base_;
+    bool failed_ = false;
+};
 
 } // namespace dynaspam::bench
 

@@ -27,6 +27,12 @@ namespace
 /** epoll_wait tick: timers (pings, deadlines, backoffs) run per tick. */
 constexpr int kEpollTickMs = 100;
 
+/** listen(2) backlog for both listeners. */
+constexpr int kAcceptBacklog = 128;
+
+/** Batch reassignment attempts before the request fails 503. */
+constexpr unsigned kMaxBatchRetries = 3;
+
 /** Batch-reassignment backoff saturates here (see retryBackoffDelayMs). */
 constexpr std::uint64_t kRetryBackoffCapMs = 60'000;
 
@@ -212,12 +218,12 @@ Coordinator::start()
     setNonBlocking(wakePipe.readEnd.get());
 
     listenHttpFd = serve::listenTcp(options.bindAddress, options.httpPort,
-                                    options.acceptBacklog, httpPort_);
+                                    kAcceptBacklog, httpPort_);
     setNonBlocking(listenHttpFd.get());
     if (!local) {
         listenWorkerFd =
             serve::listenTcp(options.bindAddress, options.workerPort,
-                             options.acceptBacklog, workerPort_);
+                             kAcceptBacklog, workerPort_);
         setNonBlocking(listenWorkerFd.get());
     }
 
@@ -965,9 +971,9 @@ Coordinator::dropWorker(int fd, const char *why)
         batch.attempts++;
         metrics_.inc("dynaspam_cluster_batch_retries_total",
                      workerLabel(slot));
-        if (batch.attempts > options.maxBatchRetries) {
+        if (batch.attempts > kMaxBatchRetries) {
             std::ostringstream os;
-            os << "shard batch failed after " << options.maxBatchRetries
+            os << "shard batch failed after " << kMaxBatchRetries
                << " reassignments (workers keep dying)";
             failRequest(batch.requestId, 503, os.str());
             continue;

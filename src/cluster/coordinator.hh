@@ -34,7 +34,7 @@
  *    worker silent past pingTimeoutMs is declared dead);
  *  - a dead worker's inflight batches are reassigned to the next live
  *    slot upward with bounded exponential backoff (retryBackoffMs <<
- *    attempts), up to maxBatchRetries, then the request fails 503;
+ *    attempts), up to 3 reassignments, then the request fails 503;
  *  - deterministic job failures (worker Result carries "error") fail
  *    the request with 500 and are NOT retried — a deterministic
  *    simulator would only reproduce the error;
@@ -106,10 +106,6 @@ struct CoordinatorOptions
     std::uint64_t requestTimeoutMs = 120000;
     /** Hard cap on HTTP request size (line + headers + body). */
     std::size_t maxRequestBytes = 1 << 20;
-    /** listen(2) backlog for both listeners. */
-    int acceptBacklog = 128;
-    /** Batch reassignment attempts before the request fails 503. */
-    unsigned maxBatchRetries = 3;
     /** Base reassignment backoff; doubles per attempt. */
     std::uint64_t retryBackoffMs = 100;
     /** Worker health-check period. */

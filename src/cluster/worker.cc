@@ -22,6 +22,16 @@ namespace dynaspam::cluster
 namespace
 {
 
+/**
+ * Bounded *consecutive* dial failures (the coordinator may still be
+ * booting, or be restarting mid-sweep); a successful connection resets
+ * the count.
+ */
+constexpr unsigned kConnectRetries = 25;
+
+/** Re-dial backoff saturates here. */
+constexpr std::uint64_t kReconnectBackoffCapMs = 5000;
+
 /** Budgeted caches are collected every this many executed jobs. */
 constexpr std::uint64_t kGcJobInterval = 32;
 
@@ -128,15 +138,15 @@ Worker::run()
         if (terminal.load(std::memory_order_relaxed))
             return 1;
         if (fd < 0) {
-            if (++dialFailures >= options.connectRetries) {
+            if (++dialFailures >= kConnectRetries) {
                 warn("worker: cannot reach coordinator at ",
                      options.connectHost, ":", options.connectPort,
-                     " after ", options.connectRetries, " attempts");
+                     " after ", kConnectRetries, " attempts");
                 return 1;
             }
             std::uint64_t delay = retryBackoffDelayMs(
                 options.connectRetryMs, dialFailures,
-                options.reconnectBackoffCapMs);
+                kReconnectBackoffCapMs);
             delay += rng.below(delay / 2 + 1);
             std::this_thread::sleep_for(
                 std::chrono::milliseconds(delay));

@@ -92,10 +92,7 @@ struct WorkerOptions
     /** Coordinator worker-port endpoint to dial. */
     std::string connectHost = "127.0.0.1";
     unsigned connectPort = 9090;
-    /** Bounded *consecutive* dial failures (coordinator may still be
-     *  booting, or be restarting mid-sweep); a successful connection
-     *  resets the count. */
-    unsigned connectRetries = 25;
+    /** First re-dial wait; the backoff doubles from here. */
     std::uint64_t connectRetryMs = 200;
 
     /**
@@ -103,10 +100,9 @@ struct WorkerOptions
      * orderly drain (Goodbye frame) or shutdownNow() still terminates
      * the worker; only an unexplained EOF / error / silence triggers a
      * reconnect. Waits are jittered exponential backoff from
-     * connectRetryMs, capped at reconnectBackoffCapMs.
+     * connectRetryMs, capped at 5 s.
      */
     bool reconnect = true;
-    std::uint64_t reconnectBackoffCapMs = 5000;
 
     /**
      * Shared cluster secret sent in the Hello frame. Must match the
@@ -160,7 +156,8 @@ class Worker
      * coordinator sends Goodbye (orderly drain) or shutdownNow() is
      * called. A lost link (EOF, error, silence) re-dials with jittered
      * exponential backoff when options.reconnect is set; consecutive
-     * dial failures are bounded by options.connectRetries.
+     * dial failures are bounded (25; a successful connection resets
+     * the count).
      * @return process exit code: 0 on clean close, 1 on error
      */
     int run();

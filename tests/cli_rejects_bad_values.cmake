@@ -1,36 +1,47 @@
-# Runs the dynaspam CLI with bad job values and expects each to be
-# rejected before anything runs: exit code 2 and an error naming the
-# flag. Invoked by ctest as
-#   cmake -DCLI=<path to dynaspam> -P cli_rejects_bad_values.cmake
+# Runs the dynaspam CLI and the gated benches with bad values and
+# expects each to be rejected before anything runs: exit code 2 and an
+# error naming the flag. Invoked by ctest as
+#   cmake -Ddynaspam=<path> -Dbench_simspeed=<path> ... -P cli_rejects_bad_values.cmake
+# with one -D<binary>=<path> per binary named below.
 #
-# Each case is "<expected stderr regex>|<arguments>". The first group
-# does not fit in an unsigned int ("bad value for <flag>"); the first
-# of those wraps to a valid scale (4294967297 = 2^32 + 1 -> 1) when the
-# range check is missing, so it fails fast instead of running the later
-# cases, which would otherwise request absurd sizes. The second group
-# fits but lies outside the job schema's bounds, which run, sweep and
-# trace all check before they simulate.
+# Each case is "<binary>|<expected stderr regex>|<arguments>". The
+# benches come first, led by one that aborted instead of exiting 2 when
+# the benches parsed flags by hand, so it fails fast rather than
+# running the later cases, which would otherwise start long runs
+# (bench_serve --requests -1 used to wrap to 4294967295 requests). Then
+# the CLI: the first group does not fit in an unsigned int ("bad value
+# for <flag>"); the second fits but lies outside the job schema's
+# bounds, which run, sweep and trace all check before they simulate.
 foreach(case
-        "bad value for --scale|run;--workload;bfs;--scale;4294967297;--no-cache"
-        "bad value for --trace-length|run;--workload;bfs;--trace-length;99999999999999999999;--no-cache"
-        "bad value for --fabrics|run;--workload;bfs;--fabrics;-1;--no-cache"
-        "--scale|run;--workload;bfs;--scale;0;--no-cache"
-        "--trace-length|run;--workload;bfs;--trace-length;0;--no-cache"
-        "--scale|sweep;--figure;8;--workloads;bfs;--scale;0;--no-cache"
-        "--scale|trace;bfs;--scale;0")
-    string(FIND "${case}" "|" bar)
-    string(SUBSTRING "${case}" 0 ${bar} expected)
-    math(EXPR rest "${bar} + 1")
-    string(SUBSTRING "${case}" ${rest} -1 args)
-    list(JOIN args " " shown)
+        "bench_simspeed|bad value for --scale|--scale;abc"
+        "bench_simspeed|bad value for --tolerance|--tolerance;5"
+        "bench_simspeed|unknown workload|--workloads;nosuch"
+        "bench_explore|missing value for --tolerance|--tolerance"
+        "bench_explore|bad value for --seed|--seed;-1"
+        "bench_explore|cannot read baseline|--baseline;no-such-baseline.json"
+        "bench_snapshot|bad value for --tolerance|--tolerance;2"
+        "bench_snapshot|bad value for --points|--points;abc"
+        "bench_serve|bad value for --requests|--requests;-1"
+        "bench_serve|bad value for --tolerance|--tolerance;nan"
+        "bench_serve|usage: bench_serve|--cached-pct;101"
+        "dynaspam|bad value for --scale|run;--workload;bfs;--scale;4294967297;--no-cache"
+        "dynaspam|bad value for --trace-length|run;--workload;bfs;--trace-length;99999999999999999999;--no-cache"
+        "dynaspam|bad value for --fabrics|run;--workload;bfs;--fabrics;-1;--no-cache"
+        "dynaspam|--scale|run;--workload;bfs;--scale;0;--no-cache"
+        "dynaspam|--trace-length|run;--workload;bfs;--trace-length;0;--no-cache"
+        "dynaspam|--scale|sweep;--figure;8;--workloads;bfs;--scale;0;--no-cache"
+        "dynaspam|--scale|trace;bfs;--scale;0")
+    string(REPLACE "|" ";" fields "${case}")
+    list(POP_FRONT fields bin expected)
+    list(JOIN fields " " shown)
     execute_process(
-        COMMAND ${CLI} ${args}
+        COMMAND ${${bin}} ${fields}
         RESULT_VARIABLE code
         OUTPUT_VARIABLE out
         ERROR_VARIABLE err)
     if(NOT code EQUAL 2 OR NOT err MATCHES "${expected}")
         message(FATAL_ERROR
-            "dynaspam ${shown}: expected exit 2 with \"${expected}\", "
+            "${bin} ${shown}: expected exit 2 with \"${expected}\", "
             "got exit ${code}\nstderr: ${err}\nstdout: ${out}")
     endif()
 endforeach()

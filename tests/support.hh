@@ -3,13 +3,15 @@
  * Shared test support: a self-deleting scratch directory, a minimal
  * HTTP/1.1 client for the serve, cluster and explore front ends, a
  * bounded polling wait, and a cluster worker thread that cannot outlive
- * its test.
+ * its test. The tests and the two benches that drive in-process
+ * servers (bench_serve, bench_snapshot) use this one copy.
  */
 
 #ifndef DYNASPAM_TESTS_SUPPORT_HH
 #define DYNASPAM_TESTS_SUPPORT_HH
 
 #include <atomic>
+#include <cerrno>
 #include <chrono>
 #include <cstdint>
 #include <filesystem>
@@ -93,6 +95,8 @@ sendRaw(int fd, const std::string &wire)
     while (sent < wire.size()) {
         ssize_t n = ::send(fd, wire.data() + sent, wire.size() - sent,
                            MSG_NOSIGNAL);
+        if (n < 0 && errno == EINTR)
+            continue;
         if (n <= 0)
             return false;
         sent += std::size_t(n);
@@ -139,7 +143,8 @@ parseHead(const std::string &raw, std::size_t head_end, Reply &reply)
 
 /**
  * Read exactly one response from @p fd (headers + Content-Length body)
- * without waiting for EOF — usable on keep-alive connections.
+ * without waiting for EOF — usable on keep-alive connections. status
+ * is 0 when the connection breaks before the whole response arrived.
  */
 inline Reply
 readReply(int fd)
@@ -163,8 +168,10 @@ readReply(int fd)
     reply.body = raw.substr(head_end + 4);
     while (reply.body.size() < body_len) {
         ssize_t n = ::recv(fd, chunk, sizeof(chunk), 0);
-        if (n <= 0)
+        if (n <= 0) {
+            reply.status = 0;    // cut short: not a whole reply
             break;
+        }
         reply.body.append(chunk, std::size_t(n));
     }
     return reply;

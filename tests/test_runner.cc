@@ -57,6 +57,17 @@ determinismSweep()
     return jobs;
 }
 
+/** Runner options with @p jobs threads and the cache at @p cache_dir
+ *  (empty: off); the other fields keep their defaults. */
+runner::RunnerOptions
+runnerOptions(unsigned jobs, const std::string &cache_dir = "")
+{
+    runner::RunnerOptions opts;
+    opts.jobs = jobs;
+    opts.cacheDir = cache_dir;
+    return opts;
+}
+
 std::string
 reportFor(const std::vector<runner::JobOutcome> &outcomes,
           const StatRegistry *stats)
@@ -284,8 +295,8 @@ TEST(RunnerDeterminism, OneThreadAndEightThreadsMatchByteForByte)
     const std::vector<Job> jobs = determinismSweep();
     ASSERT_EQ(jobs.size(), 20u);
 
-    runner::Runner serial(runner::RunnerOptions{1, ""});
-    runner::Runner parallel(runner::RunnerOptions{8, ""});
+    runner::Runner serial(runnerOptions(1));
+    runner::Runner parallel(runnerOptions(8));
     auto serial_outcomes = serial.runAll(jobs);
     auto parallel_outcomes = parallel.runAll(jobs);
 
@@ -315,7 +326,7 @@ TEST(ResultCache, WarmRerunPerformsZeroSimulations)
         Job{"PF", SystemMode::AccelSpec, 32, 1, 1},
     };
 
-    runner::Runner cold(runner::RunnerOptions{2, dir.path()});
+    runner::Runner cold(runnerOptions(2, dir.path()));
     auto cold_outcomes = cold.runAll(jobs);
     EXPECT_EQ(cold.stats().get("runner.cache_hits"), 0u);
     EXPECT_EQ(cold.stats().get("runner.cache_misses"), jobs.size());
@@ -323,7 +334,7 @@ TEST(ResultCache, WarmRerunPerformsZeroSimulations)
     for (const auto &outcome : cold_outcomes)
         EXPECT_FALSE(outcome.fromCache);
 
-    runner::Runner warm(runner::RunnerOptions{2, dir.path()});
+    runner::Runner warm(runnerOptions(2, dir.path()));
     auto warm_outcomes = warm.runAll(jobs);
     EXPECT_EQ(warm.stats().get("runner.cache_hits"), jobs.size());
     EXPECT_EQ(warm.stats().get("runner.jobs_executed"), 0u);
@@ -366,7 +377,7 @@ TEST(ResultCache, CorruptEntryFallsBackToSimulation)
         }
         EXPECT_FALSE(cache.load(job).has_value()) << content;
 
-        runner::Runner r(runner::RunnerOptions{1, dir.path()});
+        runner::Runner r(runnerOptions(1, dir.path()));
         auto outcomes = r.runAll({job});
         EXPECT_FALSE(outcomes[0].fromCache) << content;
         EXPECT_EQ(outcomes[0].result.cycles, reference.cycles);
@@ -389,7 +400,7 @@ TEST(ResultCache, EpochMismatchInvalidates)
     EXPECT_FALSE(current.load(job).has_value());
 
     // ...and a run through the Runner re-simulates and repairs it.
-    runner::Runner r(runner::RunnerOptions{1, dir.path()});
+    runner::Runner r(runnerOptions(1, dir.path()));
     auto outcomes = r.runAll({job});
     EXPECT_FALSE(outcomes[0].fromCache);
     EXPECT_TRUE(current.load(job).has_value());
