@@ -19,12 +19,20 @@
  * runner::execute call (functional pass + timing pass), timed with
  * steady_clock.
  *
+ * Right before each point the bench times bench::calibrationMops (best
+ * of --repeat passes of a fixed loop that shares no code with the
+ * simulator). The point's normalised KIPS is its KIPS divided by that
+ * calibration rate: simulated instructions per thousand calibration
+ * steps. A busy or throttled host slows both, so the ratio holds still
+ * where raw KIPS drifts.
+ *
  * With --baseline, the emitted report is compared against a previously
- * checked-in report: the run fails (exit 1) if the geomean KIPS of
- * either mode drops more than --tolerance (default 0.25, in [0, 1))
- * below the baseline's geomean over the same workloads; a workload the
- * baseline lacks is an error (exit 2). Single points do not gate, since
- * single-point timings on shared CI hosts are noisy.
+ * checked-in report: the run fails (exit 1) if the geomean normalised
+ * KIPS of either mode drops more than --tolerance (default 0.25, in
+ * [0, 1)) below the baseline's geomean over the same workloads; a
+ * workload the baseline lacks is an error (exit 2). Raw KIPS is
+ * reported but not gated. Single points do not gate, since single-point
+ * timings on shared CI hosts are noisy.
  *
  * Report schema: see EXPERIMENTS.md ("Simulator-throughput benchmark").
  */
@@ -47,23 +55,28 @@ using sim::SystemMode;
 namespace
 {
 
-/** One timed simulation point. */
+/** One timed simulation point and the host calibration next to it. */
 struct Point
 {
     std::uint64_t insts = 0;
     std::uint64_t cycles = 0;
     double seconds = 0.0;
+    double calMops = 0.0;
 
     double kips() const
     {
         return seconds > 0.0 ? double(insts) / 1e3 / seconds : 0.0;
     }
+
+    /** KIPS per calibration Mstep/s: insts per 1000 calibration steps. */
+    double normKips() const { return calMops > 0.0 ? kips() / calMops : 0.0; }
 };
 
 Point
 timePoint(const Job &job, unsigned repeat)
 {
     Point best;
+    best.calMops = bench::calibrationMops(repeat);
     for (unsigned i = 0; i < repeat; i++) {
         const auto t0 = std::chrono::steady_clock::now();
         sim::RunResult res = runner::execute(job);
@@ -86,6 +99,8 @@ pointToJson(const Point &p)
     o["cycles"] = p.cycles;
     o["seconds"] = p.seconds;
     o["kips"] = p.kips();
+    o["cal_mops"] = p.calMops;
+    o["norm_kips"] = p.normKips();
     return o;
 }
 
@@ -137,12 +152,13 @@ run(apps::Args &args)
 
     std::printf("simspeed: scale %u, best of %u run%s per point\n", scale,
                 repeat, repeat == 1 ? "" : "s");
-    std::printf("%-6s %14s %12s %14s %12s\n", "bench", "host insts",
-                "host KIPS", "fabric insts", "fabric KIPS");
-    bench::rule(6);
+    std::printf("%-6s %12s %10s %8s %12s %10s %8s\n", "bench", "host insts",
+                "host KIPS", "norm", "fabric insts", "fab KIPS", "norm");
+    bench::rule(7);
 
     json::Object workloads_json;
-    std::vector<double> host_kips, fabric_kips;
+    std::vector<double> host_kips, fabric_kips, host_norm, fabric_norm,
+        cal_mops;
     for (const std::string &name : names) {
         const Point host =
             timePoint(Job{name, SystemMode::BaselineOoo, 32, 1, scale},
@@ -152,22 +168,27 @@ run(apps::Args &args)
                       repeat);
         host_kips.push_back(host.kips());
         fabric_kips.push_back(fabric.kips());
+        host_norm.push_back(host.normKips());
+        fabric_norm.push_back(fabric.normKips());
+        cal_mops.push_back(host.calMops);
+        cal_mops.push_back(fabric.calMops);
 
         json::Object modes;
         modes["host"] = pointToJson(host);
         modes["fabric"] = pointToJson(fabric);
         workloads_json[name] = std::move(modes);
 
-        std::printf("%-6s %14llu %12.1f %14llu %12.1f\n", name.c_str(),
+        std::printf("%-6s %12llu %10.1f %8.2f %12llu %10.1f %8.2f\n",
+                    name.c_str(),
                     static_cast<unsigned long long>(host.insts),
-                    host.kips(),
+                    host.kips(), host.normKips(),
                     static_cast<unsigned long long>(fabric.insts),
-                    fabric.kips());
+                    fabric.kips(), fabric.normKips());
     }
-    bench::rule(6);
+    bench::rule(7);
 
     json::Object report_obj;
-    report_obj["schema_version"] = 1u;
+    report_obj["schema_version"] = 2u;
     report_obj["name"] = "simspeed";
     report_obj["scale"] = scale;
     report_obj["repeat"] = repeat;
@@ -175,26 +196,34 @@ run(apps::Args &args)
     json::Object geo;
     geo["host_kips"] = geomean(host_kips);
     geo["fabric_kips"] = geomean(fabric_kips);
+    geo["host_norm_kips"] = geomean(host_norm);
+    geo["fabric_norm_kips"] = geomean(fabric_norm);
+    geo["cal_mops"] = geomean(cal_mops);
     report_obj["geomean"] = std::move(geo);
 
-    std::printf("%-6s %14s %12.1f %14s %12.1f   (geomean)\n", "geo", "",
-                geomean(host_kips), "", geomean(fabric_kips));
+    std::printf("%-6s %12s %10.1f %8.2f %12s %10.1f %8.2f   (geomean)\n",
+                "geo", "", geomean(host_kips), geomean(host_norm), "",
+                geomean(fabric_kips), geomean(fabric_norm));
+    std::printf("calibration: %.1f Msteps/s geomean (norm = KIPS per "
+                "Msteps/s)\n",
+                geomean(cal_mops));
     bench::writeReport(out, json::Value{std::move(report_obj)});
 
     if (!gates.hasBaseline())
         return 0;
-    // Gate each mode's geomean against the baseline's geomean over the
-    // same workloads, so a --workloads subset compares like with like.
-    for (const auto &[mode, kips] :
-         {std::pair{"host", &host_kips}, std::pair{"fabric", &fabric_kips}}) {
-        std::vector<double> base_kips;
+    // Gate each mode's normalised geomean against the baseline's over
+    // the same workloads, so a --workloads subset compares like with
+    // like.
+    for (const auto &[mode, norm] :
+         {std::pair{"host", &host_norm}, std::pair{"fabric", &fabric_norm}}) {
+        std::vector<double> base_norm;
         for (const std::string &name : names)
-            base_kips.push_back(
-                gates.baselineValue({"workloads", name, mode, "kips"}));
+            base_norm.push_back(
+                gates.baselineValue({"workloads", name, mode, "norm_kips"}));
         char label[32];
-        std::snprintf(label, sizeof(label), "%-6s geomean", mode);
-        gates.vsBaseline(label, geomean(*kips), geomean(base_kips),
-                         {10, 1}, " KIPS");
+        std::snprintf(label, sizeof(label), "%-6s norm geomean", mode);
+        gates.vsBaseline(label, geomean(*norm), geomean(base_norm),
+                         {7, 2}, " KIPS/Mstep/s");
     }
     return gates.exitCode();
 }

@@ -29,7 +29,11 @@
  * timed passes re-execute every job (no result cache) with the warmed
  * state loading from disk and the two groups forking on their owner
  * shards in parallel. Its merged report must be byte-identical to the
- * single-process --no-fork report.
+ * single-process --no-fork report. The forked and cluster paths are
+ * timed in alternating rounds (forked sweep, then cluster sweep,
+ * --repeat times) with the coordinator and workers kept up across
+ * rounds, so host drift during the run hits both sides of the cluster
+ * gain alike; each keeps its fastest round.
  *
  * The bench stops with an error (exit 2) if any report entry differs
  * between paths — forked and cluster sweeps must be byte-identical at
@@ -80,90 +84,107 @@ struct Timed
     std::vector<std::string> entries;
 };
 
-Timed
-timeSweep(const std::vector<Job> &jobs, bool fork, unsigned repeat)
+/** Fold one timed run into @p best: keep the fastest time, and insist
+ *  every run reports the same entries. */
+void
+keepBest(Timed &best, bool first, double secs,
+         std::vector<std::string> entries, bool fork)
 {
-    Timed best;
-    for (unsigned i = 0; i < repeat; i++) {
-        runner::RunnerOptions opts;
-        opts.jobs = 1;          // serial: compare work, not parallelism
-        opts.forkSweeps = fork; // cache stays disabled (no cacheDir)
-        runner::Runner r(opts);
-        const auto t0 = std::chrono::steady_clock::now();
-        std::vector<runner::JobOutcome> outcomes = r.runAll(jobs);
-        const auto t1 = std::chrono::steady_clock::now();
-        const double secs = std::chrono::duration<double>(t1 - t0).count();
-        std::vector<std::string> entries;
-        entries.reserve(outcomes.size());
-        for (const runner::JobOutcome &outcome : outcomes)
-            entries.push_back(runner::sweepEntryJson(outcome).dump());
-        if (i == 0 || secs < best.seconds)
-            best.seconds = secs;
-        if (i == 0)
-            best.entries = std::move(entries);
-        else if (entries != best.entries)
-            fatal("sweep reports differ between repeats (fork=", fork,
-                  ") — the simulator is nondeterministic");
-    }
-    return best;
+    if (first || secs < best.seconds)
+        best.seconds = secs;
+    if (first)
+        best.entries = std::move(entries);
+    else if (entries != best.entries)
+        fatal("sweep reports differ between repeats (fork=", fork,
+              ") — the simulator is nondeterministic");
+}
+
+/** One serial in-process sweep of @p jobs, folded into @p best. */
+void
+timeSweepOnce(const std::vector<Job> &jobs, bool fork, Timed &best,
+              bool first)
+{
+    runner::RunnerOptions opts;
+    opts.jobs = 1;          // serial: compare work, not parallelism
+    opts.forkSweeps = fork; // cache stays disabled (no cacheDir)
+    runner::Runner r(opts);
+    const auto t0 = std::chrono::steady_clock::now();
+    std::vector<runner::JobOutcome> outcomes = r.runAll(jobs);
+    const auto t1 = std::chrono::steady_clock::now();
+    std::vector<std::string> entries;
+    entries.reserve(outcomes.size());
+    for (const runner::JobOutcome &outcome : outcomes)
+        entries.push_back(runner::sweepEntryJson(outcome).dump());
+    keepBest(best, first, std::chrono::duration<double>(t1 - t0).count(),
+             std::move(entries), fork);
 }
 
 /**
- * Time the group-sharded cluster path: coordinator + 2 workers sharing
- * a snapshot-cache directory, one untimed pass to warm and persist the
- * fork-group prefixes, then @p repeat timed sweeps re-executing every
- * job from the on-disk snapshots. Every response body must equal
- * @p expected (the single-process --no-fork report).
- * @return fastest timed-sweep wall seconds
+ * The group-sharded cluster path: coordinator + 2 workers sharing a
+ * snapshot-cache directory and one keep-alive client connection, up
+ * from construction to destruction. The constructor runs one untimed
+ * sweep that warms and persists the fork-group prefixes; each sweep()
+ * after it re-executes every job from the on-disk snapshots. Every
+ * response body must equal @p expected_report (the single-process
+ * --no-fork report).
  */
-double
-timeClusterSweep(const std::vector<Job> &jobs, unsigned repeat,
-                 const std::string &expected)
+class ClusterRig
 {
-    tests::TempDir snaps("bench-snapshot");
-    cluster::CoordinatorOptions copts;
-    copts.httpPort = 0;
-    copts.workerPort = 0;
-    copts.workerSlots = 2;
-    copts.verbose = false;
-    cluster::Coordinator coordinator(copts);
-    coordinator.start();
+  public:
+    ClusterRig(const std::vector<Job> &jobs, std::string expected_report)
+        : snaps("bench-snapshot"), coordinator(coordinatorOptions()),
+          expected(std::move(expected_report))
+    {
+        coordinator.start();
+        for (unsigned i = 0; i < 2; i++) {
+            cluster::WorkerOptions wopts;
+            wopts.connectPort = coordinator.workerPort();
+            wopts.snapshotCacheDir = snaps.path();
+            // No result cache and no memo: every timed pass re-executes
+            // all jobs, so the snapshot cache is the only thing being
+            // measured.
+            wopts.memoEntries = 0;
+            wopts.verbose = false;
+            workers.push_back(std::make_unique<cluster::Worker>(wopts));
+            threads.push_back(
+                std::make_unique<tests::WorkerThread>(*workers.back()));
+        }
+        if (!tests::eventually([&] {
+                return coordinator.metrics().value(
+                           "dynaspam_cluster_workers_connected") == 2;
+            }))
+            fatal("the cluster workers did not connect");
 
-    std::vector<std::unique_ptr<cluster::Worker>> workers;
-    std::vector<std::unique_ptr<tests::WorkerThread>> threads;
-    for (unsigned i = 0; i < 2; i++) {
-        cluster::WorkerOptions wopts;
-        wopts.connectPort = coordinator.workerPort();
-        wopts.snapshotCacheDir = snaps.path();
-        // No result cache and no memo: every timed pass re-executes all
-        // jobs, so the snapshot cache is the only thing being measured.
-        wopts.memoEntries = 0;
-        wopts.verbose = false;
-        workers.push_back(std::make_unique<cluster::Worker>(wopts));
-        threads.push_back(
-            std::make_unique<tests::WorkerThread>(*workers.back()));
+        json::Array specs;
+        for (const Job &job : jobs)
+            specs.push_back(runner::jobToJson(job));
+        json::Object body;
+        body["jobs"] = std::move(specs);
+        wire = tests::requestWire("POST", "/sweep", json::Value{body}.dump());
+
+        fd = tests::connectTo(coordinator.httpPort());
+        if (fd < 0)
+            fatal("cannot reach the in-process coordinator");
+        sweep();    // the untimed warm pass
     }
-    if (!tests::eventually([&] {
-            return coordinator.metrics().value(
-                       "dynaspam_cluster_workers_connected") == 2;
-        }))
-        fatal("the cluster workers did not connect");
 
-    json::Array specs;
-    for (const Job &job : jobs)
-        specs.push_back(runner::jobToJson(job));
-    json::Object body;
-    body["jobs"] = std::move(specs);
-    const std::string wire =
-        tests::requestWire("POST", "/sweep", json::Value{body}.dump());
+    ~ClusterRig()
+    {
+        if (fd >= 0)
+            ::close(fd);
+        coordinator.beginDrain();
+        coordinator.waitUntilDrained();
+        for (const std::unique_ptr<tests::WorkerThread> &t : threads)
+            t->join();
+    }
 
-    // One keep-alive connection: untimed warm pass populates the
-    // snapshot files, then the timed passes load them.
-    const int fd = tests::connectTo(coordinator.httpPort());
-    if (fd < 0)
-        fatal("cannot reach the in-process coordinator");
-    double best = 0.0;
-    for (unsigned i = 0; i <= repeat; i++) {
+    ClusterRig(const ClusterRig &) = delete;
+    ClusterRig &operator=(const ClusterRig &) = delete;
+
+    /** One timed cluster sweep. @return its wall seconds. */
+    double
+    sweep()
+    {
         const auto t0 = std::chrono::steady_clock::now();
         if (!tests::sendRaw(fd, wire))
             fatal("cluster sweep request failed");
@@ -171,19 +192,32 @@ timeClusterSweep(const std::vector<Job> &jobs, unsigned repeat,
         const auto t1 = std::chrono::steady_clock::now();
         if (reply.body != expected)
             fatal("cluster sweep report diverges from the "
-                  "single-process --no-fork report (pass ", i, ")");
-        const double secs = std::chrono::duration<double>(t1 - t0).count();
-        if (i == 1 || (i > 1 && secs < best))
-            best = secs;    // pass 0 is the untimed warm pass
+                  "single-process --no-fork report (pass ", passes, ")");
+        passes++;
+        return std::chrono::duration<double>(t1 - t0).count();
     }
-    ::close(fd);
 
-    coordinator.beginDrain();
-    coordinator.waitUntilDrained();
-    for (const std::unique_ptr<tests::WorkerThread> &t : threads)
-        t->join();
-    return best;
-}
+  private:
+    static cluster::CoordinatorOptions
+    coordinatorOptions()
+    {
+        cluster::CoordinatorOptions copts;
+        copts.httpPort = 0;
+        copts.workerPort = 0;
+        copts.workerSlots = 2;
+        copts.verbose = false;
+        return copts;
+    }
+
+    tests::TempDir snaps;
+    cluster::Coordinator coordinator;
+    std::vector<std::unique_ptr<cluster::Worker>> workers;
+    std::vector<std::unique_ptr<tests::WorkerThread>> threads;
+    std::string expected;
+    std::string wire;
+    int fd = -1;
+    unsigned passes = 0;
+};
 
 int
 usage()
@@ -287,16 +321,9 @@ run(apps::Args &args)
                 static_cast<unsigned long long>(insts_total), repeat,
                 repeat == 1 ? "" : "s");
 
-    const Timed straight = timeSweep(jobs, false, repeat);
-    const Timed forked = timeSweep(jobs, true, repeat);
-
-    // Byte-identity is the contract, not a statistic: any drift between
-    // the two execution strategies invalidates every forked figure.
-    for (std::size_t i = 0; i < jobs.size(); i++) {
-        if (forked.entries[i] != straight.entries[i])
-            fatal("forked report diverges from straight-through for ",
-                  jobs[i].key());
-    }
+    Timed straight;
+    for (unsigned i = 0; i < repeat; i++)
+        timeSweepOnce(jobs, false, straight, i == 0);
 
     // The exact single-process --no-fork report the cluster must emit.
     const std::string expected = [&] {
@@ -309,8 +336,28 @@ run(apps::Args &args)
         runner::writeSweepReport(os, "custom", outcomes, &r.stats());
         return os.str();
     }();
-    const double cluster_seconds =
-        timeClusterSweep(jobs, repeat, expected);
+
+    // Forked and cluster sweeps in alternating rounds: the cluster gain
+    // divides one by the other, so both must see the same host.
+    Timed forked;
+    double cluster_seconds = 0.0;
+    {
+        ClusterRig cluster(jobs, expected);
+        for (unsigned i = 0; i < repeat; i++) {
+            timeSweepOnce(jobs, true, forked, i == 0);
+            const double secs = cluster.sweep();
+            if (i == 0 || secs < cluster_seconds)
+                cluster_seconds = secs;
+        }
+    }
+
+    // Byte-identity is the contract, not a statistic: any drift between
+    // the two execution strategies invalidates every forked figure.
+    for (std::size_t i = 0; i < jobs.size(); i++) {
+        if (forked.entries[i] != straight.entries[i])
+            fatal("forked report diverges from straight-through for ",
+                  jobs[i].key());
+    }
 
     const double speedup =
         forked.seconds > 0.0 ? straight.seconds / forked.seconds : 0.0;

@@ -28,11 +28,15 @@
  * usage, an unreadable or incomplete baseline, or a run that could not
  * complete (an "error:" line says why). The two that drive servers use
  * the HTTP client, TempDir and WorkerThread of tests/support.hh.
+ * calibrationMops() times a fixed, program-independent loop, so a
+ * throughput gate can divide out the speed of the host it ran on.
  */
 
 #ifndef DYNASPAM_BENCH_BENCH_UTIL_HH
 #define DYNASPAM_BENCH_BENCH_UTIL_HH
 
+#include <chrono>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
@@ -40,6 +44,7 @@
 #include <optional>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "apps/args.hh"
@@ -98,6 +103,54 @@ rule(unsigned width)
     for (unsigned i = 0; i < width * 10 + 14; i++)
         std::putchar('-');
     std::putchar('\n');
+}
+
+/**
+ * Host speed in millions of calibration steps per second, the best of
+ * @p repeat timed passes. One step is a dependent load along a random
+ * cycle through a 256 KiB table (an L2-resident pointer chase, as the
+ * cycle loop's structure walks are) plus a multiply-xor mix and a
+ * data-dependent branch; the result does not depend on anything in this
+ * repository. Divide a throughput by it measured nearby in time and the
+ * host's drift cancels: both slow down together when the host is busy
+ * or throttled.
+ */
+inline double
+calibrationMops(unsigned repeat)
+{
+    constexpr std::uint32_t kSlots = 1u << 15;     // 32Ki x 8 bytes
+    constexpr std::uint32_t kSteps = 1u << 21;
+    // One cycle through every slot: Sattolo's shuffle, from a fixed LCG.
+    std::vector<std::uint64_t> next(kSlots);
+    for (std::uint32_t i = 0; i < kSlots; i++)
+        next[i] = i;
+    std::uint64_t lcg = 0x9e3779b97f4a7c15ULL;
+    for (std::uint32_t i = kSlots - 1; i > 0; i--) {
+        lcg = lcg * 6364136223846793005ULL + 1442695040888963407ULL;
+        std::swap(next[i], next[(lcg >> 33) % i]);
+    }
+
+    double best = 0.0;
+    std::uint64_t sink = 0;
+    for (unsigned r = 0; r < repeat; r++) {
+        const auto t0 = std::chrono::steady_clock::now();
+        std::uint64_t at = 0, mix = r;
+        for (std::uint32_t step = 0; step < kSteps; step++) {
+            at = next[at];
+            mix = (mix ^ at) * 0xff51afd7ed558ccdULL;
+            if (mix & 0x100)
+                mix += step;
+        }
+        const auto t1 = std::chrono::steady_clock::now();
+        sink += mix;
+        const double secs = std::chrono::duration<double>(t1 - t0).count();
+        if (r == 0 || secs < best)
+            best = secs;
+    }
+    if (sink == 1)  // keeps the loop observable; practically never true
+        std::printf("calibration sink %llu\n",
+                    static_cast<unsigned long long>(sink));
+    return best > 0.0 ? double(kSteps) / 1e6 / best : 0.0;
 }
 
 // --- The gated benches' harness ------------------------------------------

@@ -6,7 +6,6 @@
 #include "check/auditors.hh"
 
 #include <algorithm>
-#include <deque>
 #include <sstream>
 #include <unordered_map>
 
@@ -169,10 +168,11 @@ OooAuditor::auditRename(Cycle now)
 void
 OooAuditor::auditLsq(Cycle now)
 {
-    auto auditQueue = [&](const std::deque<SeqNum> &queue, bool loads,
-                          const char *name) {
+    auto auditQueue = [&](const Ring<ooo::OooCpu::LsqEntry> &queue,
+                          bool loads, const char *name) {
         SeqNum prev = 0;
-        for (SeqNum seq : queue) {
+        for (const ooo::OooCpu::LsqEntry &entry : queue) {
+            const SeqNum seq = entry.seq;
             if (seq <= prev) {
                 std::ostringstream os;
                 os << name << " out of age order: seq " << seq
@@ -197,6 +197,14 @@ OooAuditor::auditLsq(Cycle now)
                 sink.report("lsq", now, os.str());
                 return;
             }
+            if (d->record && d->record->effAddr != entry.effAddr) {
+                std::ostringstream os;
+                os << name << " entry seq " << seq << " carries address 0x"
+                   << std::hex << entry.effAddr << " but its record names 0x"
+                   << d->record->effAddr;
+                sink.report("lsq", now, os.str());
+                return;
+            }
             if (loads && d->dependsOnStore && d->dependsOnStore >= seq) {
                 std::ostringstream os;
                 os << "load seq " << seq
@@ -210,11 +218,43 @@ OooAuditor::auditLsq(Cycle now)
 
     auditQueue(cpu.loadQueue, true, "load queue");
     auditQueue(cpu.storeQueue, false, "store queue");
+
+    // The post-commit store buffer: bounded, and in commit (age) order.
+    if (cpu.storeBuffer.size() > ooo::OooCpu::storeBufferEntries) {
+        std::ostringstream os;
+        os << "store buffer holds " << cpu.storeBuffer.size()
+           << " entries, over its " << ooo::OooCpu::storeBufferEntries;
+        sink.report("lsq", now, os.str());
+        return;
+    }
+    SeqNum prev = 0;
+    for (const auto &retired : cpu.storeBuffer) {
+        if (retired.seq <= prev) {
+            std::ostringstream os;
+            os << "store buffer out of age order: seq " << retired.seq
+               << " follows seq " << prev;
+            sink.report("lsq", now, os.str());
+            return;
+        }
+        prev = retired.seq;
+    }
 }
 
 void
 OooAuditor::auditAtomicity(Cycle now)
 {
+    std::size_t unresolved = 0;
+    for (const auto &[seq, inv] : cpu.invocations)
+        unresolved += !inv.resolved;
+    if (unresolved != cpu.invocations.unresolvedCount()) {
+        std::ostringstream os;
+        os << "invocation table counts "
+           << cpu.invocations.unresolvedCount()
+           << " unresolved entries but holds " << unresolved
+           << " (the execute stage would skip or stall a launch)";
+        sink.report("atomicity", now, os.str());
+        return;
+    }
     for (const auto &[seq, inv] : cpu.invocations) {
         if (inv.resolved)
             continue;
@@ -237,11 +277,10 @@ OooAuditor::auditAtomicity(Cycle now)
 void
 OooAuditor::auditScheduler(Cycle now)
 {
-    // The wakeup scheduler and the LSQ line indexes are derived views of
-    // the IQ and the memory queues; this audit proves the views stay an
-    // exact mirror (the sqBound watermark is cross-checked at its use
-    // site by a DYNASPAM_CHECK instead, where the reference predicate is
-    // evaluated on identical state).
+    // The wakeup scheduler is a derived view of the IQ; this audit
+    // proves the view stays an exact mirror (the sqBound watermark is
+    // cross-checked at its use site by a DYNASPAM_CHECK instead, where
+    // the reference predicate is evaluated on identical state).
 
     // Pass 1: validate every ready/pending entry and count references.
     std::unordered_map<SeqNum, unsigned> schedRefs;
@@ -368,56 +407,6 @@ OooAuditor::auditScheduler(Cycle now)
         std::ostringstream os;
         os << "scheduler lists hold " << ready_total + pending_total
            << " entries but the IQ holds only " << cpu.iq.size();
-        sink.report("scheduler", now, os.str());
-        return;
-    }
-
-    // Pass 4: the LSQ line indexes mirror the queues exactly.
-    auto auditIndex = [&](const std::deque<SeqNum> &queue,
-                          const ooo::OooCpu::LsqIndex &index,
-                          const char *name) -> bool {
-        ooo::OooCpu::LsqIndex expect;
-        for (SeqNum seq : queue) {
-            const ooo::DynInst *d = cpu.robFind(seq);
-            if (!d || !d->record)
-                return true;    // auditLsq already reported this
-            expect[ooo::OooCpu::lsqLine(d->record->effAddr)].push_back(seq);
-        }
-        if (index == expect)
-            return true;
-        std::ostringstream os;
-        os << name << " line index does not mirror the queue ("
-           << index.size() << " lines indexed, " << expect.size()
-           << " expected)";
-        sink.report("scheduler", now, os.str());
-        return false;
-    };
-    if (!auditIndex(cpu.loadQueue, cpu.loadsByLine, "load"))
-        return;
-    if (!auditIndex(cpu.storeQueue, cpu.storesByLine, "store"))
-        return;
-
-    // Pass 5: retiredByLine mirrors the post-commit store buffer.
-    std::size_t retired_total = 0;
-    for (const auto &[line, entries] : cpu.retiredByLine) {
-        retired_total += entries.size();
-        SeqNum prev = 0;
-        for (const auto &rs : entries) {
-            if (ooo::OooCpu::lsqLine(rs.addr) != line || rs.seq <= prev) {
-                std::ostringstream os;
-                os << "retired-store line index entry seq " << rs.seq
-                   << " misfiled or out of age order on line " << line;
-                sink.report("scheduler", now, os.str());
-                return;
-            }
-            prev = rs.seq;
-        }
-    }
-    if (retired_total != cpu.storeBuffer.size()) {
-        std::ostringstream os;
-        os << "retired-store line index holds " << retired_total
-           << " entries but the store buffer holds "
-           << cpu.storeBuffer.size();
         sink.report("scheduler", now, os.str());
         return;
     }

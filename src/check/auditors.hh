@@ -52,19 +52,20 @@ namespace dynaspam::check
  *    mappings held by in-flight invocations — no register leaked,
  *    none aliased.
  *  - "lsq": load/store queues hold in-flight memory instructions of
- *    the right kind in age order, and store-set dependence edges
- *    point strictly older.
- *  - "atomicity": an unresolved invocation's live-out registers are
- *    all still not-ready — a fat ROB' entry's results must become
+ *    the right kind in age order, each entry carrying its record's
+ *    effective address, store-set dependence edges point strictly
+ *    older, and the post-commit store buffer holds at most its 16
+ *    entries in age order.
+ *  - "atomicity": the invocation table's unresolved counter matches
+ *    its entries, and an unresolved invocation's live-out registers
+ *    are all still not-ready — a fat ROB' entry's results must become
  *    visible atomically, never early.
  *  - "scheduler": the wakeup-driven issue bookkeeping mirrors the IQ
  *    exactly — every waiting IQ instruction with no unknown sources
  *    has exactly one ready/pending reference of the right FU type,
  *    instructions with unknown sources are registered once per
  *    unknown source on a not-ready producer's consumer list, the
- *    ready/pending counters match, and the cacheline-keyed LSQ and
- *    store-buffer indexes hold exactly the queues' entries in age
- *    order.
+ *    ready/pending counters match.
  */
 class OooAuditor
 {

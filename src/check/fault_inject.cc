@@ -137,7 +137,7 @@ FaultInjector::injectLsqFault()
         d.traceIdx = seq - 1;
         d.inst = &program.inst(InstAddr(seq - 1));
         fx.cpu.rob.push_back(d);
-        fx.cpu.loadQueue.push_back(seq);
+        fx.cpu.loadQueue.push_back({seq, 0});
     }
 
     ViolationSink sink(ViolationSink::Mode::Collect);
@@ -413,7 +413,7 @@ runSelfTest(std::ostream &os)
         {"rename map / free-list partition", FaultInjector::injectRenameFault},
         {"load-store queue ordering", FaultInjector::injectLsqFault},
         {"ROB' fat-commit atomicity", FaultInjector::injectAtomicityFault},
-        {"scheduler / LSQ-index mirror", FaultInjector::injectSchedulerFault},
+        {"wakeup-scheduler / IQ mirror", FaultInjector::injectSchedulerFault},
         {"T-Cache coherence", FaultInjector::injectTCacheFault},
         {"config-cache validity", FaultInjector::injectConfigCacheFault},
         {"frontier scheduling legality", FaultInjector::injectFrontierFault},

@@ -55,6 +55,8 @@
 #include <utility>
 #include <vector>
 
+#include "common/ring.hh"
+
 /** Declare Class's field list: every data member, in declaration order
  *  (see the file comment). */
 #define DYNASPAM_FIELDS(Class, ...)                                       \
@@ -118,10 +120,12 @@ inline constexpr bool isStdArray<std::array<T, N>> = true;
 template <typename T>
 inline constexpr bool isFixedArray = isStdArray<T> || std::is_array_v<T>;
 
-/** Counted sequence: vector or deque. */
+/** Counted sequence: vector, deque or Ring (which encodes, decodes and
+ *  diffs as a deque with the same age-ordered contents). */
 template <typename T>
-inline constexpr bool isSequence =
-    isSpecialization<T, std::vector> || isSpecialization<T, std::deque>;
+inline constexpr bool isSequence = isSpecialization<T, std::vector> ||
+                                   isSpecialization<T, std::deque> ||
+                                   isSpecialization<T, Ring>;
 
 /** Keyed container, walked in ascending key order. */
 template <typename T>

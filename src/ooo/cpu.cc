@@ -59,38 +59,20 @@ fuTypeOffset(const FuPoolParams &pool, isa::FuType type)
     return off;
 }
 
-/** Remove the oldest entry (@p seq) from its line bucket. */
-void
-lsqIndexEraseOldest(std::unordered_map<Addr, std::vector<SeqNum>> &index,
-                    Addr line, SeqNum seq)
+/** Entries of the age-ordered @p queue older than @p seq: the age
+ *  position of its first entry with a seq of @p seq or more. */
+std::size_t
+olderCount(const Ring<PipelineState::LsqEntry> &queue, SeqNum seq)
 {
-    auto it = index.find(line);
-    if (it == index.end())
-        return;
-    auto &bucket = it->second;
-    if (!bucket.empty() && bucket.front() == seq)
-        bucket.erase(bucket.begin());
-    else
-        std::erase(bucket, seq);
-    if (bucket.empty())
-        index.erase(it);
-}
-
-/** Remove the youngest entry (@p seq) from its line bucket. */
-void
-lsqIndexEraseYoungest(std::unordered_map<Addr, std::vector<SeqNum>> &index,
-                      Addr line, SeqNum seq)
-{
-    auto it = index.find(line);
-    if (it == index.end())
-        return;
-    auto &bucket = it->second;
-    if (!bucket.empty() && bucket.back() == seq)
-        bucket.pop_back();
-    else
-        std::erase(bucket, seq);
-    if (bucket.empty())
-        index.erase(it);
+    std::size_t lo = 0, hi = queue.size();
+    while (lo < hi) {
+        const std::size_t mid = (lo + hi) / 2;
+        if (queue[mid].seq < seq)
+            lo = mid + 1;
+        else
+            hi = mid;
+    }
+    return lo;
 }
 
 /** Trace-sink record for a ROB entry leaving the pipeline at @p now. */
@@ -145,6 +127,15 @@ OooCpu::OooCpu(const OooParams &p, const isa::DynamicTrace &t,
     regConsumers.resize(p.numPhysRegs);
     for (unsigned fu = 0; fu < unsigned(isa::FuType::NUM_FU_TYPES); fu++)
         fuTypeOffsets[fu] = fuTypeOffset(params.fuPool, isa::FuType(fu));
+
+    // The rings are sized once, from Table 4 (OooParams): no stage ever
+    // allocates for them again.
+    frontEnd.reserve(frontEndCap);
+    rob.reserve(p.robEntries);
+    loadQueue.reserve(p.lqEntries);
+    storeQueue.reserve(p.sqEntries);
+    storeBuffer.reserve(storeBufferEntries);
+    invocations.reserve(p.robEntries);
 }
 
 OooCpu::~OooCpu() = default;
@@ -155,22 +146,24 @@ OooCpu::physReady(RegIndex phys) const
     return phys == REG_INVALID ? 0 : physReadyCycle[phys];
 }
 
+// ROB seqs are contiguous from the head's, so an entry's age position
+// is one subtraction (an older seq wraps to a huge offset) and the ring
+// maps it to its slot with a mask.
+
 DynInst &
 OooCpu::robAt(SeqNum seq)
 {
-    if (rob.empty() || seq < rob.front().seq ||
-        seq > rob.back().seq) {
+    const SeqNum offset = rob.empty() ? ~SeqNum(0) : seq - rob.front().seq;
+    if (offset >= rob.size())
         panic("robAt(", seq, ") out of range");
-    }
-    return rob[std::size_t(seq - rob.front().seq)];
+    return rob[std::size_t(offset)];
 }
 
 const DynInst *
 OooCpu::robFind(SeqNum seq) const
 {
-    if (rob.empty() || seq < rob.front().seq || seq > rob.back().seq)
-        return nullptr;
-    return &rob[std::size_t(seq - rob.front().seq)];
+    const SeqNum offset = rob.empty() ? ~SeqNum(0) : seq - rob.front().seq;
+    return offset < rob.size() ? &rob[std::size_t(offset)] : nullptr;
 }
 
 Cycle
@@ -337,7 +330,7 @@ OooCpu::renameStage()
             if (freeList.size() < fe.liveOuts.size())
                 break;
 
-            DynInst d;
+            DynInst &d = rob.emplace_back();
             d.seq = nextSeq++;
             d.traceIdx = fe.traceIdx;
             d.kind = RobKind::TraceInvoke;
@@ -362,7 +355,6 @@ OooCpu::renameStage()
                 physReadyCycle[phys] = CYCLE_INVALID;
             }
             invocations.emplace(d.seq, std::move(inv));
-            rob.push_back(d);
             pstats.robWrites++;
             pstats.renamedInsts++;
             pstats.dispatchedInsts++;
@@ -383,7 +375,7 @@ OooCpu::renameStage()
         if (inst.isStore() && storeQueue.size() >= params.sqEntries)
             break;
 
-        DynInst d;
+        DynInst &d = rob.emplace_back();
         d.seq = nextSeq++;
         d.traceIdx = fe.traceIdx;
         d.pc = rec.pc;
@@ -415,13 +407,11 @@ OooCpu::renameStage()
                 const SeqNum dep = storeSets.lookupDependence(rec.pc);
                 d.dependsOnStore = (dep & FABRIC_SEQ_FLAG) ? 0 : dep;
             }
-            loadQueue.push_back(d.seq);
-            loadsByLine[lsqLine(rec.effAddr)].push_back(d.seq);
+            loadQueue.push_back({d.seq, rec.effAddr});
         } else if (inst.isStore()) {
             if (params.memorySpeculation)
                 storeSets.dispatchStore(rec.pc, d.seq);
-            storeQueue.push_back(d.seq);
-            storesByLine[lsqLine(rec.effAddr)].push_back(d.seq);
+            storeQueue.push_back({d.seq, rec.effAddr});
         }
 
         if (fe.firstMappingInst && pendingMappingPolicy) {
@@ -441,8 +431,7 @@ OooCpu::renameStage()
 
         d.inIq = true;
         iq.push_back(d.seq);
-        rob.push_back(d);
-        scheduleAtDispatch(rob.back());
+        scheduleAtDispatch(d);
         pstats.robWrites++;
         pstats.renamedInsts++;
         pstats.dispatchedInsts++;
@@ -458,10 +447,10 @@ OooCpu::renameStage()
 bool
 OooCpu::olderStoresAllComplete(const DynInst &load) const
 {
-    for (SeqNum seq : storeQueue) {
-        if (seq >= load.seq)
+    for (const LsqEntry &e : storeQueue) {
+        if (e.seq >= load.seq)
             break;
-        const DynInst *store = robFind(seq);
+        const DynInst *store = robFind(e.seq);
         if (store &&
             (!store->issued || store->completeCycle > curCycle)) {
             return false;
@@ -610,11 +599,11 @@ OooCpu::incompleteStoreBound()
         return sqBound;
     sqBoundCycle = curCycle;
     sqBound = ~SeqNum(0);
-    for (SeqNum seq : storeQueue) {
-        const DynInst *store = robFind(seq);
+    for (const LsqEntry &e : storeQueue) {
+        const DynInst *store = robFind(e.seq);
         if (store &&
             (!store->issued || store->completeCycle > curCycle)) {
-            sqBound = seq;
+            sqBound = e.seq;
             break;
         }
     }
@@ -652,25 +641,17 @@ OooCpu::issueLoad(DynInst &load)
     const Addr addr = load.record->effAddr;
     load.addrReady = true;
 
-    // Store-to-load forwarding: youngest older store with a matching
-    // address whose address is known. Only stores on the same cache
-    // line are probed (age-ordered index bucket); entries elsewhere on
-    // the line — partial overlaps in line terms — neither forward nor
-    // end the search, and the walk bails out at the first full-width
-    // (exact-address) match even when such a partial overlap was seen
-    // first.
+    // Store-to-load forwarding: the youngest older store to the same
+    // address whose address is known. Only an exact-address match
+    // forwards; the walk goes youngest-first over the older stores.
     const DynInst *src_store = nullptr;
-    if (auto it = storesByLine.find(lsqLine(addr));
-        it != storesByLine.end()) {
-        const auto &bucket = it->second;
-        for (auto rit = bucket.rbegin(); rit != bucket.rend(); ++rit) {
-            if (*rit >= load.seq)
-                continue;
-            const DynInst *store = robFind(*rit);
-            if (store && store->issued && store->record->effAddr == addr) {
-                src_store = store;
-                break;
-            }
+    for (std::size_t i = olderCount(storeQueue, load.seq); i-- > 0;) {
+        if (storeQueue[i].effAddr != addr)
+            continue;
+        const DynInst *store = robFind(storeQueue[i].seq);
+        if (store && store->issued) {
+            src_store = store;
+            break;
         }
     }
 
@@ -685,20 +666,16 @@ OooCpu::issueLoad(DynInst &load)
     }
 
     // No match in flight: try the post-commit store buffer (all entries
-    // are architecturally older than any in-flight load). Youngest
-    // same-line entry with the exact address wins, as in the in-flight
-    // case.
-    if (auto it = retiredByLine.find(lsqLine(addr));
-        it != retiredByLine.end()) {
-        const auto &bucket = it->second;
-        for (auto rit = bucket.rbegin(); rit != bucket.rend(); ++rit) {
-            if (rit->addr == addr) {
-                Cycle data_ready = std::max(agu_done, rit->dataReady);
-                load.completeCycle = data_ready + params.forwardLatency;
-                load.forwardedFromSeq = rit->seq;
-                pstats.loadForwards++;
-                return;
-            }
+    // are architecturally older than any in-flight load). The youngest
+    // entry with the exact address wins, as in the in-flight case.
+    for (std::size_t i = storeBuffer.size(); i-- > 0;) {
+        const RetiredStore &retired = storeBuffer[i];
+        if (retired.addr == addr) {
+            Cycle data_ready = std::max(agu_done, retired.dataReady);
+            load.completeCycle = data_ready + params.forwardLatency;
+            load.forwardedFromSeq = retired.seq;
+            pstats.loadForwards++;
+            return;
         }
     }
 
@@ -723,21 +700,18 @@ OooCpu::checkViolations(const DynInst &store)
 {
     // A younger load that already read a value not produced by this store
     // (from cache or from an older store) violated the memory order.
-    // Same-line loads are probed in age order, so the first qualifying
+    // Younger loads are probed in age order, so the first qualifying
     // entry is the oldest violator.
     const Addr addr = store.record->effAddr;
     SeqNum victim = 0;
-    if (auto it = loadsByLine.find(lsqLine(addr));
-        it != loadsByLine.end()) {
-        for (SeqNum seq : it->second) {
-            if (seq <= store.seq)
-                continue;
-            const DynInst *load = robFind(seq);
-            if (load && load->issued && load->record->effAddr == addr &&
-                load->forwardedFromSeq < store.seq) {
-                victim = seq;
-                break;
-            }
+    for (std::size_t i = olderCount(loadQueue, store.seq + 1);
+         i < loadQueue.size(); i++) {
+        if (loadQueue[i].effAddr != addr)
+            continue;
+        const DynInst *load = robFind(loadQueue[i].seq);
+        if (load && load->issued && load->forwardedFromSeq < store.seq) {
+            victim = load->seq;
+            break;
         }
     }
     if (!victim)
@@ -909,9 +883,13 @@ OooCpu::issueStage()
 void
 OooCpu::startReadyInvocations()
 {
+    std::size_t unresolved_left = invocations.unresolvedCount();
     for (auto &[seq, inv] : invocations) {
+        if (unresolved_left == 0)
+            break;
         if (inv.resolved)
             continue;
+        unresolved_left--;
 
         // All live-in arrival times must be known.
         bool ready = true;
@@ -937,10 +915,10 @@ OooCpu::startReadyInvocations()
         // detect cross-invocation aliasing, and without memory
         // speculation it serializes memory operations itself.
         Cycle mem_safe = curCycle;
-        for (SeqNum sq : storeQueue) {
-            if (sq >= seq)
+        for (const LsqEntry &sq : storeQueue) {
+            if (sq.seq >= seq)
                 break;
-            const DynInst *store = robFind(sq);
+            const DynInst *store = robFind(sq.seq);
             if (store) {
                 if (!store->issued) {
                     ready = false;
@@ -955,7 +933,7 @@ OooCpu::startReadyInvocations()
         DynInst &d = robAt(seq);
         inv.result = traceHooks->offloadStart(d.traceIdx, d.traceLen,
                                               curCycle, arrivals, mem_safe);
-        inv.resolved = true;
+        invocations.resolve(inv);
         d.completed = true;
         d.completeCycle = inv.result.completeCycle;
 
@@ -988,33 +966,29 @@ OooCpu::startReadyInvocations()
             // Younger host loads issued speculatively past this
             // invocation: any that read a location the invocation
             // stores to must replay (same discipline as store-set
-            // violation handling between host instructions). Probe
-            // only same-line loads per store event; buckets are
-            // age-ordered, so the first qualifying entry per event is
-            // that event's oldest victim, and the strict < keeps the
-            // earliest event's store PC when several events hit the
-            // same load.
+            // violation handling between host instructions). Younger
+            // loads are probed in age order, so the first qualifying
+            // entry per store event is that event's oldest victim, and
+            // the strict < keeps the earliest event's store PC when
+            // several events hit the same load.
             SeqNum victim = 0;
             InstAddr victim_store_pc = 0;
+            const std::size_t younger = olderCount(loadQueue, seq + 1);
             for (const auto &[addr, store_pc] : inv.result.storeEvents) {
-                auto it = loadsByLine.find(lsqLine(addr));
-                if (it == loadsByLine.end())
-                    continue;
-                for (SeqNum lq_seq : it->second) {
-                    if (lq_seq <= seq)
-                        continue;
-                    if (victim && lq_seq >= victim)
+                for (std::size_t i = younger; i < loadQueue.size(); i++) {
+                    const LsqEntry &lq = loadQueue[i];
+                    if (victim && lq.seq >= victim)
                         break;      // age order: no older hit follows
-                    const DynInst *load = robFind(lq_seq);
+                    if (lq.effAddr != addr)
+                        continue;
+                    const DynInst *load = robFind(lq.seq);
                     if (!load || !load->issued ||
                         load->forwardedFromSeq > seq) {
                         continue;
                     }
-                    if (load->record->effAddr == addr) {
-                        victim = lq_seq;
-                        victim_store_pc = store_pc;
-                        break;
-                    }
+                    victim = lq.seq;
+                    victim_store_pc = store_pc;
+                    break;
                 }
             }
             if (victim) {
@@ -1033,7 +1007,7 @@ OooCpu::startReadyInvocations()
 void
 OooCpu::executeStage()
 {
-    if (traceHooks && !invocations.empty())
+    if (traceHooks && invocations.unresolvedCount() != 0)
         startReadyInvocations();
 }
 
@@ -1101,24 +1075,10 @@ OooCpu::commitStage()
             hierarchy.dataAccess(head.record->effAddr, true);
             if (params.memorySpeculation)
                 storeSets.retireStore(head.pc, head.seq);
+            if (storeBuffer.size() == storeBufferEntries)
+                storeBuffer.pop_front();
             storeBuffer.push_back(
                 {head.record->effAddr, head.completeCycle, head.seq});
-            retiredByLine[lsqLine(head.record->effAddr)].push_back(
-                storeBuffer.back());
-            if (storeBuffer.size() > storeBufferEntries) {
-                const RetiredStore &oldest = storeBuffer.front();
-                auto it = retiredByLine.find(lsqLine(oldest.addr));
-                if (it != retiredByLine.end()) {
-                    auto &bucket = it->second;
-                    if (!bucket.empty() &&
-                        bucket.front().seq == oldest.seq) {
-                        bucket.erase(bucket.begin());
-                    }
-                    if (bucket.empty())
-                        retiredByLine.erase(it);
-                }
-                storeBuffer.pop_front();
-            }
         }
 
         if (head.isControl()) {
@@ -1146,19 +1106,11 @@ OooCpu::commitStage()
         }
 
         if (head.isLoad()) {
-            if (!loadQueue.empty() && loadQueue.front() == head.seq) {
+            if (!loadQueue.empty() && loadQueue.front().seq == head.seq)
                 loadQueue.pop_front();
-                lsqIndexEraseOldest(loadsByLine,
-                                    lsqLine(head.record->effAddr),
-                                    head.seq);
-            }
         } else if (head.isStore()) {
-            if (!storeQueue.empty() && storeQueue.front() == head.seq) {
+            if (!storeQueue.empty() && storeQueue.front().seq == head.seq)
                 storeQueue.pop_front();
-                lsqIndexEraseOldest(storesByLine,
-                                    lsqLine(head.record->effAddr),
-                                    head.seq);
-            }
         }
 
         DYNASPAM_CHECK(head.traceIdx == commitIdx, "host commit of record ",
@@ -1233,15 +1185,6 @@ OooCpu::squashFrom(SeqNum seq, SeqNum resume_trace_idx, Cycle restart)
             }
             if (d.isStore() && params.memorySpeculation)
                 storeSets.retireStore(d.pc, d.seq);
-            // The popped instruction is the youngest in flight, so it
-            // sits at the young end of its line bucket.
-            if (d.isLoad()) {
-                lsqIndexEraseYoungest(loadsByLine,
-                                      lsqLine(d.record->effAddr), d.seq);
-            } else if (d.isStore()) {
-                lsqIndexEraseYoungest(storesByLine,
-                                      lsqLine(d.record->effAddr), d.seq);
-            }
             if (d.mappingInst)
                 mapping_killed = true;
         }
@@ -1250,9 +1193,9 @@ OooCpu::squashFrom(SeqNum seq, SeqNum resume_trace_idx, Cycle restart)
 
     const SeqNum bound = seq;
     std::erase_if(iq, [bound](SeqNum s) { return s >= bound; });
-    while (!loadQueue.empty() && loadQueue.back() >= bound)
+    while (!loadQueue.empty() && loadQueue.back().seq >= bound)
         loadQueue.pop_back();
-    while (!storeQueue.empty() && storeQueue.back() >= bound)
+    while (!storeQueue.empty() && storeQueue.back().seq >= bound)
         storeQueue.pop_back();
     scrubSchedulerForSquash(bound);
 
@@ -1271,7 +1214,7 @@ OooCpu::squashFrom(SeqNum seq, SeqNum resume_trace_idx, Cycle restart)
     if (mapping_killed || mappingActive)
         abortActiveMapping();
 
-    // Keep ROB sequence numbers contiguous: robAt() indexes the deque by
+    // Keep ROB sequence numbers contiguous: robAt() indexes the ring by
     // (seq - head seq), so renames after a squash must continue exactly
     // where the surviving tail ends. Squashed sequence numbers were
     // scrubbed from every side structure above, so reuse is safe.
@@ -1364,6 +1307,8 @@ OooCpu::fits(const SavedState &saved) const
         in.iq.size() > params.iqEntries ||
         in.loadQueue.size() > params.lqEntries ||
         in.storeQueue.size() > params.sqEntries ||
+        in.storeBuffer.size() > storeBufferEntries ||
+        in.invocations.size() > params.robEntries ||
         in.freeList.size() > params.numPhysRegs)
         return false;
 
@@ -1401,8 +1346,20 @@ OooCpu::fits(const SavedState &saved) const
     auto allInRob = [&](const auto &seqs) {
         return std::ranges::all_of(seqs, inRob);
     };
-    if (!allInRob(in.iq) || !allInRob(in.loadQueue) ||
-        !allInRob(in.storeQueue))
+    // A queue entry names a ROB entry, in age order, with its address.
+    auto lsqFits = [&](const Ring<LsqEntry> &queue) {
+        SeqNum prev = 0;
+        for (const LsqEntry &e : queue) {
+            if (e.seq <= prev || !inRob(e.seq) ||
+                in.rob[std::size_t(e.seq - in.rob.front().seq)]
+                        .record->effAddr != e.effAddr)
+                return false;
+            prev = e.seq;
+        }
+        return true;
+    };
+    if (!allInRob(in.iq) || !lsqFits(in.loadQueue) ||
+        !lsqFits(in.storeQueue))
         return false;
     std::size_t ready = 0, pending = 0;
     for (const auto &seqs : in.readyByType) {
@@ -1421,11 +1378,9 @@ OooCpu::fits(const SavedState &saved) const
     for (const auto &seqs : in.regConsumers)
         if (!allInRob(seqs))
             return false;
-    for (const LsqIndex *index : {&in.storesByLine, &in.loadsByLine})
-        for (const auto &[line, seqs] : *index)
-            if (!allInRob(seqs))
-                return false;
+    std::size_t unresolved = 0;
     for (const auto &[seq, inv] : in.invocations) {
+        unresolved += !inv.resolved;
         if (!inRob(seq) || !std::ranges::all_of(inv.liveOutArch, arch))
             return false;
         for (const auto *regs : {&inv.liveInPhys, &inv.liveOutPhys,
@@ -1433,7 +1388,7 @@ OooCpu::fits(const SavedState &saved) const
             if (!std::ranges::all_of(*regs, physOrNone))
                 return false;
     }
-    return true;
+    return unresolved == in.invocations.unresolvedCount();
 }
 
 void

@@ -21,13 +21,12 @@
 #define DYNASPAM_OOO_CPU_HH
 
 #include <cstdint>
-#include <deque>
 #include <memory>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
 #include "common/fields.hh"
+#include "common/ring.hh"
 #include "common/stats.hh"
 #include "common/types.hh"
 #include "isa/trace.hh"
@@ -166,9 +165,12 @@ struct PipelineState
     /**
      * Age-ordered slab of in-flight invocation states. Invocations
      * allocate at dispatch (strictly increasing seq), retire from the
-     * front (in-order commit) and squash from the back, so a deque of
-     * (seq, state) pairs replaces the former std::map: O(1) at both
-     * ends, contiguous iteration, no per-node allocation.
+     * front (in-order commit) and squash from the back, so a ring of
+     * (seq, state) pairs serves: O(1) at both ends, contiguous
+     * iteration, and a retired entry's live-in/live-out vectors are
+     * reused by a later invocation. The table also counts its
+     * unresolved entries, so the execute stage skips the walk when
+     * every in-flight invocation has already launched.
      */
     class InvocationTable
     {
@@ -177,6 +179,7 @@ struct PipelineState
 
         bool empty() const { return slots.empty(); }
         std::size_t size() const { return slots.size(); }
+        void reserve(std::size_t n) { slots.reserve(n); }
         auto begin() { return slots.begin(); }
         auto end() { return slots.end(); }
         auto begin() const { return slots.begin(); }
@@ -206,39 +209,63 @@ struct PipelineState
             return 0;
         }
 
+        /** Entries not yet resolved (launched on the fabric). */
+        std::size_t unresolvedCount() const { return unresolved; }
+
         void
         emplace(SeqNum seq, InvocationState inv)
         {
-            slots.emplace_back(seq, std::move(inv));
+            if (!inv.resolved)
+                unresolved++;
+            slots.push_back({seq, std::move(inv)});
         }
 
+        /** Mark @p inv, an entry of this table, resolved. */
+        void
+        resolve(InvocationState &inv)
+        {
+            inv.resolved = true;
+            unresolved--;
+        }
+
+        /** Remove @p seq's entry: the oldest at commit, the youngest
+         *  at squash, so the young end is tried before the walk. */
         void
         erase(SeqNum seq)
         {
-            if (!slots.empty() && slots.front().first == seq) {
-                slots.pop_front();
-            } else if (!slots.empty() && slots.back().first == seq) {
-                slots.pop_back();
-            } else {
-                for (auto it = slots.begin(); it != slots.end(); ++it) {
-                    if (it->first == seq) {
-                        slots.erase(it);
-                        return;
-                    }
-                }
-            }
+            std::size_t i =
+                !slots.empty() && slots.back().first == seq
+                    ? slots.size() - 1
+                    : 0;
+            while (i < slots.size() && slots[i].first != seq)
+                i++;
+            if (i == slots.size())
+                return;
+            if (!slots[i].second.resolved)
+                unresolved--;
+            slots.erase(i);
         }
 
         bool operator==(const InvocationTable &) const = default;
 
-        DYNASPAM_FIELDS(InvocationTable, slots)
+        DYNASPAM_FIELDS(InvocationTable, slots, unresolved)
 
       private:
-        std::deque<Entry> slots;
+        Ring<Entry> slots;
+        std::size_t unresolved = 0;
     };
 
-    /** Address-keyed index over an LSQ queue: line -> age-ordered seqs. */
-    using LsqIndex = std::unordered_map<Addr, std::vector<SeqNum>>;
+    /** Load- or store-queue entry: the instruction's seq and the
+     *  effective address its oracle record names. */
+    struct LsqEntry
+    {
+        SeqNum seq = 0;
+        Addr effAddr = 0;
+
+        DYNASPAM_FIELDS(LsqEntry, seq, effAddr)
+
+        bool operator==(const LsqEntry &) const = default;
+    };
 
     /**
      * Wakeup-driven scheduler entry. Dispatch either enqueues an
@@ -282,7 +309,7 @@ struct PipelineState
     Cycle fetchResumeCycle = 0;     ///< fetch blocked until this cycle
     bool fetchBlockedOnBranch = false;  ///< waiting for mispredict resolve
     Addr lastFetchBlock = ~Addr(0);
-    std::deque<FrontEndInst> frontEnd;
+    Ring<FrontEndInst> frontEnd;
 
     // Rename state.
     std::vector<RegIndex> rat;              ///< arch -> phys
@@ -290,10 +317,10 @@ struct PipelineState
     std::vector<Cycle> physReadyCycle;      ///< CYCLE_INVALID = not ready
 
     // Back-end structures.
-    std::deque<DynInst> rob;                ///< contiguous seq numbers
+    Ring<DynInst> rob;                      ///< contiguous seq numbers
     std::vector<SeqNum> iq;                 ///< membership set, unordered
-    std::deque<SeqNum> loadQueue;
-    std::deque<SeqNum> storeQueue;
+    Ring<LsqEntry> loadQueue;               ///< age-ordered
+    Ring<LsqEntry> storeQueue;              ///< age-ordered
     InvocationTable invocations;
 
     // Wakeup-driven scheduler (see PendingWakeup).
@@ -303,19 +330,12 @@ struct PipelineState
     std::size_t readyCount = 0;
     std::size_t pendingCount = 0;
 
-    // Cacheline-granular LSQ address index: disambiguation and
-    // forwarding probe only same-line entries, in age order, instead of
-    // walking the full queues per memory op.
-    LsqIndex storesByLine;
-    LsqIndex loadsByLine;
-
     /** Per-cycle cache of the oldest incomplete store's seq (used by
      *  the no-speculation load-readiness rule). CYCLE_INVALID = stale. */
     Cycle sqBoundCycle = CYCLE_INVALID;
     SeqNum sqBound = 0;
 
-    std::deque<RetiredStore> storeBuffer;
-    std::unordered_map<Addr, std::vector<RetiredStore>> retiredByLine;
+    Ring<RetiredStore> storeBuffer;         ///< age-ordered
 
     // FU pool: busy-until cycle per unit, grouped by type.
     std::vector<std::vector<Cycle>> fuBusyUntil;
@@ -337,9 +357,8 @@ struct PipelineState
                     frontEnd, rat, freeList, physReadyCycle, rob, iq,
                     loadQueue, storeQueue, invocations, readyByType,
                     pendingByType, regConsumers, readyCount, pendingCount,
-                    storesByLine, loadsByLine, sqBoundCycle, sqBound,
-                    storeBuffer, retiredByLine, fuBusyUntil, mappingActive,
-                    mappingTraceIdx, mappingFetchRemaining,
+                    sqBoundCycle, sqBound, storeBuffer, fuBusyUntil,
+                    mappingActive, mappingTraceIdx, mappingFetchRemaining,
                     mappingDispatchRemaining, mappingIssueRemaining,
                     mappingCommitRemaining, pstats)
 
@@ -442,10 +461,6 @@ class OooCpu : private PipelineState
     void scrubSchedulerForSquash(SeqNum bound);
     bool loadMemoryReady(const DynInst &load);
     SeqNum incompleteStoreBound();
-
-    /** Cacheline granularity of the LSQ address index. */
-    static constexpr unsigned lsqLineShift = 6;
-    static Addr lsqLine(Addr addr) { return addr >> lsqLineShift; }
 
     OooParams params;
     const isa::DynamicTrace &trace;

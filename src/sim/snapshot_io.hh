@@ -15,7 +15,8 @@
  *  - other integers up to 32 bits are u32, 64-bit integers u64, signed
  *    integers i64 — all little-endian (common/binio.hh), and narrowed
  *    back with a range check; no struct is ever memcpy'd whole;
- *  - vector and deque carry a u64 count, std::array and C arrays none;
+ *  - vector, deque and Ring carry a u64 count, std::array and C arrays
+ *    none;
  *  - map, unordered_map and unordered_set carry a u64 count and are
  *    written in ascending key order (and must decode in it), so the same
  *    state always produces the same bytes;
@@ -41,9 +42,12 @@
 #define DYNASPAM_SIM_SNAPSHOT_IO_HH
 
 #include <cstdint>
+#include <deque>
 #include <memory>
 #include <string>
 
+#include "common/ring.hh"
+#include "common/types.hh"
 #include "sim/snapshot.hh"
 
 namespace dynaspam::sim
@@ -51,7 +55,7 @@ namespace dynaspam::sim
 
 /** Bump when the snapshot body encoding changes shape. Mismatched
  *  versions are rejected at load time and fall back to re-warming. */
-inline constexpr std::uint32_t kSnapshotFormatVersion = 3;
+inline constexpr std::uint32_t kSnapshotFormatVersion = 4;
 
 /**
  * Digest of the layout kSnapshotFormatVersion names: every field list
@@ -60,7 +64,7 @@ inline constexpr std::uint32_t kSnapshotFormatVersion = 3;
  * change a field list and it fails until the version is bumped and the
  * new digest recorded here.
  */
-inline constexpr std::uint64_t kSnapshotLayoutDigest = 0xe3785c47df819ed2ULL;
+inline constexpr std::uint64_t kSnapshotLayoutDigest = 0x15365226cc0508afULL;
 
 /**
  * Stable identity hash of a SimInput: program name and code, initial
@@ -85,6 +89,11 @@ void serializeSnapshot(const Snapshot &snap, std::string &out);
 bool deserializeSnapshot(const std::string &bytes,
                          std::shared_ptr<const SimInput> input,
                          Snapshot &snap);
+
+/** The bytes one counted sequence of seqs encodes to inside a snapshot
+ *  body: a Ring's are a deque's with the same age-ordered contents. */
+std::string encodeSeqs(const Ring<SeqNum> &seqs);
+std::string encodeSeqs(const std::deque<SeqNum> &seqs);
 
 } // namespace dynaspam::sim
 

@@ -1,15 +1,19 @@
 /**
  * @file
- * Unit tests for the common module: stats, histogram, RNG, logging.
+ * Unit tests for the common module: stats, histogram, RNG, logging,
+ * the Ring container.
  */
 
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <deque>
 #include <set>
+#include <vector>
 
 #include "common/logging.hh"
 #include "common/random.hh"
+#include "common/ring.hh"
 #include "common/stats.hh"
 
 using namespace dynaspam;
@@ -107,4 +111,128 @@ TEST(Logging, FatalThrowsFatalError)
     } catch (const FatalError &e) {
         EXPECT_STREQ(e.what(), "x=1 y=2");
     }
+}
+
+namespace
+{
+
+/** @p ring's entries in age order, through its iterators. */
+std::vector<int>
+contents(const Ring<int> &ring)
+{
+    return {ring.begin(), ring.end()};
+}
+
+} // namespace
+
+TEST(Ring, WrapsAroundAtCapacityWithoutGrowing)
+{
+    Ring<int> ring(4);
+    ASSERT_EQ(ring.capacity(), 4u);
+    // Push and pop far past the slot count: the head and tail wrap.
+    for (int i = 0; i < 11; i++) {
+        ring.push_back(i);
+        if (ring.size() == 4)
+            ring.pop_front();
+    }
+    EXPECT_EQ(ring.capacity(), 4u);
+    EXPECT_EQ(contents(ring), (std::vector<int>{8, 9, 10}));
+    EXPECT_EQ(ring.front(), 8);
+    EXPECT_EQ(ring.back(), 10);
+    EXPECT_EQ(ring[1], 9);
+}
+
+TEST(Ring, CapacityIsAPowerOfTwoAndGrowsInAgeOrder)
+{
+    Ring<int> ring(192);
+    EXPECT_EQ(ring.capacity(), 256u);
+
+    Ring<int> small(2);
+    small.push_back(1);
+    small.push_back(2);
+    small.pop_front();      // head now at slot 1
+    small.push_back(3);     // wraps to slot 0
+    small.push_back(4);     // full: doubles, oldest first
+    EXPECT_EQ(small.capacity(), 4u);
+    EXPECT_EQ(contents(small), (std::vector<int>{2, 3, 4}));
+}
+
+TEST(Ring, PopsFromBothEnds)
+{
+    Ring<int> ring(8);
+    for (int i = 1; i <= 6; i++)
+        ring.push_back(i);
+    ring.pop_front();
+    ring.pop_back();
+    ring.pop_back();
+    EXPECT_EQ(contents(ring), (std::vector<int>{2, 3, 4}));
+    ring.pop_front();
+    ring.pop_front();
+    ring.pop_back();
+    EXPECT_TRUE(ring.empty());
+    ring.push_back(7);
+    EXPECT_EQ(ring.front(), 7);
+    EXPECT_EQ(ring.back(), 7);
+}
+
+TEST(Ring, EraseFromTheMiddleKeepsAgeOrder)
+{
+    Ring<int> ring(4);
+    for (int i = 0; i < 6; i++) {
+        ring.push_back(i);
+        if (ring.size() == 4)
+            ring.pop_front();
+    }
+    ring.push_back(6);  // 3, 4, 5, 6 with the head mid-array
+    ring.erase(1);
+    EXPECT_EQ(contents(ring), (std::vector<int>{3, 5, 6}));
+    ring.erase(2);
+    EXPECT_EQ(contents(ring), (std::vector<int>{3, 5}));
+    ring.erase(0);
+    EXPECT_EQ(contents(ring), (std::vector<int>{5}));
+    ring.push_back(7);
+    EXPECT_EQ(contents(ring), (std::vector<int>{5, 7}));
+}
+
+TEST(Ring, EqualityIsByContentsWhateverTheHead)
+{
+    Ring<int> shifted(8), fresh(8);
+    for (int i = 0; i < 7; i++) {
+        shifted.push_back(i);
+        shifted.pop_front();
+    }
+    for (int i : {10, 11, 12}) {
+        shifted.push_back(i);
+        fresh.push_back(i);
+    }
+    EXPECT_EQ(shifted, fresh);
+    fresh.push_back(13);
+    EXPECT_NE(shifted, fresh);
+    fresh.pop_back();
+    fresh.back() = 99;
+    EXPECT_NE(shifted, fresh);
+
+    // A copy is equal and starts its head at slot 0; the larger
+    // destination capacity is kept.
+    Ring<int> copy(64);
+    copy = shifted;
+    EXPECT_EQ(copy, shifted);
+    EXPECT_EQ(copy.capacity(), 64u);
+    EXPECT_EQ(Ring<int>(shifted), shifted);
+}
+
+TEST(Ring, ClearAndResizeValueInitialize)
+{
+    Ring<std::vector<int>> ring(2);
+    ring.push_back({1, 2, 3});
+    ring.clear();
+    EXPECT_TRUE(ring.empty());
+    ring.resize(3);
+    ASSERT_EQ(ring.size(), 3u);
+    for (const std::vector<int> &entry : ring)
+        EXPECT_TRUE(entry.empty());
+    ring.emplace_back().push_back(4);
+    EXPECT_EQ(ring.back(), std::vector<int>{4});
+    ring.resize(1);
+    EXPECT_EQ(ring.size(), 1u);
 }

@@ -11,6 +11,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <deque>
 #include <filesystem>
 #include <fstream>
 #include <memory>
@@ -23,6 +24,8 @@
 #include "common/binio.hh"
 #include "common/fields.hh"
 #include "common/logging.hh"
+#include "common/ring.hh"
+#include "ooo/params.hh"
 #include "runner/job.hh"
 #include "runner/report.hh"
 #include "runner/runner.hh"
@@ -192,6 +195,81 @@ TEST(Snapshot, MidInvocationBoundariesRestoreExactly)
     }
 }
 
+TEST(Snapshot, ForkAfterPipelineRingsWrapIsByteIdentical)
+{
+    // The ROB and store-queue rings reuse their slots, so by mid-run
+    // their heads sit anywhere in the slot array. A snapshot must copy
+    // them in age order and a restored run, in memory or through the
+    // codec, must finish byte-identical to the straight one.
+    const ooo::OooParams ooo_params;
+    for (sim::SystemMode mode :
+         {sim::SystemMode::AccelNoSpec, sim::SystemMode::AccelSpec}) {
+        const sim::SystemConfig cfg = sim::SystemConfig::make(mode);
+        auto input = inputFor("bfs");
+        const std::string straight = runStraight(cfg, input);
+
+        sim::Simulation warm(cfg, input);
+        while (!warm.done() &&
+               warm.committedInsts() < input->trace().size() / 2)
+            warm.tick();
+        sim::Snapshot snap;
+        warm.snapshot(snap);
+
+        // Both rings have wrapped. Every host commit pops the 256-slot
+        // ROB ring; BFS commits over 33k records on the host by this
+        // point. The 128-slot store-queue ring pops once per
+        // host-committed store: 3,677 (accel-nospec) and 3,389
+        // (accel-spec) here, measured with a counter at that pop.
+        const ooo::PipelineState &pipe = snap.cpu.pipeline;
+        ASSERT_GT(pipe.pstats.committedOnHost, 1000u);
+        ASSERT_GT(pipe.pstats.committedOnHost, 4u * ooo_params.robEntries);
+        ASSERT_EQ(pipe.storeBuffer.size(), 16u) << sim::modeName(mode);
+
+        sim::Simulation restored(cfg, input);
+        restored.restore(snap);
+        restored.runToCompletion();
+        EXPECT_EQ(resultBytes(restored.collectResult()), straight)
+            << sim::modeName(mode) << ": in-process fork diverged";
+
+        std::string bytes;
+        sim::serializeSnapshot(snap, bytes);
+        sim::Snapshot decoded;
+        ASSERT_TRUE(sim::deserializeSnapshot(bytes, input, decoded));
+        sim::Simulation reloaded(cfg, input);
+        reloaded.restore(decoded);
+        reloaded.runToCompletion();
+        EXPECT_EQ(resultBytes(reloaded.collectResult()), straight)
+            << sim::modeName(mode) << ": serialized fork diverged";
+
+        warm.runToCompletion();
+        EXPECT_EQ(resultBytes(warm.collectResult()), straight)
+            << sim::modeName(mode) << ": taking the snapshot perturbed";
+    }
+}
+
+TEST(SnapshotIo, RingEncodesAsDequeWithSameContents)
+{
+    // A ring whose head has wrapped past the end of its slot array
+    // writes the same bytes as a deque holding the same entries.
+    Ring<SeqNum> ring(8);
+    std::deque<SeqNum> deque;
+    for (SeqNum seq = 1; seq <= 12; seq++) {
+        ring.push_back(seq);
+        deque.push_back(seq);
+        if (ring.size() > 5) {
+            ring.pop_front();
+            deque.pop_front();
+        }
+    }
+    ASSERT_EQ(ring.capacity(), 8u);
+    ASSERT_EQ(ring.size(), deque.size());
+    ASSERT_EQ(ring.front(), 8u);    // head at slot 7 of 8, tail at slot 3
+
+    const std::string bytes = sim::encodeSeqs(ring);
+    EXPECT_EQ(bytes, sim::encodeSeqs(deque));
+    EXPECT_EQ(bytes.size(), 8u + 5u * 8u);  // u64 count, five u64 seqs
+}
+
 TEST(Snapshot, RestoreAcrossInputsIsFatal)
 {
     const sim::SystemConfig cfg =
@@ -316,10 +394,8 @@ TEST(SnapshotIo, CorruptBytesFallBackCleanly)
     sim::serializeSnapshot(snap, bytes);
 
     // Pristine bytes decode.
-    {
-        sim::Snapshot out;
-        EXPECT_TRUE(sim::deserializeSnapshot(bytes, input, out));
-    }
+    sim::Snapshot pristine;
+    EXPECT_TRUE(sim::deserializeSnapshot(bytes, input, pristine));
     // Every truncation point fails soft — returns false, never crashes.
     for (std::size_t len : {std::size_t(0), std::size_t(1),
                             bytes.size() / 4, bytes.size() / 2,
@@ -334,6 +410,11 @@ TEST(SnapshotIo, CorruptBytesFallBackCleanly)
     // including trace indices and container lengths. A mutant that
     // decodes and fits the simulation is restored and run: fits() is
     // the whole precondition of restore, so the run must not crash.
+    // Under DYNASPAM_CHECKS the snapshot also carries the lockstep
+    // golden model: a flip in its registers or memory decodes and fits,
+    // and the restored run's next commit reports the golden-model
+    // divergence the checker exists to catch, which stops the process
+    // by design. Such a mutant is decoded and fit-checked, not run.
     unsigned ran = 0;
     for (std::size_t pos = 0; pos < bytes.size();
          pos += bytes.size() / 64 + 1) {
@@ -343,7 +424,7 @@ TEST(SnapshotIo, CorruptBytesFallBackCleanly)
         if (!sim::deserializeSnapshot(corrupt, input, out))
             continue;
         sim::Simulation mutant(cfg, input);
-        if (!mutant.fits(out))
+        if (!mutant.fits(out) || out.verifier != pristine.verifier)
             continue;
         mutant.restore(out);
         for (int cycle = 0; cycle < 10000 && !mutant.done(); cycle++)
