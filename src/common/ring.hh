@@ -6,8 +6,9 @@
  * store queues, store buffer, invocation table) are bounded by Table 4
  * sizes, and each pushes at the young end and pops at one of the two
  * ends. A ring sized once at construction does that with one mask per
- * index and no allocation: a popped slot keeps its object (and any
- * buffers it owns) and the next push assigns into it. Indexing,
+ * index and no allocation of its own: the next push assigns over a
+ * popped slot's object. An entry that owns buffers (a vector member)
+ * still allocates and frees them as it is assigned. Indexing,
  * iteration and equality are in age order (oldest first) whatever slot
  * the head occupies, so a Ring compares, encodes and diffs exactly as a
  * std::deque with the same contents would.
@@ -178,7 +179,7 @@ class Ring
         count--;
     }
 
-    /** Drop every entry; the slots keep their objects for reuse. */
+    /** Drop every entry; the slot array is kept. */
     void
     clear()
     {

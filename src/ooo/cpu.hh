@@ -166,9 +166,8 @@ struct PipelineState
      * Age-ordered slab of in-flight invocation states. Invocations
      * allocate at dispatch (strictly increasing seq), retire from the
      * front (in-order commit) and squash from the back, so a ring of
-     * (seq, state) pairs serves: O(1) at both ends, contiguous
-     * iteration, and a retired entry's live-in/live-out vectors are
-     * reused by a later invocation. The table also counts its
+     * (seq, state) pairs serves: O(1) at both ends and contiguous
+     * iteration. The table also counts its
      * unresolved entries, so the execute stage skips the walk when
      * every in-flight invocation has already launched.
      */

@@ -390,22 +390,6 @@ serializeSnapshot(const Snapshot &snap, std::string &out)
     out = w.take();
 }
 
-std::string
-encodeSeqs(const Ring<SeqNum> &seqs)
-{
-    Writer w;
-    Encoder(w).put(seqs);
-    return w.take();
-}
-
-std::string
-encodeSeqs(const std::deque<SeqNum> &seqs)
-{
-    Writer w;
-    Encoder(w).put(seqs);
-    return w.take();
-}
-
 bool
 deserializeSnapshot(const std::string &bytes,
                     std::shared_ptr<const SimInput> input,

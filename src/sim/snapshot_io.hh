@@ -42,12 +42,9 @@
 #define DYNASPAM_SIM_SNAPSHOT_IO_HH
 
 #include <cstdint>
-#include <deque>
 #include <memory>
 #include <string>
 
-#include "common/ring.hh"
-#include "common/types.hh"
 #include "sim/snapshot.hh"
 
 namespace dynaspam::sim
@@ -89,11 +86,6 @@ void serializeSnapshot(const Snapshot &snap, std::string &out);
 bool deserializeSnapshot(const std::string &bytes,
                          std::shared_ptr<const SimInput> input,
                          Snapshot &snap);
-
-/** The bytes one counted sequence of seqs encodes to inside a snapshot
- *  body: a Ring's are a deque's with the same age-ordered contents. */
-std::string encodeSeqs(const Ring<SeqNum> &seqs);
-std::string encodeSeqs(const std::deque<SeqNum> &seqs);
 
 } // namespace dynaspam::sim
 

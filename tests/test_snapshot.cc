@@ -10,8 +10,10 @@
 
 #include <gtest/gtest.h>
 
+#include <csignal>
 #include <cstdint>
-#include <deque>
+#include <cstdio>
+#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <memory>
@@ -19,6 +21,7 @@
 #include <string>
 #include <vector>
 
+#include <sys/wait.h>
 #include <unistd.h>
 
 #include "common/binio.hh"
@@ -54,6 +57,22 @@ resultBytes(sim::RunResult result)
     // configurations; everything else must match bit-for-bit.
     result.commitsChecked = 0;
     return runner::resultToJson(result).dump();
+}
+
+/** @p contents in a ring of the same capacity whose head sits in the
+ *  last slot, so two or more entries wrap past the end of the slots. */
+template <typename T>
+Ring<T>
+wrapped(const Ring<T> &contents)
+{
+    Ring<T> ring(contents.capacity());
+    for (std::size_t i = 0; i + 1 < ring.capacity(); i++) {
+        ring.push_back(T{});
+        ring.pop_front();
+    }
+    for (const T &entry : contents)
+        ring.push_back(entry);
+    return ring;
 }
 
 std::string
@@ -247,27 +266,39 @@ TEST(Snapshot, ForkAfterPipelineRingsWrapIsByteIdentical)
     }
 }
 
-TEST(SnapshotIo, RingEncodesAsDequeWithSameContents)
+TEST(SnapshotIo, WrappedRingsSerializeInAgeOrder)
 {
-    // A ring whose head has wrapped past the end of its slot array
-    // writes the same bytes as a deque holding the same entries.
-    Ring<SeqNum> ring(8);
-    std::deque<SeqNum> deque;
-    for (SeqNum seq = 1; seq <= 12; seq++) {
-        ring.push_back(seq);
-        deque.push_back(seq);
-        if (ring.size() > 5) {
-            ring.pop_front();
-            deque.pop_front();
-        }
-    }
-    ASSERT_EQ(ring.capacity(), 8u);
-    ASSERT_EQ(ring.size(), deque.size());
-    ASSERT_EQ(ring.front(), 8u);    // head at slot 7 of 8, tail at slot 3
+    // A live ring's head sits anywhere in its slot array. The codec
+    // writes ring entries in age order, so a snapshot whose rings wrap
+    // past the end of their slot arrays writes the same bytes as one
+    // whose rings start at slot 0.
+    const sim::SystemConfig cfg =
+        sim::SystemConfig::make(sim::SystemMode::AccelSpec);
+    auto input = inputFor("bfs");
+    sim::Simulation warm(cfg, input);
+    while (!warm.done() && warm.committedInsts() < 20000)
+        warm.tick();
+    sim::Snapshot snap;
+    warm.snapshot(snap);
+    std::string bytes;
+    sim::serializeSnapshot(snap, bytes);
 
-    const std::string bytes = sim::encodeSeqs(ring);
-    EXPECT_EQ(bytes, sim::encodeSeqs(deque));
-    EXPECT_EQ(bytes.size(), 8u + 5u * 8u);  // u64 count, five u64 seqs
+    sim::Snapshot turned = snap;
+    ooo::PipelineState &pipe = turned.cpu.pipeline;
+    pipe.frontEnd = wrapped(pipe.frontEnd);
+    pipe.rob = wrapped(pipe.rob);
+    pipe.loadQueue = wrapped(pipe.loadQueue);
+    pipe.storeQueue = wrapped(pipe.storeQueue);
+    pipe.storeBuffer = wrapped(pipe.storeBuffer);
+    // The youngest entry sits in a lower slot than the oldest.
+    ASSERT_GE(pipe.rob.size(), 2u);
+    ASSERT_LT(&pipe.rob.back(), &pipe.rob.front());
+    ASSERT_GE(pipe.storeBuffer.size(), 2u);
+    ASSERT_LT(&pipe.storeBuffer.back(), &pipe.storeBuffer.front());
+
+    std::string turned_bytes;
+    sim::serializeSnapshot(turned, turned_bytes);
+    EXPECT_EQ(turned_bytes, bytes);
 }
 
 TEST(Snapshot, RestoreAcrossInputsIsFatal)
@@ -411,10 +442,15 @@ TEST(SnapshotIo, CorruptBytesFallBackCleanly)
     // decodes and fits the simulation is restored and run: fits() is
     // the whole precondition of restore, so the run must not crash.
     // Under DYNASPAM_CHECKS the snapshot also carries the lockstep
-    // golden model: a flip in its registers or memory decodes and fits,
-    // and the restored run's next commit reports the golden-model
-    // divergence the checker exists to catch, which stops the process
-    // by design. Such a mutant is decoded and fit-checked, not run.
+    // golden model. A flip in its state decodes and fits, and the
+    // restored run either never reads the flipped value or reports the
+    // golden-model divergence the checker exists to catch, which aborts
+    // by design. Such a mutant runs in a death-test child that must end
+    // one of those two ways.
+    const auto clean_or_aborted = [](int status) {
+        return (WIFEXITED(status) && WEXITSTATUS(status) == 0) ||
+               (WIFSIGNALED(status) && WTERMSIG(status) == SIGABRT);
+    };
     unsigned ran = 0;
     for (std::size_t pos = 0; pos < bytes.size();
          pos += bytes.size() / 64 + 1) {
@@ -424,11 +460,25 @@ TEST(SnapshotIo, CorruptBytesFallBackCleanly)
         if (!sim::deserializeSnapshot(corrupt, input, out))
             continue;
         sim::Simulation mutant(cfg, input);
-        if (!mutant.fits(out) || out.verifier != pristine.verifier)
+        if (!mutant.fits(out))
             continue;
-        mutant.restore(out);
-        for (int cycle = 0; cycle < 10000 && !mutant.done(); cycle++)
-            mutant.tick();
+        const auto run = [&] {
+            mutant.restore(out);
+            for (int cycle = 0; cycle < 10000 && !mutant.done(); cycle++)
+                mutant.tick();
+        };
+        if (out.verifier == pristine.verifier) {
+            run();
+        } else {
+            EXPECT_EXIT(
+                {
+                    run();
+                    std::fprintf(stderr, "mutant ran clean\n");
+                    std::exit(0);
+                },
+                clean_or_aborted, "mutant ran clean|golden-model divergence")
+                << "golden-model state flipped at byte " << pos;
+        }
         ran++;
     }
     EXPECT_GT(ran, 0u) << "no mutant got as far as a restored run";
